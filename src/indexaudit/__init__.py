@@ -92,7 +92,7 @@ from .montecarlo import (
 )
 from .seeding import derive_seed, generator
 from .survey import (
-    HouseholdRecord,
+    HouseholdPanel,
     WeightEstimate,
     estimate_weights,
     index_variance,

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -42,9 +42,9 @@ from .dataio import (
     load_weights,
     write_households,
 )
-from .errors import AuditError, AuditWarning, ConfigError, VerificationFailure
+from .errors import AuditError, AuditWarning, ConfigError, ValidationError, VerificationFailure
 from .montecarlo import run_verification
-from .survey import HouseholdRecord, WeightEstimate, estimate_weights, index_variance, simulate_households
+from .survey import WeightEstimate, estimate_weights, index_variance, simulate_households
 
 
 @dataclass
@@ -56,6 +56,7 @@ class RunConfig:
     output: str | None = None
     prices_path: str | None = None
     weights_path: str | None = None
+    source: str | None = None
     survey_micro_path: str | None = None
     survey_estimate_path: str | None = None
     survey_strata: tuple[str, ...] = ()
@@ -75,7 +76,6 @@ class RunConfig:
     jobs: int = 1
     out_path: str | None = None
     stratum: str | None = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.fmt not in ("machine", "table"):
@@ -166,23 +166,24 @@ def _load_survey_estimates(config: RunConfig,
     if config.survey_estimate_path is not None:
         return {"survey": load_weight_estimate(config.survey_estimate_path,
                                                prices.group_labels)}
-    records = load_households(config.survey_micro_path, prices.group_labels)
-    by_stratum: dict[str, list[HouseholdRecord]] = {}
-    for record in records:
-        by_stratum.setdefault(record.stratum_label or "all", []).append(record)
+    panel = load_households(config.survey_micro_path, prices.group_labels)
+    rows_by_stratum: dict[str, list[int]] = {}
+    for row, stratum in enumerate(panel.strata):
+        rows_by_stratum.setdefault(stratum or "all", []).append(row)
     wanted = list(config.survey_strata)
     if not wanted:
-        pools = {"all": records} if len(by_stratum) == 1 else {
-            **by_stratum, "all": records,
+        pools = {"all": panel} if len(rows_by_stratum) == 1 else {
+            **{stratum: panel.select(rows) for stratum, rows in rows_by_stratum.items()},
+            "all": panel,
         }
     else:
-        unknown = [s for s in wanted if s not in by_stratum]
+        unknown = [s for s in wanted if s not in rows_by_stratum]
         if unknown:
             raise ConfigError(
                 f"unknown survey stratum {unknown[0]!r}; file has "
-                f"{', '.join(sorted(by_stratum))}"
+                f"{', '.join(sorted(rows_by_stratum))}"
             )
-        pools = {stratum: by_stratum[stratum] for stratum in wanted}
+        pools = {stratum: panel.select(rows_by_stratum[stratum]) for stratum in wanted}
     return {stratum: estimate_weights(pool) for stratum, pool in sorted(pools.items())}
 
 
@@ -198,8 +199,8 @@ def _select_proxies(config: RunConfig, prices: PriceSeries) -> dict[str, WeightV
     return {source: proxies[source] for source in config.proxy_sources}
 
 
-def _single_survey(config: RunConfig, prices: PriceSeries) -> tuple[str, WeightEstimate]:
-    estimates = _load_survey_estimates(config, prices)
+def _single_survey(config: RunConfig,
+                   estimates: dict[str, WeightEstimate]) -> tuple[str, WeightEstimate]:
     if config.survey_strata:
         if len(config.survey_strata) != 1:
             raise ConfigError("this command takes exactly one --survey-stratum")
@@ -211,8 +212,7 @@ def _single_survey(config: RunConfig, prices: PriceSeries) -> tuple[str, WeightE
     return label, estimate
 
 
-def _single_proxy(config: RunConfig, prices: PriceSeries) -> tuple[str, WeightVector]:
-    proxies = _select_proxies(config, prices)
+def _single_proxy(proxies: dict[str, WeightVector]) -> tuple[str, WeightVector]:
     if len(proxies) != 1:
         raise ConfigError(
             "this command needs exactly one proxy source (pass --proxy)"
@@ -221,11 +221,42 @@ def _single_proxy(config: RunConfig, prices: PriceSeries) -> tuple[str, WeightVe
     return label, vector
 
 
-def _battery_rows(config: RunConfig, kinds: tuple[TestKind, ...]) -> list[dict]:
+def _audit_rows(config: RunConfig) -> tuple[list[dict], dict]:
+    """Result rows and derived config of ztest, btest, coverage, mse and
+    report. Prices, proxies and survey estimates are each loaded once, in the
+    order each command has always loaded them, so that with several bad
+    inputs the same one is reported."""
     prices = load_prices(config.prices_path)
-    estimates = _load_survey_estimates(config, prices)
-    proxies = _select_proxies(config, prices)
-    chosen = _parse_periods(config.periods_spec, prices)
+    if config.command in ("coverage", "mse"):
+        proxy_label, proxy = _single_proxy(_select_proxies(config, prices))
+        survey_label, estimate = _single_survey(
+            config, _load_survey_estimates(config, prices))
+        chosen = _parse_periods(config.periods_spec, prices)
+        rows: list[dict] = []
+    else:
+        estimates = _load_survey_estimates(config, prices)
+        proxies = _select_proxies(config, prices)
+        chosen = _parse_periods(config.periods_spec, prices)
+        kinds = {"ztest": (TestKind.Z,), "btest": (TestKind.B,)}.get(
+            config.command, (TestKind.Z, TestKind.B))
+        rows = _battery_rows(config, prices, estimates, proxies, chosen, kinds)
+        if config.command != "report":
+            return rows, {}
+        proxy_label, proxy = _single_proxy(proxies)
+        survey_label, estimate = _single_survey(config, estimates)
+    if config.command == "mse":
+        return _mse_rows(prices, chosen, proxy, estimate), {}
+    coverage_rows, omega = _coverage_rows(config, prices, chosen, proxy, estimate)
+    rows += coverage_rows
+    if config.command == "report":
+        rows += _mse_rows(prices, chosen, proxy, estimate)
+    return rows, {"resolved_omega": omega, "survey": survey_label, "proxy": proxy_label}
+
+
+def _battery_rows(config: RunConfig, prices: PriceSeries,
+                  estimates: dict[str, WeightEstimate],
+                  proxies: dict[str, WeightVector], chosen: list[int] | None,
+                  kinds: tuple[TestKind, ...]) -> list[dict]:
     if config.each_period:
         targets = chosen if chosen is not None else range(prices.n_periods)
         subsets = {prices.period_labels[t]: [t] for t in targets}
@@ -248,11 +279,10 @@ def _resolve_scheme(config: RunConfig, variances: list[float]) -> EvalScheme:
     return EvalScheme(alpha=config.alpha, omega=multiple * mean_se)
 
 
-def _coverage_rows(config: RunConfig) -> tuple[list[dict], dict]:
-    prices = load_prices(config.prices_path)
-    proxy_label, proxy = _single_proxy(config, prices)
-    survey_label, estimate = _single_survey(config, prices)
-    chosen = _parse_periods(config.periods_spec, prices)
+def _coverage_rows(config: RunConfig, prices: PriceSeries, chosen: list[int] | None,
+                   proxy: WeightVector,
+                   estimate: WeightEstimate) -> tuple[list[dict], float]:
+    """Per-period coverage rows and their summaries, with the resolved omega."""
     targets = chosen if chosen is not None else list(range(prices.n_periods))
     variances = [index_variance(prices, estimate, t) for t in targets]
     scheme = _resolve_scheme(config, variances)
@@ -279,19 +309,11 @@ def _coverage_rows(config: RunConfig) -> tuple[list[dict], dict]:
         benchmark_values.append(benchmark.value)
     rows.append(reporting.quantile_summary_row("published_constant", plug_in_values))
     rows.append(reporting.quantile_summary_row("unbiased_benchmark", benchmark_values))
-    derived = {
-        "resolved_omega": scheme.omega,
-        "survey": survey_label,
-        "proxy": proxy_label,
-    }
-    return rows, derived
+    return rows, scheme.omega
 
 
-def _mse_rows(config: RunConfig) -> list[dict]:
-    prices = load_prices(config.prices_path)
-    _, proxy = _single_proxy(config, prices)
-    _, estimate = _single_survey(config, prices)
-    chosen = _parse_periods(config.periods_spec, prices)
+def _mse_rows(prices: PriceSeries, chosen: list[int] | None, proxy: WeightVector,
+              estimate: WeightEstimate) -> list[dict]:
     targets = chosen if chosen is not None else list(range(prices.n_periods))
     rows = []
     for t in targets:
@@ -326,50 +348,35 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
             raise ConfigError(
                 f"{len(raw)} weights for {len(groups)} group labels"
             )
-        vector = WeightVector(raw, label="true", group_labels=groups)
+        try:
+            vector = WeightVector(raw, label="true", group_labels=groups)
+        except ValidationError as exc:
+            # the weights and their labels come from flags
+            raise ConfigError(str(exc)) from exc
     else:
-        source = config.extra.get("source")
-        if not source:
+        if not config.source:
             raise ConfigError("--weights-file needs --source to pick a vector")
-        vectors = load_weights(config.weights_path, _weights_file_groups(config.weights_path))
-        if source not in vectors:
+        vectors = load_weights(config.weights_path)
+        if config.source not in vectors:
             raise ConfigError(
-                f"unknown source {source!r}; file has {', '.join(sorted(vectors))}"
+                f"unknown source {config.source!r}; file has {', '.join(sorted(vectors))}"
             )
-        vector = vectors[source]
+        vector = vectors[config.source]
         groups = vector.group_labels
     if config.n_households is None:
         raise ConfigError("--n is required")
     if config.out_path is None:
         raise ConfigError("--out is required")
-    records = simulate_households(vector, config.n_households, config.dispersion,
-                                  config.seed, stratum_label=config.stratum)
-    write_households(config.out_path, records, groups)
+    panel = simulate_households(vector, config.n_households, config.dispersion,
+                                config.seed, stratum_label=config.stratum)
+    write_households(config.out_path, panel, groups)
     digest = hashlib.sha256(Path(config.out_path).read_bytes()).hexdigest()
     return [{
         "type": "file_output",
         "path": config.out_path,
-        "rows": len(records) * len(groups),
+        "rows": len(panel) * len(groups),
         "sha256": digest,
     }]
-
-
-def _weights_file_groups(path: str) -> tuple[str, ...]:
-    """Group labels of a weights file in first-appearance order."""
-    import csv as _csv
-
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = _csv.DictReader(handle)
-        if reader.fieldnames is None or "group" not in reader.fieldnames:
-            raise ConfigError(f"{path}: not a weights file (no 'group' column)")
-        seen: list[str] = []
-        for row in reader:
-            group = (row.get("group") or "").strip()
-            if group and group not in seen:
-                seen.append(group)
-    if not seen:
-        raise ConfigError(f"{path}: no groups found")
-    return tuple(seen)
 
 
 def _verify_rows(config: RunConfig) -> tuple[list[dict], int]:
@@ -383,24 +390,14 @@ def run_command(config: RunConfig) -> tuple[reporting.ReportDocument, int]:
     """Execute one configured command and build its report document."""
     ctx, caught = _capture_warnings()
     exit_code = 0
+    derived: dict = {}
     try:
-        if config.command == "ztest":
-            rows = _battery_rows(config, (TestKind.Z,))
-        elif config.command == "btest":
-            rows = _battery_rows(config, (TestKind.B,))
-        elif config.command == "coverage":
-            rows, derived = _coverage_rows(config)
-        elif config.command == "mse":
-            rows = _mse_rows(config)
+        if config.command in ("ztest", "btest", "coverage", "mse", "report"):
+            rows, derived = _audit_rows(config)
         elif config.command == "simulate":
             rows = _simulate_rows(config)
         elif config.command == "verify":
             rows, exit_code = _verify_rows(config)
-        elif config.command == "report":
-            rows = _battery_rows(config, (TestKind.Z, TestKind.B))
-            coverage_rows, derived = _coverage_rows(config)
-            rows += coverage_rows
-            rows += _mse_rows(config)
         else:
             raise ConfigError(f"unknown command {config.command!r}")
     finally:
@@ -410,11 +407,9 @@ def run_command(config: RunConfig) -> tuple[reporting.ReportDocument, int]:
     config_echo = {
         key: value for key, value in dataclasses.asdict(config).items()
         if value not in (None, (), {}, "")
-        and key not in ("fmt", "output", "extra", "jobs")
+        and key not in ("fmt", "output", "jobs")
     }
-    config_echo.update({key: value for key, value in config.extra.items() if value})
-    if config.command in ("coverage", "report"):
-        config_echo.update(derived)
+    config_echo.update(derived)
     doc = reporting.build_document(
         command=config.command,
         config=config_echo,
@@ -578,10 +573,9 @@ def mse(**kwargs):
               type=click.Path(dir_okay=False),
               help="Micro CSV to write.")
 @_format_option
-def simulate(source, **kwargs):
+def simulate(**kwargs):
     """Draw synthetic household micro data with known true weights."""
-    config = RunConfig(command="simulate", extra={"source": source}, **kwargs)
-    _execute(config)
+    _execute(RunConfig(command="simulate", **kwargs))
 
 
 @cli.command()

@@ -140,6 +140,10 @@ class WeightVector:
                 raise ValidationError(
                     f"{len(labels)} group labels for {normalized.size} weights"
                 )
+            if len(set(labels)) != len(labels):
+                raise ValidationError(
+                    f"weight vector {self.label!r} has duplicate group labels"
+                )
             object.__setattr__(self, "group_labels", labels)
 
     def _group_name(self, position: int) -> str:

@@ -20,12 +20,13 @@ Writers emit full-precision floats (repr round-trip).
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import PriceSeries, WeightVector
 from .errors import ConfigError, ValidationError
-from .survey import HouseholdRecord, WeightEstimate
+from .survey import HouseholdPanel, WeightEstimate
 
 import numpy as np
 
@@ -41,9 +42,11 @@ __all__ = [
 ]
 
 
-def _read_rows(path: str | Path, columns: Sequence[str],
-               optional: Sequence[str] = ()) -> list[tuple[int, dict[str, str]]]:
-    path = Path(path)
+def _read_columns(path: Path, columns: Sequence[str],
+                  optional: Sequence[str] = ()) -> tuple[list[int], dict[str, list[str]]]:
+    """Read a headered CSV in one pass: the line number of every data row,
+    and each header column's stripped cells. Blank rows are skipped; a row
+    with the wrong field count is an error."""
     try:
         handle = path.open(newline="", encoding="utf-8")
     except OSError as exc:
@@ -65,18 +68,23 @@ def _read_rows(path: str | Path, columns: Sequence[str],
             )
         if len(set(header)) != len(header):
             raise ValidationError(f"{path}: duplicated header column")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append((line_no, {key: cell.strip() for key, cell in zip(header, row)}))
-        if not rows:
-            raise ValidationError(f"{path}: no data rows")
-        return rows
+        rows = list(reader)
+    # a row is blank when every cell is whitespace, i.e. when their
+    # concatenation is
+    lines = [line_no for line_no, row in enumerate(rows, start=2) if "".join(row).strip()]
+    if len(lines) < len(rows):
+        rows = [rows[line_no - 2] for line_no in lines]
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        line_no, row = next((line_no, row) for line_no, row in zip(lines, rows)
+                            if len(row) != width)
+        raise ValidationError(
+            f"{path}:{line_no}: expected {width} fields, got {len(row)}"
+        )
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    return lines, {key: list(map(str.strip, cells))
+                   for key, cells in zip(header, zip(*rows))}
 
 
 def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
@@ -91,22 +99,21 @@ def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
 def load_prices(path: str | Path) -> PriceSeries:
     """Read a price panel; groups and periods keep first-appearance order."""
     path = Path(path)
-    rows = _read_rows(path, ("period", "group", "index"))
-    periods: list[str] = []
-    groups: list[str] = []
+    lines, cols = _read_columns(path, ("period", "group", "index"))
+    periods: dict[str, None] = {}
+    groups: dict[str, None] = {}
     cells: dict[tuple[str, str], float] = {}
-    for line_no, row in rows:
-        key = (row["group"], row["period"])
+    for line_no, period, group, text in zip(lines, cols["period"], cols["group"],
+                                            cols["index"]):
+        key = (group, period)
         if key in cells:
             raise ValidationError(
-                f"{path}:{line_no}: duplicate cell for group {key[0]!r}, "
-                f"period {key[1]!r}"
+                f"{path}:{line_no}: duplicate cell for group {group!r}, "
+                f"period {period!r}"
             )
-        if row["period"] not in periods:
-            periods.append(row["period"])
-        if row["group"] not in groups:
-            groups.append(row["group"])
-        cells[key] = _parse_float(path, line_no, "index", row["index"])
+        periods[period] = None
+        groups[group] = None
+        cells[key] = _parse_float(path, line_no, "index", text)
     missing = [(g, p) for g in groups for p in periods if (g, p) not in cells]
     if missing:
         g, p = missing[0]
@@ -123,16 +130,21 @@ def load_prices(path: str | Path) -> PriceSeries:
 
 
 def load_weights(path: str | Path,
-                 group_labels: Sequence[str]) -> dict[str, WeightVector]:
-    """Read one weight vector per source, aligned to the given group order."""
+                 group_labels: Sequence[str] | None = None) -> dict[str, WeightVector]:
+    """Read one weight vector per source, aligned to the given group order.
+
+    When ``group_labels`` is omitted, groups are taken in first-appearance
+    order over the whole file.
+    """
     path = Path(path)
-    rows = _read_rows(path, ("source", "group", "weight"))
-    order = list(group_labels)
+    lines, cols = _read_columns(path, ("source", "group", "weight"))
+    order = (list(dict.fromkeys(cols["group"])) if group_labels is None
+             else list(group_labels))
+    known = set(order)
     by_source: dict[str, dict[str, float]] = {}
-    for line_no, row in rows:
-        source = row["source"]
-        group = row["group"]
-        if group not in order:
+    for line_no, source, group, text in zip(lines, cols["source"], cols["group"],
+                                            cols["weight"]):
+        if group not in known:
             raise ValidationError(
                 f"{path}:{line_no}: unknown group {group!r} (price panel has "
                 f"{', '.join(order)})"
@@ -143,7 +155,7 @@ def load_weights(path: str | Path,
                 f"{path}:{line_no}: duplicate weight for source {source!r}, "
                 f"group {group!r}"
             )
-        entry[group] = _parse_float(path, line_no, "weight", row["weight"])
+        entry[group] = _parse_float(path, line_no, "weight", text)
     vectors = {}
     for source, entry in by_source.items():
         missing = [g for g in order if g not in entry]
@@ -163,80 +175,97 @@ def load_weights(path: str | Path,
 
 
 def load_households(path: str | Path,
-                    group_labels: Sequence[str] | None = None) -> list[HouseholdRecord]:
+                    group_labels: Sequence[str] | None = None) -> HouseholdPanel:
     """Read household micro data; repeated (household, group) rows are summed.
 
     When ``group_labels`` is omitted, groups are taken in first-appearance
     order. Households keep file order. A household reported under two
-    different strata is an error.
+    different strata is an error. The checks run on whole columns; the error
+    raised is the one on the lowest line and, within a line, the first of:
+    unknown group, non-number, negative amount, stratum conflict.
     """
     path = Path(path)
-    rows = _read_rows(path, ("household_id", "group", "expenditure"),
-                      optional=("stratum",))
-    order = list(group_labels) if group_labels is not None else []
-    known_groups = group_labels is not None
-    household_order: list[str] = []
-    spend: dict[str, dict[str, float]] = {}
-    strata: dict[str, str | None] = {}
-    for line_no, row in rows:
-        household = row["household_id"]
-        group = row["group"]
-        if known_groups and group not in order:
-            raise ValidationError(
-                f"{path}:{line_no}: unknown group {group!r} (price panel has "
-                f"{', '.join(order)})"
-            )
-        if not known_groups and group not in order:
-            order.append(group)
-        amount = _parse_float(path, line_no, "expenditure", row["expenditure"])
-        if amount < 0.0:
-            raise ValidationError(
-                f"{path}:{line_no}: negative expenditure for household "
-                f"{household!r}"
-            )
-        stratum = row.get("stratum") or None
-        if household in strata and strata[household] != stratum:
-            raise ValidationError(
-                f"{path}:{line_no}: household {household!r} appears under two "
-                f"strata ({strata[household]!r} and {stratum!r})"
-            )
-        if household not in spend:
-            household_order.append(household)
-            spend[household] = {}
-            strata[household] = stratum
-        spend[household][group] = spend[household].get(group, 0.0) + amount
-    records = []
-    for household in household_order:
-        expenditures = [spend[household].get(g, 0.0) for g in order]
-        records.append(HouseholdRecord(
-            household_id=household,
-            expenditures=np.array(expenditures),
-            stratum_label=strata[household],
-        ))
-    return records
+    lines, cols = _read_columns(path, ("household_id", "group", "expenditure"),
+                                optional=("stratum",))
+    ids, groups, amounts = cols["household_id"], cols["group"], cols["expenditure"]
+    order = list(dict.fromkeys(groups)) if group_labels is None else list(group_labels)
+    group_code = {g: i for i, g in enumerate(order)}
+    household_code = {h: i for i, h in enumerate(dict.fromkeys(ids))}
+    households = np.array(list(map(household_code.__getitem__, ids)), dtype=np.intp)
+    first_row = np.unique(households, return_index=True)[1]
+
+    failures: list[tuple[int, int, str]] = []  # (row, check order, message)
+    codes = list(map(group_code.get, groups))
+    if None in codes:
+        row = codes.index(None)
+        failures.append((row, 0, f"unknown group {groups[row]!r} (price panel has "
+                                 f"{', '.join(order)})"))
+    try:
+        values = np.array(list(map(float, amounts)), dtype=float)
+    except ValueError:
+        row = _first_non_number(amounts)
+        # only the rows before the first non-number can hold an earlier error
+        values = np.array(list(map(float, amounts[:row])) + [0.0] * (len(amounts) - row))
+        failures.append((row, 1, f"column 'expenditure' is not a number: "
+                                 f"{amounts[row]!r}"))
+    negative = np.flatnonzero(values < 0.0)
+    if negative.size:
+        row = int(negative[0])
+        failures.append((row, 2, f"negative expenditure for household {ids[row]!r}"))
+    # a stratum cell that is empty, like a missing column, means untagged
+    strata = cols.get("stratum", [""] * len(ids))
+    stratum_code = {s: i for i, s in enumerate(dict.fromkeys(strata))}
+    stratum_codes = np.array(list(map(stratum_code.__getitem__, strata)), dtype=np.intp)
+    conflicts = np.flatnonzero(stratum_codes != stratum_codes[first_row][households])
+    if conflicts.size:
+        row = int(conflicts[0])
+        first = strata[first_row[households[row]]] or None
+        failures.append((row, 3, f"household {ids[row]!r} appears under two strata "
+                                 f"({first!r} and {strata[row] or None!r})"))
+    if failures:
+        row, _, message = min(failures)
+        raise ValidationError(f"{path}:{lines[row]}: {message}")
+
+    m = len(order)
+    # bincount adds each cell's amounts in file order, as a running sum would
+    spend = np.bincount(households * m + np.array(codes, dtype=np.intp),
+                        weights=values, minlength=len(household_code) * m)
+    return HouseholdPanel(
+        household_ids=tuple(household_code),
+        expenditures=spend.reshape(len(household_code), m),
+        strata=tuple(strata[row] or None for row in first_row),
+    )
+
+
+def _first_non_number(texts: Sequence[str]) -> int:
+    """Position of the first cell that ``float`` rejects; there must be one."""
+    for position, text in enumerate(texts):
+        try:
+            float(text)
+        except ValueError:
+            return position
+    raise ValueError("every cell is a number")
 
 
 def load_weight_estimate(path: str | Path,
                          group_labels: Sequence[str]) -> WeightEstimate:
     """Read a precomputed weight estimate: point weights, covariance, count."""
     path = Path(path)
-    rows = _read_rows(path, ("kind", "row_group", "col_group", "value"))
+    lines, cols = _read_columns(path, ("kind", "row_group", "col_group", "value"))
     order = list(group_labels)
     positions = {g: i for i, g in enumerate(order)}
     weights: dict[str, float] = {}
     cov_entries: dict[tuple[int, int], float] = {}
     n_households: int | None = None
-    for line_no, row in rows:
-        kind = row["kind"]
+    for line_no, kind, row_group, col_group, value in zip(
+            lines, cols["kind"], cols["row_group"], cols["col_group"], cols["value"]):
         if kind == "weight":
-            group = row["row_group"]
-            if group not in positions:
-                raise ValidationError(f"{path}:{line_no}: unknown group {group!r}")
-            if group in weights:
-                raise ValidationError(f"{path}:{line_no}: duplicate weight for {group!r}")
-            weights[group] = _parse_float(path, line_no, "value", row["value"])
+            if row_group not in positions:
+                raise ValidationError(f"{path}:{line_no}: unknown group {row_group!r}")
+            if row_group in weights:
+                raise ValidationError(f"{path}:{line_no}: duplicate weight for {row_group!r}")
+            weights[row_group] = _parse_float(path, line_no, "value", value)
         elif kind == "cov":
-            row_group, col_group = row["row_group"], row["col_group"]
             for group in (row_group, col_group):
                 if group not in positions:
                     raise ValidationError(f"{path}:{line_no}: unknown group {group!r}")
@@ -246,14 +275,14 @@ def load_weight_estimate(path: str | Path,
                     f"{path}:{line_no}: duplicate covariance entry "
                     f"({row_group!r}, {col_group!r})"
                 )
-            cov_entries[key] = _parse_float(path, line_no, "value", row["value"])
+            cov_entries[key] = _parse_float(path, line_no, "value", value)
         elif kind == "households":
             try:
-                n_households = int(row["value"])
+                n_households = int(value)
             except ValueError:
                 raise ValidationError(
                     f"{path}:{line_no}: households count is not an integer: "
-                    f"{row['value']!r}"
+                    f"{value!r}"
                 ) from None
         else:
             raise ValidationError(
@@ -314,22 +343,33 @@ def write_weights(path: str | Path, vectors: Mapping[str, WeightVector]) -> None
                 writer.writerow([source, group, repr(float(weight))])
 
 
-def write_households(path: str | Path, records: Iterable[HouseholdRecord],
+def write_households(path: str | Path, panel: HouseholdPanel,
                      group_labels: Sequence[str]) -> None:
-    records = list(records)
-    with_stratum = any(record.stratum_label is not None for record in records)
+    """Write micro data in long form, one household at a time; the bytes are
+    those ``csv.writer`` would write row by row."""
+    with_stratum = any(stratum is not None for stratum in panel.strata)
+    # ",<group>," and ",<stratum><end of line>" for every label, quoted once
+    middles = [f",{_csv_field(group)}," for group in group_labels]
+    ends = {stratum: (f",{_csv_field(stratum or '')}" if with_stratum else "")
+            + csv.excel.lineterminator for stratum in set(panel.strata)}
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
         header = ["household_id", "group", "expenditure"]
         if with_stratum:
             header.append("stratum")
-        writer.writerow(header)
-        for record in records:
-            for group, amount in zip(group_labels, record.expenditures):
-                row = [record.household_id, group, repr(float(amount))]
-                if with_stratum:
-                    row.append(record.stratum_label or "")
-                writer.writerow(row)
+        csv.writer(handle).writerow(header)
+        for household, stratum, amounts in zip(panel.household_ids, panel.strata,
+                                               panel.expenditures.tolist()):
+            start, end = _csv_field(household), ends[stratum]
+            handle.write("".join([f"{start}{middle}{amount!r}{end}"
+                                  for middle, amount in zip(middles, amounts)]))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    buffer = io.StringIO()
+    # a row of one empty field is written as "", so add a second field
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[:-len("," + csv.excel.lineterminator)]
 
 
 def write_weight_estimate(path: str | Path, estimate: WeightEstimate,

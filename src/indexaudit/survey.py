@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .core import PriceSeries, WeightVector, _frozen_array, _resolve_periods
 from .errors import AuditWarning, DimensionMismatchError, ValidationError
 
 __all__ = [
-    "HouseholdRecord",
+    "HouseholdPanel",
     "WeightEstimate",
     "estimate_weights",
     "simulate_households",
@@ -33,30 +33,59 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class HouseholdRecord:
-    """One household's expenditures by group, with an optional stratum tag."""
+class HouseholdPanel:
+    """Household micro data in columnar form.
 
-    household_id: str
+    ``expenditures`` is an n by m matrix: one row per household, in
+    ``household_ids`` order, one column per expenditure group. ``strata``
+    holds each household's stratum label (None when untagged); omitted, no
+    household is tagged. Construction checks that there is at least one
+    household and at least 2 groups, and that every amount is finite and
+    non-negative; the error names the first offending household.
+    """
+
+    household_ids: tuple[str, ...]
     expenditures: np.ndarray
-    stratum_label: str | None = None
+    strata: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
+        ids = tuple(self.household_ids)
         spend = _frozen_array(self.expenditures)
-        if spend.ndim != 1 or spend.size < 2:
+        strata = (None,) * len(ids) if self.strata is None else tuple(self.strata)
+        if not ids:
+            raise ValidationError("no household records supplied")
+        if spend.ndim != 2 or spend.shape[0] != len(ids) or len(strata) != len(ids):
+            raise DimensionMismatchError(
+                f"{len(ids)} household ids and {len(strata)} strata for an "
+                f"expenditure matrix of shape {spend.shape}"
+            )
+        if spend.shape[1] < 2:
             raise ValidationError(
-                f"household {self.household_id!r}: expenditures must be a vector "
+                f"household {ids[0]!r}: expenditures must be a vector "
                 f"over at least 2 groups"
             )
-        if not np.all(np.isfinite(spend)) or np.any(spend < 0.0):
+        bad = ~np.isfinite(spend) | (spend < 0.0)
+        if bad.any():
+            first = int(np.argmax(bad.any(axis=1)))
             raise ValidationError(
-                f"household {self.household_id!r}: expenditures must be finite "
+                f"household {ids[first]!r}: expenditures must be finite "
                 f"and non-negative"
             )
+        object.__setattr__(self, "household_ids", ids)
         object.__setattr__(self, "expenditures", spend)
+        object.__setattr__(self, "strata", strata)
 
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.expenditures))
+    def __len__(self) -> int:
+        return len(self.household_ids)
+
+    def select(self, rows: Sequence[int]) -> "HouseholdPanel":
+        """The households at the given row positions, in that order."""
+        rows = list(rows)
+        return HouseholdPanel(
+            household_ids=tuple(self.household_ids[i] for i in rows),
+            expenditures=self.expenditures[rows],
+            strata=tuple(self.strata[i] for i in rows),
+        )
 
 
 @dataclass(frozen=True)
@@ -103,7 +132,7 @@ class WeightEstimate:
         object.__setattr__(self, "covariance", cov)
 
 
-def estimate_weights(records: Iterable[HouseholdRecord]) -> WeightEstimate:
+def estimate_weights(panel: HouseholdPanel) -> WeightEstimate:
     """Ratio-of-totals weights and their linearized sampling covariance.
 
     Households with zero total expenditure carry no information about shares;
@@ -114,17 +143,7 @@ def estimate_weights(records: Iterable[HouseholdRecord]) -> WeightEstimate:
     z_h = (x_h - w * s_h) / S and the covariance is
     sum_h z_h z_h^T / (n (n - 1)).
     """
-    rows = list(records)
-    if not rows:
-        raise ValidationError("no household records supplied")
-    m = rows[0].expenditures.size
-    for record in rows:
-        if record.expenditures.size != m:
-            raise DimensionMismatchError(
-                f"household {record.household_id!r} has {record.expenditures.size} "
-                f"groups, expected {m}"
-            )
-    x = np.stack([record.expenditures for record in rows])
+    x = panel.expenditures
     totals = x.sum(axis=1)
     usable = totals > 0.0
     dropped = int(np.sum(~usable))
@@ -156,7 +175,7 @@ def estimate_weights(records: Iterable[HouseholdRecord]) -> WeightEstimate:
 
 
 def simulate_households(true_weights: WeightVector, n: int, dispersion: float,
-                        seed: int, stratum_label: str | None = None) -> list[HouseholdRecord]:
+                        seed: int, stratum_label: str | None = None) -> HouseholdPanel:
     """Draw synthetic household expenditures around known true weights.
 
     Totals are LogNormal(0, dispersion); shares are Dirichlet with
@@ -173,14 +192,11 @@ def simulate_households(true_weights: WeightVector, n: int, dispersion: float,
     shares = rng.dirichlet(true_weights.w / dispersion, size=n)
     spend = totals[:, None] * shares
     width = len(str(n))
-    return [
-        HouseholdRecord(
-            household_id=f"h{i + 1:0{width}d}",
-            expenditures=spend[i],
-            stratum_label=stratum_label,
-        )
-        for i in range(n)
-    ]
+    return HouseholdPanel(
+        household_ids=tuple(f"h{i + 1:0{width}d}" for i in range(n)),
+        expenditures=spend,
+        strata=(stratum_label,) * n,
+    )
 
 
 def index_variance(prices: PriceSeries, estimate: WeightEstimate,

@@ -25,7 +25,7 @@ from indexaudit.dataio import (
     write_weight_estimate,
     write_weights,
 )
-from indexaudit.survey import HouseholdRecord, WeightEstimate, simulate_households
+from indexaudit.survey import HouseholdPanel, WeightEstimate, simulate_households
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -134,21 +134,19 @@ def _check_regime(prices: PriceSeries, estimate: WeightEstimate) -> None:
     assert abs(effect_cross - TARGET_EFFECT_CROSS) < 1e-10, effect_cross
 
 
-def build_micro_records() -> tuple[list[HouseholdRecord], tuple[str, ...]]:
+def build_micro_records() -> tuple[HouseholdPanel, tuple[str, ...]]:
     """Sixty synthetic households, fifteen per age stratum."""
     weights = build_weights()
-    records: list[HouseholdRecord] = []
-    for position, source in enumerate(SOURCES):
-        drawn = simulate_households(weights[source], n=15, dispersion=0.25,
-                                    seed=1851 + position, stratum_label=source)
-        records.extend(
-            HouseholdRecord(
-                household_id=f"{source}_{record.household_id}",
-                expenditures=record.expenditures,
-                stratum_label=source,
-            )
-            for record in drawn
-        )
+    drawn = [simulate_households(weights[source], n=15, dispersion=0.25,
+                                 seed=1851 + position, stratum_label=source)
+             for position, source in enumerate(SOURCES)]
+    records = HouseholdPanel(
+        household_ids=tuple(f"{source}_{household}"
+                            for source, panel in zip(SOURCES, drawn)
+                            for household in panel.household_ids),
+        expenditures=np.vstack([panel.expenditures for panel in drawn]),
+        strata=tuple(stratum for panel in drawn for stratum in panel.strata),
+    )
     return records, GROUPS
 
 

@@ -361,10 +361,10 @@ def test_criterion_10_cli_determinism_and_round_trips(tmp_path, capsys):
     records = dataio.load_households(FIXTURES / "ces_micro.csv", prices.group_labels)
     dataio.write_households(tmp_path / "h.csv", records, prices.group_labels)
     reread_records = dataio.load_households(tmp_path / "h.csv", prices.group_labels)
-    micro_ok = len(records) == len(reread_records) and all(
-        a.household_id == b.household_id and a.stratum_label == b.stratum_label
-        and (a.expenditures == b.expenditures).all()
-        for a, b in zip(records, reread_records))
+    micro_ok = (len(records) == len(reread_records)
+                and records.household_ids == reread_records.household_ids
+                and records.strata == reread_records.strata
+                and (records.expenditures == reread_records.expenditures).all())
 
     ok = (identical and all_passed and prices_ok and weights_ok
           and estimate_ok and micro_ok)

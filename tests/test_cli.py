@@ -172,6 +172,21 @@ def test_mse_rows_are_negative_on_fixture(capsys, fx):
     assert pytest.approx(median, rel=1e-4) == -8.399151e-04
 
 
+def test_report_lists_each_dropped_household_once_per_pool(capsys, fx, tmp_path,
+                                                           food_prices):
+    micro = tmp_path / "micro.csv"
+    micro.write_text(Path(fx["micro"]).read_text(encoding="utf-8") + "".join(
+        f"zero,{group},0.0,age_lt26\n" for group in food_prices.group_labels),
+        encoding="utf-8")
+    common = ("report", "--prices", fx["prices"], "--weights", fx["weights"],
+              "--survey-micro", str(micro), "--proxy", "age_lt26", "--periods", "0:5")
+    dropped = "dropped 1 household(s) with zero total expenditure"
+    # the household sits in two pools: its stratum and 'all'
+    assert run_machine(capsys, *common)["warnings"] == [dropped] * 2
+    assert run_machine(capsys, *common, "--survey-stratum", "age_lt26")[
+        "warnings"] == [dropped]
+
+
 def test_full_report_combines_sections(capsys, fx):
     payload = run_machine(capsys, "report", "--prices", fx["prices"],
                           "--weights", fx["weights"],
@@ -202,7 +217,7 @@ def test_simulate_writes_deterministic_micro_csv(capsys, fx, tmp_path):
 
     records = dataio.load_households(out, ["a", "b"])
     assert len(records) == 7
-    assert {r.stratum_label for r in records} == {"urban"}
+    assert set(records.strata) == {"urban"}
 
     run_machine(capsys, *args)
     assert out.read_bytes() == first
@@ -227,6 +242,22 @@ def test_simulate_argument_validation(capsys, fx, tmp_path):
                        "--n", "3", "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert "--source" in json.loads(err)["error"]["message"]
+    code, _, err = run(capsys, "simulate", "--weights-file", str(tmp_path / "none.csv"),
+                       "--source", "age_lt26", "--n", "3", "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert json.loads(err)["error"]["code"] == "config_error"
+
+
+def test_simulate_rejects_duplicate_group_labels(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "simulate", "--true-weights", "0.5,0.5",
+                       "--groups", "a,a", "--n", "3", "--out", str(out))
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    body = json.loads(err)["error"]
+    assert body["code"] == "config_error"
+    assert "duplicate group labels" in body["message"]
+    assert not out.exists()
 
 
 # --- verify -------------------------------------------------------------------------

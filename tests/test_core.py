@@ -81,6 +81,8 @@ def test_weight_vector_validation_errors():
         WeightVector([0.5, np.inf])
     with pytest.raises(ValidationError, match="3 group labels for 2"):
         WeightVector([0.5, 0.5], group_labels=("a", "b", "c"))
+    with pytest.raises(ValidationError, match="'w' has duplicate group labels"):
+        WeightVector([0.5, 0.5], label="w", group_labels=("a", "a"))
 
 
 def test_weight_vector_is_immutable():

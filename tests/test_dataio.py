@@ -8,7 +8,7 @@ import build_fixtures
 from indexaudit import dataio
 from indexaudit.core import PriceSeries, WeightVector
 from indexaudit.errors import ConfigError, ValidationError
-from indexaudit.survey import HouseholdRecord, WeightEstimate
+from indexaudit.survey import HouseholdPanel, WeightEstimate
 
 
 def write(tmp_path, name, text):
@@ -93,6 +93,18 @@ def test_weights_round_trip(tmp_path, food_weights):
         assert back[source].label == source
 
 
+def test_weights_take_group_order_from_file_when_unspecified(tmp_path):
+    path = write(tmp_path, "w.csv", "source,group,weight\n"
+                 "s,b,0.25\ns,a,0.75\nt,c,0.5\nt,a,0.25\nt,b,0.25\ns,c,0.0\n")
+    back = dataio.load_weights(path)
+    assert back["s"].group_labels == back["t"].group_labels == ("b", "a", "c")
+    np.testing.assert_array_equal(back["s"].w, [0.25, 0.75, 0.0])
+    np.testing.assert_array_equal(back["t"].w, [0.25, 0.25, 0.5])
+    with pytest.raises(ValidationError, match="source 't' is missing weights for d"):
+        dataio.load_weights(write(tmp_path, "x.csv", "source,group,weight\n"
+                                  "s,a,0.5\ns,b,0.25\ns,d,0.25\nt,a,0.5\nt,b,0.5\n"))
+
+
 def test_weights_errors(tmp_path):
     with pytest.raises(ValidationError, match="unknown group 'c'"):
         dataio.load_weights(write(tmp_path, "a.csv",
@@ -114,25 +126,23 @@ def test_weights_errors(tmp_path):
 
 
 def test_households_round_trip_with_strata(tmp_path):
-    records = [
-        HouseholdRecord("h1", np.array([1.0, 2.0]), "north"),
-        HouseholdRecord("h2", np.array([3.0, 0.5]), "south"),
-    ]
+    records = HouseholdPanel(("h1", "h2"), np.array([[1.0, 2.0], [3.0, 0.5]]),
+                             ("north", "south"))
     path = tmp_path / "hh.csv"
     dataio.write_households(path, records, ["a", "b"])
     back = dataio.load_households(path, ["a", "b"])
-    assert [r.household_id for r in back] == ["h1", "h2"]
-    assert [r.stratum_label for r in back] == ["north", "south"]
-    np.testing.assert_array_equal(back[0].expenditures, [1.0, 2.0])
+    assert back.household_ids == ("h1", "h2")
+    assert back.strata == ("north", "south")
+    np.testing.assert_array_equal(back.expenditures[0], [1.0, 2.0])
 
 
 def test_households_without_stratum_column(tmp_path):
-    records = [HouseholdRecord("h1", np.array([1.0, 2.0]))]
+    records = HouseholdPanel(("h1",), np.array([[1.0, 2.0]]))
     path = tmp_path / "hh.csv"
     dataio.write_households(path, records, ["a", "b"])
     assert path.read_text().splitlines()[0] == "household_id,group,expenditure"
     back = dataio.load_households(path)
-    assert back[0].stratum_label is None
+    assert back.strata == (None,)
 
 
 def test_households_sum_repeated_cells(tmp_path):
@@ -140,7 +150,7 @@ def test_households_sum_repeated_cells(tmp_path):
                  "household_id,group,expenditure\n"
                  "h1,a,1.0\nh1,a,2.5\nh1,b,1.0\n")
     back = dataio.load_households(path, ["a", "b"])
-    np.testing.assert_allclose(back[0].expenditures, [3.5, 1.0])
+    np.testing.assert_allclose(back.expenditures[0], [3.5, 1.0])
 
 
 def test_households_infer_group_order_when_unspecified(tmp_path):
@@ -148,8 +158,7 @@ def test_households_infer_group_order_when_unspecified(tmp_path):
                  "household_id,group,expenditure\n"
                  "h1,beta,1.0\nh1,alpha,2.0\nh2,alpha,1.0\nh2,beta,4.0\n")
     back = dataio.load_households(path)
-    np.testing.assert_array_equal(back[0].expenditures, [1.0, 2.0])
-    np.testing.assert_array_equal(back[1].expenditures, [4.0, 1.0])
+    np.testing.assert_array_equal(back.expenditures, [[1.0, 2.0], [4.0, 1.0]])
 
 
 def test_households_errors(tmp_path):

@@ -1,0 +1,123 @@
+"""The columnar micro loader against the row-wise reference loader.
+
+Generated micro CSVs mix valid rows with every kind of defect the loader
+checks for; for each file both loaders must return the same households,
+strata and bit-identical expenditure matrix, or raise the same
+ValidationError message.
+"""
+
+import csv
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import micro_oracle
+from indexaudit import dataio
+from indexaudit.errors import ValidationError
+
+IDS = ["h1", "h2", "h3", " h2 ", "h,4", 'h"5']
+GROUPS = ["a", "b", "c", " b ", "zz", ""]
+# valid amounts are listed several times so most files get past the checks
+AMOUNTS = ["1.0", "2.5", "0", "0.1", "7e-320", "1e308", " 3 ", "-0.0", "1_0"] * 4 + [
+    "-1", "x", "", "nan", "inf", "-inf"]
+STRATA = ["", " ", "r1", "r2", "r,3"]
+GROUP_LABELS = [None, None, ("a", "b", "c"), ("c", "a", "b"), ("a", "b"), ("a",),
+                ("a", "b", "c", " b ", "zz", "", "unused")]
+
+
+@st.composite
+def micro_files(draw):
+    columns = ["household_id", "group", "expenditure"]
+    if draw(st.booleans()):
+        columns.append("stratum")
+    header = draw(st.permutations(columns))
+    # a few households and groups per file make repeated cells and stratum
+    # conflicts likely
+    cells = {
+        "household_id": st.sampled_from(draw(st.lists(
+            st.sampled_from(IDS), min_size=1, max_size=4, unique=True))),
+        "group": st.sampled_from(draw(st.lists(
+            st.sampled_from(GROUPS), min_size=1, max_size=4, unique=True))),
+        "expenditure": st.sampled_from(AMOUNTS),
+        "stratum": st.sampled_from(draw(st.lists(
+            st.sampled_from(STRATA), min_size=1, max_size=2, unique=True))),
+    }
+    data_row = st.fixed_dictionaries({c: cells[c] for c in header}).map(
+        lambda row: [row[c] for c in header])
+    rows = draw(st.lists(data_row, min_size=1, max_size=16))
+    blank_row = st.lists(st.sampled_from(["", " ", "\t"]), max_size=5)
+    ragged_row = data_row.flatmap(lambda row: st.sampled_from(
+        [row[:-1], row + ["1.0"], row + [""]]))
+    # now and then a blank or ragged row somewhere
+    for position, row in draw(st.lists(st.tuples(
+            st.integers(0, len(rows)), st.one_of(blank_row, blank_row, ragged_row)),
+            max_size=2)):
+        rows.insert(position, row)
+    return header, rows
+
+
+def outcome(load, path, labels):
+    try:
+        ids, strata, matrix = load(path, labels)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return "ok", ids, strata, matrix.shape, matrix.tobytes()
+
+
+def load_panel(path, labels):
+    panel = dataio.load_households(path, labels)
+    return panel.household_ids, panel.strata, panel.expenditures
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(micro_files(), st.sampled_from(GROUP_LABELS))
+def test_columnar_loader_matches_row_wise_reference(tmp_path, micro, labels):
+    header, rows = micro
+    path = tmp_path / "micro.csv"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert outcome(load_panel, path, labels) == outcome(
+        micro_oracle.load_households, path, labels)
+
+
+@pytest.mark.parametrize("text, message", [
+    # the lowest line wins, whichever check finds it
+    ("h1,zz,-1\nh1,a,x\n", ":2: unknown group 'zz'"),
+    ("h1,a,1\nh1,a,x\nh1,zz,1\n", ":3: column 'expenditure' is not a number: 'x'"),
+    ("h1,a,-1\nh1,zz,1\n", ":2: negative expenditure for household 'h1'"),
+    # on one line, unknown group before non-number before negative
+    ("h1,zz,x\n", ":2: unknown group 'zz'"),
+    ("h1,a,-x\n", ":2: column 'expenditure' is not a number: '-x'"),
+    # a ragged row anywhere is found before any cell is checked
+    ("h1,zz,1\nh1,a\n", ":3: expected 3 fields, got 2"),
+    # non-finite sums name the first household in file order
+    ("h1,a,1\nh2,a,inf\nh3,b,nan\n", "household 'h2': expenditures must be finite"),
+    ("h1,a,1e308\nh1,a,1e308\n", "household 'h1': expenditures must be finite"),
+    # blank and all-whitespace rows are skipped
+    ("\n , ,\t\n", "micro.csv: no data rows"),
+])
+def test_loader_error_precedence(tmp_path, text, message):
+    path = tmp_path / "micro.csv"
+    path.write_text("household_id,group,expenditure\n" + text, encoding="utf-8")
+    for load in (dataio.load_households, micro_oracle.load_households):
+        with pytest.raises(ValidationError) as caught:
+            load(path, ["a", "b"])
+        assert message in str(caught.value)
+
+
+def test_stratum_conflict_names_both_strata(tmp_path):
+    path = tmp_path / "micro.csv"
+    path.write_text("household_id,group,expenditure,stratum\n"
+                    "h1,a,1,\nh2,a,1,r1\nh1,b,-1,r2\n", encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=r":4: negative expenditure for household 'h1'"):
+        dataio.load_households(path, ["a", "b"])
+    path.write_text("household_id,group,expenditure,stratum\n"
+                    "h1,a,1,\nh2,a,1,r1\nh1,b,1,r2\n", encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=r":4: household 'h1' appears under two strata \(None and 'r2'\)"):
+        dataio.load_households(path, ["a", "b"])

@@ -6,7 +6,7 @@ import pytest
 from indexaudit.core import PriceSeries, WeightVector
 from indexaudit.errors import AuditWarning, DimensionMismatchError, ValidationError
 from indexaudit.survey import (
-    HouseholdRecord,
+    HouseholdPanel,
     WeightEstimate,
     estimate_weights,
     index_variance,
@@ -14,26 +14,37 @@ from indexaudit.survey import (
 )
 
 
-def record(hid, spend, stratum=None):
-    return HouseholdRecord(household_id=hid, expenditures=np.asarray(spend, float),
-                           stratum_label=stratum)
+def panel(*households):
+    """A panel from (household id, expenditures[, stratum]) tuples."""
+    return HouseholdPanel(
+        household_ids=tuple(h[0] for h in households),
+        expenditures=np.array([h[1] for h in households], dtype=float),
+        strata=tuple(h[2] if len(h) > 2 else None for h in households),
+    )
 
 
-# --- record and estimate construction -----------------------------------------
+def spend_panel(spend):
+    """A panel with ids h0, h1, ... for the rows of a matrix."""
+    return HouseholdPanel(tuple(f"h{i}" for i in range(len(spend))), spend)
 
 
-def test_household_record_validation():
+# --- panel and estimate construction ------------------------------------------
+
+
+def test_household_panel_validation():
     with pytest.raises(ValidationError, match="at least 2 groups"):
-        record("h1", [5.0])
+        panel(("h1", [5.0]))
     with pytest.raises(ValidationError, match="finite"):
-        record("h1", [1.0, np.nan])
-    with pytest.raises(ValidationError, match="non-negative"):
-        record("h1", [1.0, -0.5])
-    rec = record("h1", [2.0, 3.0], stratum="urban")
-    assert rec.total == pytest.approx(5.0)
-    assert rec.stratum_label == "urban"
+        panel(("h1", [1.0, np.nan]))
+    with pytest.raises(ValidationError, match="'h2': .*non-negative"):
+        panel(("h1", [1.0, 0.5]), ("h2", [1.0, -0.5]), ("h3", [-1.0, 0.5]))
+    rec = panel(("h1", [2.0, 3.0], "urban"))
+    assert len(rec) == 1 and rec.expenditures.shape == (1, 2)
+    assert rec.expenditures[0].sum() == pytest.approx(5.0)
+    assert rec.strata == ("urban",)
     with pytest.raises(ValueError):
-        rec.expenditures[0] = 9.0
+        rec.expenditures[0, 0] = 9.0
+    assert HouseholdPanel(("h1",), [[1.0, 2.0]]).strata == (None,)
 
 
 def test_weight_estimate_enforces_covariance_invariants():
@@ -68,8 +79,8 @@ def test_estimate_weights_two_household_oracle():
     X = I2, so w = (0.5, 0.5), influences are +/-(0.5, -0.5), and
     V = Z'Z / (n (n-1)) = [[0.25, -0.25], [-0.25, 0.25]].
     """
-    est = estimate_weights([record("h1", [1.0, 0.0]),
-                            record("h2", [0.0, 1.0])])
+    est = estimate_weights(panel(("h1", [1.0, 0.0]),
+                                 ("h2", [0.0, 1.0])))
     np.testing.assert_allclose(est.point.w, [0.5, 0.5], rtol=1e-15)
     np.testing.assert_allclose(est.covariance,
                                [[0.25, -0.25], [-0.25, 0.25]], rtol=1e-14)
@@ -77,7 +88,7 @@ def test_estimate_weights_two_household_oracle():
 
 
 def test_estimate_weights_identical_households_have_zero_covariance():
-    rows = [record(f"h{i}", [3.0, 1.0, 6.0]) for i in range(5)]
+    rows = panel(*[(f"h{i}", [3.0, 1.0, 6.0]) for i in range(5)])
     est = estimate_weights(rows)
     np.testing.assert_allclose(est.point.w, [0.3, 0.1, 0.6], rtol=1e-15)
     np.testing.assert_allclose(est.covariance, 0.0, atol=1e-18)
@@ -86,8 +97,7 @@ def test_estimate_weights_identical_households_have_zero_covariance():
 def test_estimate_weights_point_is_ratio_of_totals():
     rng = np.random.default_rng(42)
     spend = rng.gamma(2.0, 1.0, size=(30, 4))
-    rows = [record(f"h{i}", spend[i]) for i in range(30)]
-    est = estimate_weights(rows)
+    est = estimate_weights(spend_panel(spend))
     for j in range(4):
         oracle = math.fsum(spend[i, j] for i in range(30)) / math.fsum(
             spend[i, j] for i in range(30) for j in range(4))
@@ -95,8 +105,8 @@ def test_estimate_weights_point_is_ratio_of_totals():
 
 
 def test_estimate_weights_drops_zero_total_households():
-    rows = [record("h1", [1.0, 1.0]), record("h2", [0.0, 0.0]),
-            record("h3", [2.0, 0.0])]
+    rows = panel(("h1", [1.0, 1.0]), ("h2", [0.0, 0.0]),
+                 ("h3", [2.0, 0.0]))
     with pytest.warns(AuditWarning, match="dropped 1 household"):
         est = estimate_weights(rows)
     assert est.n_households == 2
@@ -105,19 +115,22 @@ def test_estimate_weights_drops_zero_total_households():
 
 def test_estimate_weights_needs_two_usable_households():
     with pytest.raises(ValidationError, match="no household records"):
-        estimate_weights([])
+        estimate_weights(panel())
     with pytest.raises(ValidationError, match="at least 2 households"):
-        estimate_weights([record("h1", [1.0, 2.0])])
+        estimate_weights(panel(("h1", [1.0, 2.0])))
     with pytest.warns(AuditWarning):
         with pytest.raises(ValidationError, match="at least 2 households"):
-            estimate_weights([record("h1", [1.0, 2.0]),
-                              record("h2", [0.0, 0.0])])
+            estimate_weights(panel(("h1", [1.0, 2.0]),
+                                   ("h2", [0.0, 0.0])))
 
 
-def test_estimate_weights_rejects_ragged_groups():
-    with pytest.raises(DimensionMismatchError, match="h2"):
-        estimate_weights([record("h1", [1.0, 2.0]),
-                          record("h2", [1.0, 2.0, 3.0])])
+def test_household_panel_rejects_mismatched_shapes():
+    with pytest.raises(DimensionMismatchError, match="2 household ids"):
+        HouseholdPanel(("h1", "h2"), np.ones((3, 2)))
+    with pytest.raises(DimensionMismatchError, match="1 strata"):
+        HouseholdPanel(("h1", "h2"), np.ones((2, 2)), strata=("north",))
+    with pytest.raises(DimensionMismatchError, match=r"shape \(2,\)"):
+        HouseholdPanel(("h1", "h2"), np.ones(2))
 
 
 def test_estimate_weights_invariants_on_random_samples():
@@ -126,7 +139,7 @@ def test_estimate_weights_invariants_on_random_samples():
         n = int(rng.integers(3, 60))
         m = int(rng.integers(2, 7))
         spend = rng.gamma(1.5, 1.0, size=(n, m))
-        est = estimate_weights([record(f"h{i}", spend[i]) for i in range(n)])
+        est = estimate_weights(spend_panel(spend))
         cov = est.covariance
         scale = float(np.max(np.abs(cov))) + 1e-300
         assert float(np.max(np.abs(cov - cov.T))) <= 1e-14 * scale
@@ -138,9 +151,8 @@ def test_estimate_weights_invariants_on_random_samples():
 def test_estimate_weights_is_scale_invariant():
     rng = np.random.default_rng(11)
     spend = rng.gamma(2.0, 1.0, size=(20, 3))
-    base = estimate_weights([record(f"h{i}", spend[i]) for i in range(20)])
-    scaled = estimate_weights(
-        [record(f"h{i}", 1000.0 * spend[i]) for i in range(20)])
+    base = estimate_weights(spend_panel(spend))
+    scaled = estimate_weights(spend_panel(1000.0 * spend))
     np.testing.assert_allclose(scaled.point.w, base.point.w, rtol=1e-13)
     np.testing.assert_allclose(scaled.covariance, base.covariance,
                                rtol=1e-12, atol=1e-18)
@@ -170,25 +182,25 @@ def test_simulate_households_is_deterministic():
     a = simulate_households(truth, n=8, dispersion=0.5, seed=99)
     b = simulate_households(truth, n=8, dispersion=0.5, seed=99)
     c = simulate_households(truth, n=8, dispersion=0.5, seed=100)
-    assert [r.household_id for r in a] == [f"h{i}" for i in range(1, 9)]
-    for ra, rb in zip(a, b):
-        np.testing.assert_array_equal(ra.expenditures, rb.expenditures)
-    assert any(not np.array_equal(ra.expenditures, rc.expenditures)
-               for ra, rc in zip(a, c))
+    assert a.household_ids == tuple(f"h{i}" for i in range(1, 9))
+    for ra, rb in zip(a.expenditures, b.expenditures):
+        np.testing.assert_array_equal(ra, rb)
+    assert any(not np.array_equal(ra, rc)
+               for ra, rc in zip(a.expenditures, c.expenditures))
 
 
 def test_simulate_households_ids_are_zero_padded():
     truth = WeightVector([0.5, 0.5])
     rows = simulate_households(truth, n=100, dispersion=0.5, seed=1)
-    assert rows[0].household_id == "h001"
-    assert rows[-1].household_id == "h100"
+    assert rows.household_ids[0] == "h001"
+    assert rows.household_ids[-1] == "h100"
 
 
 def test_simulate_households_stratum_and_validation():
     truth = WeightVector([0.5, 0.5])
     rows = simulate_households(truth, n=3, dispersion=0.5, seed=2,
                                stratum_label="south")
-    assert all(r.stratum_label == "south" for r in rows)
+    assert all(stratum == "south" for stratum in rows.strata)
     with pytest.raises(ValidationError, match="n must be positive"):
         simulate_households(truth, n=0, dispersion=0.5, seed=2)
     with pytest.raises(ValidationError, match="dispersion"):
