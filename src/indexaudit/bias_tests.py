@@ -116,6 +116,17 @@ def _describe_periods(prices: PriceSeries, periods: Sequence[int] | None) -> str
     return ",".join(prices.period_labels[int(t)] for t in periods)
 
 
+def _level_variance(p_bar: np.ndarray, estimate: WeightEstimate) -> float:
+    variance = float(p_bar @ estimate.covariance @ p_bar)
+    scale = float(np.max(np.abs(p_bar)))
+    if variance < 1e-20 * scale * scale:
+        raise DegenerateVarianceError(
+            f"index-level variance {variance:.3e} is numerically zero at "
+            f"price scale {scale:.3g}; no Z-test possible"
+        )
+    return variance
+
+
 def z_test(prices: PriceSeries, estimate: WeightEstimate, w_proxy: WeightVector,
            periods: Sequence[int] | None = None) -> TestResult:
     """Level test: is the mean source effect zero?
@@ -127,18 +138,10 @@ def z_test(prices: PriceSeries, estimate: WeightEstimate, w_proxy: WeightVector,
     """
     _check_groups(prices, estimate.point)
     _check_groups(prices, w_proxy)
-    chosen = _resolve_periods(prices, periods)
-    p_bar = prices.values[:, chosen].mean(axis=1)
+    p_bar = mean_price_vector(prices, periods)
     effect = float(np.dot(p_bar, estimate.point.w - w_proxy.w))
-    variance = float(p_bar @ estimate.covariance @ p_bar)
-    scale = float(np.max(np.abs(p_bar)))
-    if variance < 1e-20 * scale * scale:
-        raise DegenerateVarianceError(
-            f"index-level variance {variance:.3e} is numerically zero at "
-            f"price scale {scale:.3g}; no Z-test possible"
-        )
     return _build_result(
-        TestKind.Z, effect, variance,
+        TestKind.Z, effect, _level_variance(p_bar, estimate),
         metadata={
             "survey": estimate.point.label,
             "proxy": w_proxy.label,
@@ -230,29 +233,51 @@ def cross_group_battery(prices: PriceSeries,
     so output order is deterministic. B-tests are computed only for subsets
     with at least 3 periods (per-period sweeps still get their Z-tests);
     other component errors propagate.
+
+    Every Z-test result, and the first error any input raises, is the one
+    :func:`z_test` gives on that cell. Only the effect depends on the proxy,
+    so a subset's mean prices are resolved once and its level variance once
+    per survey. The effects stay one ``np.dot`` per cell: a matrix product
+    sums in another order and changes the last bits.
     """
     if period_subsets is None:
         period_subsets = {"all": None}
+    subsets = [(name, period_subsets[name]) for name in sorted(period_subsets)]
+    levels: dict[str, tuple[np.ndarray, str]] = {}  # subset -> mean prices, label
     results: list[TestResult] = []
     for survey_label in sorted(estimates):
         estimate = estimates[survey_label]
+        level_variances: dict[str, float] = {}
         for proxy_label in sorted(proxies):
             proxy = proxies[proxy_label]
-            for subset_name in sorted(period_subsets):
-                periods = period_subsets[subset_name]
-                subset_size = (prices.n_periods if periods is None
-                               else len(list(periods)))
+            weight_diff = None
+            for subset_name, periods in subsets:
                 for kind in include:
                     if kind == TestKind.Z:
-                        result = z_test(prices, estimate, proxy, periods)
+                        if weight_diff is None:
+                            _check_groups(prices, estimate.point)
+                            _check_groups(prices, proxy)
+                            weight_diff = estimate.point.w - proxy.w
+                        if subset_name not in levels:
+                            levels[subset_name] = (mean_price_vector(prices, periods),
+                                                   _describe_periods(prices, periods))
+                        p_bar, described = levels[subset_name]
+                        effect = float(np.dot(p_bar, weight_diff))
+                        if subset_name not in level_variances:
+                            level_variances[subset_name] = _level_variance(p_bar, estimate)
+                        results.append(_build_result(
+                            TestKind.Z, effect, level_variances[subset_name],
+                            metadata={"survey": survey_label, "proxy": proxy_label,
+                                      "periods": described, "subset": subset_name},
+                        ))
                     elif kind == TestKind.B:
-                        if subset_size < 3:
+                        if (prices.n_periods if periods is None else len(list(periods))) < 3:
                             continue
                         result = b_test(prices, estimate, proxy, periods)
+                        labeled = dict(result.metadata)
+                        labeled.update(survey=survey_label, proxy=proxy_label,
+                                       subset=subset_name)
+                        results.append(dataclasses.replace(result, metadata=labeled))
                     else:
                         raise ValidationError(f"unknown test kind {kind!r}")
-                    labeled = dict(result.metadata)
-                    labeled.update(survey=survey_label, proxy=proxy_label,
-                                   subset=subset_name)
-                    results.append(dataclasses.replace(result, metadata=labeled))
     return results

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -45,6 +46,17 @@ from .dataio import (
 from .errors import AuditError, AuditWarning, ConfigError, ValidationError, VerificationFailure
 from .montecarlo import run_verification
 from .survey import WeightEstimate, estimate_weights, index_variance, simulate_households
+
+
+def _check_finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
+
+
+def _check_positive(flag: str, value: float) -> None:
+    _check_finite(flag, value)
+    if value <= 0.0:
+        raise ConfigError(f"{flag} must be positive, got {value}")
 
 
 @dataclass
@@ -82,16 +94,24 @@ class RunConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"--alpha must lie in (0, 1), got {self.alpha}")
-        if self.omega is not None and self.omega <= 0.0:
-            raise ConfigError(f"--omega must be positive, got {self.omega}")
+        if self.omega is not None:
+            _check_positive("--omega", self.omega)
+            try:
+                EvalScheme(alpha=self.alpha, omega=self.omega)
+            except ValidationError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.omega is not None and self.omega_se_multiple is not None:
             raise ConfigError("pass --omega or --omega-se-mult, not both")
-        if self.omega_se_multiple is not None and self.omega_se_multiple <= 0.0:
-            raise ConfigError(
-                f"--omega-se-mult must be positive, got {self.omega_se_multiple}"
-            )
-        if self.scale <= 0.0:
-            raise ConfigError(f"--scale must be positive, got {self.scale}")
+        if self.omega_se_multiple is not None:
+            _check_positive("--omega-se-mult", self.omega_se_multiple)
+        _check_positive("--scale", self.scale)
+        _check_positive("--dispersion", self.dispersion)
+        if self.var_of_variance is not None:
+            _check_finite("--var-of-variance", self.var_of_variance)
+            if self.var_of_variance < 0.0:
+                raise ConfigError(
+                    f"--var-of-variance must be non-negative, got {self.var_of_variance}"
+                )
         if self.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {self.jobs}")
         if self.n_households is not None and self.n_households < 1:
@@ -244,12 +264,13 @@ def _audit_rows(config: RunConfig) -> tuple[list[dict], dict]:
             return rows, {}
         proxy_label, proxy = _single_proxy(proxies)
         survey_label, estimate = _single_survey(config, estimates)
+    period_values = _period_values(prices, chosen, proxy, estimate)
     if config.command == "mse":
-        return _mse_rows(prices, chosen, proxy, estimate), {}
-    coverage_rows, omega = _coverage_rows(config, prices, chosen, proxy, estimate)
+        return _mse_rows(period_values), {}
+    coverage_rows, omega = _coverage_rows(config, period_values, estimate)
     rows += coverage_rows
     if config.command == "report":
-        rows += _mse_rows(prices, chosen, proxy, estimate)
+        rows += _mse_rows(period_values)
     return rows, {"resolved_omega": omega, "survey": survey_label, "proxy": proxy_label}
 
 
@@ -279,20 +300,25 @@ def _resolve_scheme(config: RunConfig, variances: list[float]) -> EvalScheme:
     return EvalScheme(alpha=config.alpha, omega=multiple * mean_se)
 
 
-def _coverage_rows(config: RunConfig, prices: PriceSeries, chosen: list[int] | None,
+def _period_values(prices: PriceSeries, chosen: list[int] | None,
                    proxy: WeightVector,
+                   estimate: WeightEstimate) -> list[tuple[str, float, float, float]]:
+    """(period label, proxy index, audit index, audit variance) per chosen
+    period: the one per-period pass that coverage and MSE rows share."""
+    targets = chosen if chosen is not None else range(prices.n_periods)
+    return [(prices.period_labels[t], weighted_index(prices, proxy, t),
+             weighted_index(prices, estimate.point, t), index_variance(prices, estimate, t))
+            for t in targets]
+
+
+def _coverage_rows(config: RunConfig, period_values: list[tuple[str, float, float, float]],
                    estimate: WeightEstimate) -> tuple[list[dict], float]:
     """Per-period coverage rows and their summaries, with the resolved omega."""
-    targets = chosen if chosen is not None else list(range(prices.n_periods))
-    variances = [index_variance(prices, estimate, t) for t in targets]
-    scheme = _resolve_scheme(config, variances)
+    scheme = _resolve_scheme(config, [variance for *_, variance in period_values])
     rows: list[dict] = []
     plug_in_values: list[float] = []
     benchmark_values: list[float] = []
-    for t, variance in zip(targets, variances):
-        period = prices.period_labels[t]
-        theta_star = weighted_index(prices, proxy, t)
-        theta_audit = weighted_index(prices, estimate.point, t)
+    for period, theta_star, theta_audit, variance in period_values:
         plug_in = estimate_coverage(theta_star, theta_audit, variance, scheme)
         rows.append(reporting.coverage_row(period, "published_constant", plug_in))
         plug_in_values.append(plug_in.value)
@@ -312,20 +338,10 @@ def _coverage_rows(config: RunConfig, prices: PriceSeries, chosen: list[int] | N
     return rows, scheme.omega
 
 
-def _mse_rows(prices: PriceSeries, chosen: list[int] | None, proxy: WeightVector,
-              estimate: WeightEstimate) -> list[dict]:
-    targets = chosen if chosen is not None else list(range(prices.n_periods))
-    rows = []
-    for t in targets:
-        period = prices.period_labels[t]
-        theta_star = weighted_index(prices, proxy, t)
-        theta_audit = weighted_index(prices, estimate.point, t)
-        variance = index_variance(prices, estimate, t)
-        rows.append(reporting.mse_row(
-            period, mse_estimate(theta_star, theta_audit, variance),
-            theta_star, theta_audit, variance,
-        ))
-    return rows
+def _mse_rows(period_values: list[tuple[str, float, float, float]]) -> list[dict]:
+    return [reporting.mse_row(period, mse_estimate(theta_star, theta_audit, variance),
+                              theta_star, theta_audit, variance)
+            for period, theta_star, theta_audit, variance in period_values]
 
 
 def _simulate_rows(config: RunConfig) -> list[dict]:

@@ -74,8 +74,16 @@ class EvalScheme:
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValidationError(f"omega must be a positive float, got {self.omega}")
         kappa = kappa_quantile(self.alpha)
+        sigma = self.omega / kappa
+        # the coverage formulas take sigma ** 2, which underflows to 0 or
+        # overflows for some positive finite omegas
+        if not (sigma * sigma > 0.0 and math.isfinite(sigma * sigma)):
+            raise ValidationError(
+                f"omega {self.omega!r} is out of range: sigma^2 = (omega / kappa)^2 "
+                f"= {sigma * sigma!r} is not a positive finite float"
+            )
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "sigma", self.omega / kappa)
+        object.__setattr__(self, "sigma", sigma)
 
 
 def coverage_kernel(bias, extra_variance, scheme: EvalScheme):

@@ -23,17 +23,19 @@ import numpy as np
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_erfc_vec = np.vectorize(math.erfc, otypes=[float])
-
 
 def cdf(x):
     """Standard normal CDF; accepts a float or an ndarray.
 
     Computed as ``erfc(-x / sqrt(2)) / 2``, which stays accurate deep into the
-    lower tail (no cancellation for very negative x).
+    lower tail (no cancellation for very negative x). Arrays go through the
+    same libm ``erfc`` element by element, so both paths give the same bits.
     """
     if isinstance(x, np.ndarray):
-        return 0.5 * _erfc_vec(-x / _SQRT2)
+        args = -x / _SQRT2
+        values = np.fromiter(map(math.erfc, args.ravel().tolist()), float,
+                             count=args.size)
+        return 0.5 * values.reshape(args.shape)
     return 0.5 * math.erfc(-x / _SQRT2)
 
 

@@ -2,12 +2,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from indexaudit import dataio
 from indexaudit.core import PriceSeries, WeightVector
 from indexaudit.survey import WeightEstimate
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+
+# The same examples on every run, and no example database: a property test
+# passes or fails the same way each time, never on an example replayed from
+# an earlier run. Per-test settings such as max_examples still apply.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

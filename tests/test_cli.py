@@ -360,6 +360,38 @@ def test_config_errors_exit_1(capsys, fx, tmp_path):
     assert "backwards period range" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("coverage", "--omega", "1e-200"),  # sigma^2 underflows to 0
+    ("coverage", "--omega", "1e200"),  # sigma^2 overflows
+    ("coverage", "--omega", "inf"),
+    ("coverage", "--omega", "nan"),
+    ("coverage", "--omega-se-mult", "inf"),
+    ("report", "--omega", "1e-200"),
+    ("coverage", "--var-of-variance", "inf"),
+    ("coverage", "--var-of-variance", "-1"),
+    ("verify", "--scale", "inf"),
+    ("verify", "--scale", "nan"),
+    ("simulate", "--dispersion", "inf"),
+    ("simulate", "--dispersion", "-1"),
+])
+def test_invalid_float_flags_exit_1(capsys, fx, tmp_path, command, flag, value):
+    argv = {
+        "coverage": ["--prices", fx["prices"], "--weights", fx["weights"],
+                     "--survey-estimate", fx["estimate"], "--proxy", "age_lt26"],
+        "verify": [],
+        "simulate": ["--true-weights", "1,2", "--groups", "a,b", "--n", "5",
+                     "--out", str(tmp_path / "micro.csv")],
+    }
+    argv["report"] = argv["coverage"]
+    code, out, err = run(capsys, command, *argv[command], f"{flag}={value}")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    body = json.loads(err)["error"]
+    assert body["code"] == "config_error"
+    assert flag.lstrip("-") in body["message"]
+
+
 def test_data_errors_exit_2(capsys, fx, tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("period,group,index\nx,a,1.0\nx,b,2.0\ny,a,1.1\n")

@@ -54,6 +54,11 @@ def test_scheme_validation():
         EvalScheme(alpha=0.95, omega=0.0)
     with pytest.raises(ValidationError, match="omega"):
         EvalScheme(alpha=0.95, omega=math.inf)
+    # positive and finite, but sigma^2 = (omega / kappa)^2 underflows to 0 or
+    # overflows, which every coverage formula would divide by or square
+    for omega in (1e-200, 1e200):
+        with pytest.raises(ValidationError, match=r"omega .* sigma\^2"):
+            EvalScheme(alpha=0.95, omega=omega)
 
 
 # --- the kernel ------------------------------------------------------------------

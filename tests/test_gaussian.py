@@ -49,10 +49,18 @@ def test_cdf_matches_scipy_on_grid():
 
 
 def test_cdf_scalar_and_array_agree():
-    grid = np.linspace(-6.0, 6.0, 121)
-    vector = gaussian.cdf(grid)
-    for i, x in enumerate(grid):
-        assert vector[i] == gaussian.cdf(float(x))
+    # bit for bit, out past x = -38.5 where erfc underflows to 0, and on
+    # infinities and nan, for arrays of any shape
+    grid = np.concatenate([np.linspace(-40.0, 40.0, 1601),
+                           [math.inf, -math.inf, math.nan, -0.0]])
+    for values in (grid, grid[:1600].reshape(40, 40), np.array(1.25), np.array(-math.inf),
+                   np.array([]), np.empty((0, 3))):
+        vector = gaussian.cdf(values)
+        assert np.shape(vector) == values.shape
+        assert vector.dtype == np.float64
+        scalars = [gaussian.cdf(x) for x in values.ravel().tolist()]
+        assert np.asarray(vector).ravel().tobytes() == np.array(scalars, dtype=float).tobytes()
+    assert gaussian.cdf(np.array([-40.0]))[0] == 0.0
 
 
 def test_cdf_deep_lower_tail_keeps_relative_precision():
