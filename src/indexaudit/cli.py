@@ -383,8 +383,12 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
         raise ConfigError("--n is required")
     if config.out_path is None:
         raise ConfigError("--out is required")
-    panel = simulate_households(vector, config.n_households, config.dispersion,
-                                config.seed, stratum_label=config.stratum)
+    try:
+        panel = simulate_households(vector, config.n_households, config.dispersion,
+                                    config.seed, stratum_label=config.stratum)
+    except ValidationError as exc:
+        # every input of the draw is a flag or an already validated vector
+        raise ConfigError(str(exc)) from exc
     write_households(config.out_path, panel, groups)
     digest = hashlib.sha256(Path(config.out_path).read_bytes()).hexdigest()
     return [{

@@ -75,12 +75,18 @@ class EvalScheme:
             raise ValidationError(f"omega must be a positive float, got {self.omega}")
         kappa = kappa_quantile(self.alpha)
         sigma = self.omega / kappa
-        # the coverage formulas take sigma ** 2, which underflows to 0 or
-        # overflows for some positive finite omegas
-        if not (sigma * sigma > 0.0 and math.isfinite(sigma * sigma)):
+        # the coverage formulas take sigma ** 2 and tau ** 6 with tau >= sigma,
+        # which underflow to 0 or overflow (float ** raises) for some positive
+        # finite omegas
+        try:
+            sigma6 = sigma ** 6
+        except OverflowError:
+            sigma6 = math.inf
+        if not 0.0 < sigma6 < math.inf:
             raise ValidationError(
                 f"omega {self.omega!r} is out of range: sigma^2 = (omega / kappa)^2 "
-                f"= {sigma * sigma!r} is not a positive finite float"
+                f"= {sigma * sigma!r} and sigma^6 = {sigma6!r} must be positive "
+                f"finite floats"
             )
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "sigma", sigma)
@@ -211,7 +217,14 @@ def estimate_unbiased_coverage(variance_estimate: float, var_of_variance: float,
     tau = math.sqrt(scheme.sigma ** 2 + variance_estimate)
     ratio = scheme.omega / tau
     slope_sq = (gaussian.pdf(ratio) + gaussian.pdf(-ratio)) ** 2
-    variance = slope_sq * scheme.omega ** 2 / (4.0 * tau ** 6) * var_of_variance
+    try:
+        tau6 = tau ** 6
+    except OverflowError:
+        raise ValidationError(
+            f"variance estimate {variance_estimate!r} is too large: "
+            f"tau^6 = (sigma^2 + variance estimate)^3 overflows"
+        ) from None
+    variance = slope_sq * scheme.omega ** 2 / (4.0 * tau6) * var_of_variance
     low, high, clipped = _normal_ci(value, variance)
     return CoverageEstimate(
         value=value, variance=variance, ci_low=low, ci_high=high,

@@ -22,6 +22,7 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_CDF_SLICE = 65_536
 
 
 def cdf(x):
@@ -32,10 +33,15 @@ def cdf(x):
     same libm ``erfc`` element by element, so both paths give the same bits.
     """
     if isinstance(x, np.ndarray):
-        args = -x / _SQRT2
-        values = np.fromiter(map(math.erfc, args.ravel().tolist()), float,
-                             count=args.size)
-        return 0.5 * values.reshape(args.shape)
+        args = np.ravel(-x / _SQRT2)
+        values = np.empty(args.size)
+        # fixed slices bound the list of Python floats that erfc maps over
+        for start in range(0, args.size, _CDF_SLICE):
+            part = args[start:start + _CDF_SLICE]
+            values[start:start + part.size] = np.fromiter(
+                map(math.erfc, part.tolist()), float, count=part.size)
+        values *= 0.5
+        return values.reshape(x.shape) if x.ndim else values[0]
     return 0.5 * math.erfc(-x / _SQRT2)
 
 

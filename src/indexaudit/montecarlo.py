@@ -149,13 +149,26 @@ def empirical_coverage(plan: SimulationPlan) -> SimulationOutcome:
         raise ValidationError("coverage_unbiased takes no bias")
     rng = np.random.Generator(np.random.PCG64(plan.seed))
     noise_sd = math.sqrt(extra_variance)
+    # The chunk length decides which draws become estimates and which become
+    # references, so it is part of the result; the buffers are reused across
+    # chunks and every step writes in place.
+    size = min(plan.replicates, 1_000_000)
+    estimates, references = np.empty(size), np.empty(size)
+    inside = np.empty(size, dtype=bool)
     hits = 0
     remaining = plan.replicates
     while remaining > 0:
-        chunk = min(remaining, 1_000_000)
-        estimates = bias + noise_sd * rng.standard_normal(chunk)
-        references = scheme.sigma * rng.standard_normal(chunk)
-        hits += int(np.count_nonzero(np.abs(estimates - references) <= scheme.omega))
+        chunk = min(remaining, size)
+        est, ref, hit = estimates[:chunk], references[:chunk], inside[:chunk]
+        rng.standard_normal(out=est)
+        rng.standard_normal(out=ref)
+        np.multiply(est, noise_sd, out=est)
+        np.add(est, bias, out=est)
+        np.multiply(ref, scheme.sigma, out=ref)
+        np.subtract(est, ref, out=est)
+        np.abs(est, out=est)
+        np.less_equal(est, scheme.omega, out=hit)
+        hits += int(np.count_nonzero(hit))
         remaining -= chunk
     target = coverage_kernel(bias, extra_variance, scheme)
     return _rate_outcome(
@@ -252,9 +265,9 @@ def _draw_statistics(rng: np.random.Generator, replicates: int,
                      true_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z and B statistics for weight estimates drawn N(true_weights, V)."""
     design = _DESIGN
-    normals = rng.standard_normal((replicates, design.weights.size))
-    estimates = true_weights + normals @ design.cov_root.T
-    deviations = estimates - design.weights
+    deviations = rng.standard_normal((replicates, design.weights.size)) @ design.cov_root.T
+    deviations += true_weights
+    deviations -= design.weights
     z_stats = deviations @ design.mean_prices / design.z_stderr
     b_stats = deviations @ design.slope_coefficients / design.b_stderr
     return z_stats, b_stats
@@ -334,8 +347,12 @@ def mse_unbiasedness(plan: SimulationPlan) -> SimulationOutcome:
     if audit_variance < 0.0:
         raise ValidationError("audit_variance must be non-negative")
     rng = np.random.Generator(np.random.PCG64(plan.seed))
-    noise = math.sqrt(audit_variance) * rng.standard_normal(plan.replicates)
-    estimates = (bias - noise) ** 2 - audit_variance
+    # (bias - sd * normal) ** 2 - audit_variance, in one buffer
+    estimates = rng.standard_normal(plan.replicates)
+    np.multiply(estimates, math.sqrt(audit_variance), out=estimates)
+    np.subtract(bias, estimates, out=estimates)
+    np.square(estimates, out=estimates)
+    np.subtract(estimates, audit_variance, out=estimates)
     point = float(np.mean(estimates))
     spread = float(np.std(estimates, ddof=1))
     stderr = spread / math.sqrt(plan.replicates)
@@ -369,8 +386,10 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
         sd_ratio = float(plan.parameters.get("audit_sd_ratio", 0.15))
         bias = u * scheme.sigma
         audit_variance = (sd_ratio * scheme.sigma) ** 2
-        audits = math.sqrt(audit_variance) * rng.standard_normal(plan.replicates)
-        values = coverage_kernel(bias - audits, 0.0, scheme)
+        biases = rng.standard_normal(plan.replicates)
+        np.multiply(biases, math.sqrt(audit_variance), out=biases)
+        np.subtract(bias, biases, out=biases)
+        values = coverage_kernel(biases, 0.0, scheme)
         target = math.sqrt(estimate_coverage(bias, 0.0, audit_variance, scheme).variance)
     elif quantity == "unbiased_benchmark":
         ratio = float(plan.parameters.get("variance_in_sigma2", 1.0))

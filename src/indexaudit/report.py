@@ -83,16 +83,90 @@ def _json_safe(value):
     return value
 
 
+_INDENT = "  "
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_PLAIN = _SCALARS | {dict, list, tuple}
+# The C encoder of the json module, one value per line: strings escape every
+# newline, so splitting the encoded list on "\n" gives back its items.
+_ENCODE_LINES = json.JSONEncoder(ensure_ascii=False, allow_nan=False,
+                                 separators=("\n", ": ")).encode
+
+
+def _encode_scalars(values: list) -> list[str]:
+    return _ENCODE_LINES(values)[1:-1].split("\n") if values else []
+
+
+def _render(values: list, depth: int) -> list[str]:
+    """Canonical JSON text of each value, as ``json.dumps(_json_safe(value),
+    sort_keys=True, indent=2)`` nests it at ``depth``. Dicts with equal keys
+    are rendered key by key, so a column of scalars is one encoder call.
+    Items of ``values`` may be replaced by their ``_json_safe`` form."""
+    if set(map(type, values)) <= _SCALARS:
+        try:
+            return _encode_scalars(values)
+        except ValueError:  # a non-finite float, spelled as a string below
+            pass
+    groups: dict[object, list[int]] = {}  # None, list, or a dict's keys
+    for i, value in enumerate(values):
+        kind = type(value)
+        if kind not in _PLAIN or (kind is float and not math.isfinite(value)):
+            value = values[i] = _json_safe(value)
+            kind = type(value)
+        group = tuple(value) if kind is dict else list if kind in (list, tuple) else None
+        groups.setdefault(group, []).append(i)
+    out: list[str] = [""] * len(values)
+    for group, members in groups.items():
+        chosen = [values[i] for i in members]
+        if group is None:
+            texts = _encode_scalars(chosen)
+        elif group is list:
+            texts = _render_lists(chosen, depth)
+        else:
+            texts = _render_dicts(chosen, group, depth)
+        for i, text in zip(members, texts):
+            out[i] = text
+    return out
+
+
+def _render_lists(lists: list, depth: int) -> list[str]:
+    inner, outer = _INDENT * (depth + 1), _INDENT * depth
+    texts = iter(_render([item for items in lists for item in items], depth + 1))
+    return [f"[\n{inner}" + f",\n{inner}".join([next(texts) for _ in items])
+            + f"\n{outer}]" if items else "[]" for items in lists]
+
+
+def _render_dicts(dicts: list[dict], keys: tuple, depth: int) -> list[str]:
+    """Dicts that share the key tuple ``keys``, one template per key set."""
+    if not all(type(key) is str for key in keys):
+        return _render([{str(key): item for key, item in d.items()} for d in dicts], depth)
+    if not keys:
+        return ["{}"] * len(dicts)
+    inner = _INDENT * (depth + 1)
+    keys = sorted(keys)
+    template = "{\n" + ",\n".join(
+        f"{inner}{name.replace('%', '%%')}: %s" for name in _encode_scalars(keys)
+    ) + f"\n{_INDENT * depth}}}"
+    columns = [_render([d[key] for d in dicts], depth + 1) for key in keys]
+    return [template % row for row in zip(*columns)]
+
+
 def emit_machine(doc: ReportDocument) -> bytes:
+    """Canonical JSON bytes: ``json.dumps(_json_safe(payload), sort_keys=True,
+    indent=2, ensure_ascii=False, allow_nan=False)`` plus a newline."""
     payload = {
         "command": doc.command,
-        "config": _json_safe(doc.config),
-        "meta": _json_safe(doc.meta),
-        "results": _json_safe(doc.results),
+        "config": doc.config,
+        "meta": doc.meta,
+        "results": doc.results,
         "warnings": list(doc.warnings),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2,
-                      ensure_ascii=False, allow_nan=False)
+    try:
+        text = _render([payload], 0)[0]
+    except (TypeError, ValueError):
+        # columns are not visited in document order; let the encoder raise
+        # for the first value it cannot serialise, as it meets them in order
+        json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False)
+        raise
     return (text + "\n").encode("utf-8")
 
 

@@ -188,9 +188,15 @@ def simulate_households(true_weights: WeightVector, n: int, dispersion: float,
     if not dispersion > 0.0 or not np.isfinite(dispersion):
         raise ValidationError(f"dispersion must be a positive float, got {dispersion}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    totals = np.exp(rng.normal(0.0, dispersion, size=n))
-    shares = rng.dirichlet(true_weights.w / dispersion, size=n)
-    spend = totals[:, None] * shares
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        totals = np.exp(rng.normal(0.0, dispersion, size=n))
+        shares = rng.dirichlet(true_weights.w / dispersion, size=n)
+        spend = totals[:, None] * shares
+    if not np.isfinite(spend).all():
+        raise ValidationError(
+            f"dispersion {dispersion!r} is out of range: household totals or "
+            f"shares drawn with it are not finite"
+        )
     width = len(str(n))
     return HouseholdPanel(
         household_ids=tuple(f"h{i + 1:0{width}d}" for i in range(n)),

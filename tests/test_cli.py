@@ -363,6 +363,8 @@ def test_config_errors_exit_1(capsys, fx, tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("coverage", "--omega", "1e-200"),  # sigma^2 underflows to 0
     ("coverage", "--omega", "1e200"),  # sigma^2 overflows
+    ("coverage", "--omega", "1e150"),  # sigma^6 overflows
+    ("coverage", "--omega", "1e-160"),  # sigma^6 underflows to 0
     ("coverage", "--omega", "inf"),
     ("coverage", "--omega", "nan"),
     ("coverage", "--omega-se-mult", "inf"),
@@ -390,6 +392,23 @@ def test_invalid_float_flags_exit_1(capsys, fx, tmp_path, command, flag, value):
     body = json.loads(err)["error"]
     assert body["code"] == "config_error"
     assert flag.lstrip("-") in body["message"]
+
+
+@pytest.mark.parametrize("dispersion", ["5e-324", "1e3", "1e10"])
+def test_simulate_dispersion_out_of_range_exits_1(capsys, tmp_path, dispersion):
+    # a positive finite dispersion whose draws are not finite is a flag
+    # error, not a data error blamed on a household
+    out_path = tmp_path / "micro.csv"
+    code, out, err = run(capsys, "simulate", "--true-weights", "0.2,0.3,0.5",
+                         "--groups", "a,b,c", "--n", "30",
+                         "--dispersion", dispersion, "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert not out_path.exists()
+    body = json.loads(err)["error"]
+    assert body["code"] == "config_error"
+    assert body["message"].startswith("dispersion ")
+    assert "household '" not in body["message"]
 
 
 def test_data_errors_exit_2(capsys, fx, tmp_path):

@@ -59,6 +59,13 @@ def test_scheme_validation():
     for omega in (1e-200, 1e200):
         with pytest.raises(ValidationError, match=r"omega .* sigma\^2"):
             EvalScheme(alpha=0.95, omega=omega)
+    # sigma^2 is fine, but sigma^6 (tau^6 >= sigma^6 in the unbiased
+    # benchmark) underflows to 0 or overflows
+    for omega in (1e-160, 1e-60, 1e60, 1e150):
+        with pytest.raises(ValidationError, match=r"omega .* sigma\^6"):
+            EvalScheme(alpha=0.95, omega=omega)
+    EvalScheme(alpha=0.95, omega=1e-50)
+    EvalScheme(alpha=0.95, omega=1e50)
 
 
 # --- the kernel ------------------------------------------------------------------
@@ -223,6 +230,9 @@ def test_estimate_unbiased_coverage_validation(scheme):
         estimate_unbiased_coverage(-1e-9, 1e-9, scheme)
     with pytest.raises(ValidationError):
         estimate_unbiased_coverage(1e-4, -1e-9, scheme)
+    # finite, but tau^6 overflows
+    with pytest.raises(ValidationError, match="variance estimate .* too large"):
+        estimate_unbiased_coverage(1e300, 1e-9, scheme)
 
 
 def test_default_variance_of_variance():

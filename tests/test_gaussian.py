@@ -53,8 +53,13 @@ def test_cdf_scalar_and_array_agree():
     # infinities and nan, for arrays of any shape
     grid = np.concatenate([np.linspace(-40.0, 40.0, 1601),
                            [math.inf, -math.inf, math.nan, -0.0]])
+    # arrays are mapped in slices of 65,536 values: sizes around one slice
+    # and across several, and a 2-d array whose rows straddle a boundary
+    long = np.random.default_rng(3).normal(0.0, 4.0, 200_001)
+    sliced = [long[:size] for size in (65_535, 65_536, 65_537, 200_001)]
     for values in (grid, grid[:1600].reshape(40, 40), np.array(1.25), np.array(-math.inf),
-                   np.array([]), np.empty((0, 3))):
+                   np.array([]), np.empty((0, 3)), *sliced, long[:90_300].reshape(301, 300),
+                   long[:90_300].reshape(300, 301).T):
         vector = gaussian.cdf(values)
         assert np.shape(vector) == values.shape
         assert vector.dtype == np.float64

@@ -1,0 +1,100 @@
+"""The column-wise machine-report renderer against the encoder it replaced
+(``report_oracle``): identical bytes, or the same exception and message."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import report_oracle
+from indexaudit import report
+from indexaudit.cli import RunConfig, run_command
+
+# characters that JSON escapes, that the templates must escape, that split
+# lines, and that take more than one UTF-8 byte
+SPECIAL = ["%", "%s", "%%", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", '"', "\\", "/",
+           "é", "€", " ", "𝄞", " ", ""]
+text = st.lists(st.sampled_from(SPECIAL) | st.characters(), max_size=4).map("".join)
+# keys that collide after str(): 1 and "1", None and "None", 1.5 and "1.5" ...
+colliding = st.sampled_from([1, "1", 0, "0", True, "True", None, "None", 1.5, "1.5",
+                             -0.0, "-0.0", math.nan, "nan", (1, 2), "(1, 2)"])
+keys = st.sampled_from(["a", "b", "type", "%d", "k\n"]) | text | colliding
+floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1), floats, text,
+    floats.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+)
+unserialisable = st.sampled_from([1j, b"x", {1, 2}, np.bool_(True), np.array([1.0]), object()])
+
+
+def containers(children):
+    return (st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(keys, children, max_size=4)
+            # rows that share some keys and not others, as report results do
+            | st.lists(st.dictionaries(st.sampled_from(["a", "b", "%"]), children,
+                                       max_size=3), max_size=4))
+
+
+values = st.recursive(scalars, containers, max_leaves=12)
+odd_values = st.recursive(scalars | unserialisable, containers, max_leaves=8)
+
+
+def same_outcome(doc):
+    try:
+        want = report_oracle.emit_machine(doc)
+    except Exception as exc:  # the renderer must raise the same
+        with pytest.raises(type(exc)) as caught:
+            report.emit_machine(doc)
+        assert str(caught.value) == str(exc)
+        return
+    assert report.emit_machine(doc) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=text, config=st.dictionaries(keys, values, max_size=4),
+       results=st.lists(values, max_size=4), warnings=st.lists(text, max_size=2),
+       meta=st.dictionaries(keys, values, max_size=2))
+def test_renderer_matches_reference_encoder(command, config, results, warnings, meta):
+    same_outcome(report.ReportDocument(command=command, config=config, results=results,
+                                       warnings=warnings, meta=meta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(results=st.lists(odd_values, max_size=4),
+       config=st.dictionaries(keys, odd_values, max_size=3))
+# column "a" is rendered first, but row 0's "b" comes first in the document
+@example(results=[{"a": 1, "b": 1j}, {"a": b"x", "b": 2}], config={})
+def test_unserialisable_values_raise_the_reference_error(results, config):
+    # the first value the reference meets in document order names the error
+    same_outcome(report.build_document("x", config, results))
+
+
+def test_empty_and_degenerate_documents():
+    for results in ([], [{}], [[]], [()], [[[]], {"": {}}], [{"a": 1}, {"a": {}}, {"a": []}]):
+        same_outcome(report.build_document("", {}, results))
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("ztest", ["--each-period"]),
+    ("report", ["--proxy", "age_68plus"]),
+    ("verify", []),
+])
+def test_real_report_shapes_match(fixture_dir, command, extra):
+    if command == "verify":
+        config = RunConfig(command="verify", seed=5, scale=0.01, jobs=2)
+    else:
+        config = RunConfig(
+            command=command, prices_path=str(fixture_dir / "prices.csv"),
+            weights_path=str(fixture_dir / "weights.csv"),
+            survey_micro_path=str(fixture_dir / "ces_micro.csv"),
+            each_period="--each-period" in extra,
+            proxy_sources=tuple(extra[1:]) if "--proxy" in extra else ())
+    doc, _ = run_command(config)
+    assert doc.results
+    assert report.emit_machine(doc) == report_oracle.emit_machine(doc)

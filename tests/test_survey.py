@@ -205,6 +205,10 @@ def test_simulate_households_stratum_and_validation():
         simulate_households(truth, n=0, dispersion=0.5, seed=2)
     with pytest.raises(ValidationError, match="dispersion"):
         simulate_households(truth, n=3, dispersion=0.0, seed=2)
+    # positive and finite, but the draws overflow or come out nan
+    for dispersion in (5e-324, 1e3, 1e10):
+        with pytest.raises(ValidationError, match="dispersion .* out of range"):
+            simulate_households(truth, n=30, dispersion=dispersion, seed=2)
 
 
 def test_simulate_households_collapses_at_small_dispersion():
