@@ -17,86 +17,51 @@ verify|report`) and file formats.
 """
 
 from ._version import __version__
-from .bias_tests import (
-    TestKind,
-    TestResult,
-    UnitySlopeFit,
-    b_test,
-    cross_group_battery,
-    unity_slope_fit,
-    z_test,
-)
-from .core import (
-    PriceSeries,
-    TrendDecomposition,
-    WeightAggregates,
-    WeightVector,
-    index_series,
-    mean_price_vector,
-    mean_source_effect,
-    relative_weight_diff,
-    source_effect,
-    trend_decomposition,
-    weight_aggregates,
-    weighted_covariance,
-    weighted_index,
-)
-from .coverage import (
-    BreakEvenResult,
-    CoverageEstimate,
-    EvalScheme,
-    MseEstimate,
-    break_even_variance,
-    coverage_kernel,
-    coverage_of_constant,
-    coverage_of_unbiased,
-    default_variance_of_variance,
-    estimate_coverage,
-    estimate_unbiased_coverage,
-    kappa_quantile,
-    mse_estimate,
-)
-from .dataio import (
-    load_households,
-    load_prices,
-    load_weight_estimate,
-    load_weights,
-    write_households,
-    write_prices,
-    write_weight_estimate,
-    write_weights,
-)
-from .errors import (
-    AuditError,
-    AuditWarning,
-    ConfigError,
-    DegenerateVarianceError,
-    DimensionMismatchError,
-    UndefinedSlopeError,
-    ValidationError,
-    VerificationFailure,
-)
-from .montecarlo import (
-    SCENARIOS,
-    SimulationOutcome,
-    SimulationPlan,
-    VerificationCheck,
-    default_verification_suite,
-    delta_method_check,
-    empirical_coverage,
-    mse_unbiasedness,
-    power_curve,
-    run_plan,
-    run_verification,
-    test_calibration,
-)
-from .seeding import derive_seed, generator
-from .survey import (
-    HouseholdPanel,
-    WeightEstimate,
-    estimate_weights,
-    index_variance,
-    simulate_households,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name, by the submodule that defines it; a submodule is imported
+# when one of its names is first used, so a command loads only what it runs
+_EXPORTS = {
+    "bias_tests": ("TestKind", "TestResult", "UnitySlopeFit", "b_test",
+                   "cross_group_battery", "unity_slope_fit", "z_test"),
+    "core": ("PriceSeries", "TrendDecomposition", "WeightAggregates", "WeightVector",
+             "index_series", "mean_price_vector", "mean_source_effect",
+             "relative_weight_diff", "source_effect", "trend_decomposition",
+             "weight_aggregates", "weighted_covariance", "weighted_index"),
+    "coverage": ("BreakEvenResult", "CoverageEstimate", "EvalScheme", "MseEstimate",
+                 "break_even_variance", "coverage_kernel", "coverage_of_constant",
+                 "coverage_of_unbiased", "default_variance_of_variance",
+                 "estimate_coverage", "estimate_unbiased_coverage", "kappa_quantile",
+                 "mse_estimate"),
+    "dataio": ("load_households", "load_prices", "load_weight_estimate", "load_weights",
+               "write_households", "write_prices", "write_weight_estimate",
+               "write_weights"),
+    "errors": ("AuditError", "AuditWarning", "ConfigError", "DegenerateVarianceError",
+               "DimensionMismatchError", "UndefinedSlopeError", "ValidationError",
+               "VerificationFailure"),
+    "gaussian": (),
+    "montecarlo": ("SCENARIOS", "SimulationOutcome", "SimulationPlan",
+                   "VerificationCheck", "default_verification_suite",
+                   "delta_method_check", "empirical_coverage", "mse_unbiasedness",
+                   "power_curve", "run_plan", "run_verification", "test_calibration"),
+    "seeding": ("derive_seed", "generator"),
+    "survey": ("HouseholdPanel", "WeightEstimate", "estimate_weights", "index_variance",
+               "simulate_households"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_ORIGIN])
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS and name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f"{__name__}.{_ORIGIN.get(name, name)}")
+    value = module if name in _EXPORTS else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__} - {"_EXPORTS", "_ORIGIN", "__getattr__", "__dir__"})

@@ -21,7 +21,6 @@ run both.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,30 +83,47 @@ class TestResult:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (self.variance > 0.0 and math.isfinite(self.variance)):
-            raise ValidationError(f"test variance must be positive, got {self.variance}")
+        _check_variance(self.variance)
         expected_stat = self.effect / math.sqrt(self.variance)
         if abs(self.statistic - expected_stat) > 1e-12 * max(1.0, abs(expected_stat)):
             raise ValidationError("statistic is not effect / sqrt(variance)")
         expected_p = gaussian.two_sided_p(self.statistic)
         if abs(self.p_value - expected_p) > 1e-12:
             raise ValidationError("p_value does not match the statistic")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValidationError(f"p_value out of [0, 1]: {self.p_value}")
+        _check_p_value(self.p_value)
         object.__setattr__(self, "metadata", dict(self.metadata))
+
+
+def _check_variance(variance: float) -> None:
+    if not (variance > 0.0 and math.isfinite(variance)):
+        raise ValidationError(f"test variance must be positive, got {variance}")
+
+
+def _check_p_value(p_value: float) -> None:
+    if not 0.0 <= p_value <= 1.0:
+        raise ValidationError(f"p_value out of [0, 1]: {p_value}")
 
 
 def _build_result(kind: TestKind, effect: float, variance: float,
                   metadata: Mapping[str, str]) -> TestResult:
+    """The result of a test with this effect and variance. The statistic and
+    p-value are derived here, so of the checks construction makes only the
+    range checks run again."""
     statistic = effect / math.sqrt(variance)
-    return TestResult(
-        kind=kind,
-        effect=effect,
-        variance=variance,
-        statistic=statistic,
-        p_value=gaussian.two_sided_p(statistic),
-        metadata=metadata,
-    )
+    p_value = gaussian.two_sided_p(statistic)
+    _check_variance(variance)
+    _check_p_value(p_value)
+    return _derived(kind, effect, variance, statistic, p_value, metadata)
+
+
+def _derived(kind: TestKind, effect: float, variance: float, statistic: float,
+             p_value: float, metadata: Mapping[str, str]) -> TestResult:
+    """A TestResult built without ``__post_init__``, from values that already
+    passed its checks."""
+    result = object.__new__(TestResult)
+    result.__dict__.update(kind=kind, effect=effect, variance=variance,
+                           statistic=statistic, p_value=p_value, metadata=dict(metadata))
+    return result
 
 
 def _describe_periods(prices: PriceSeries, periods: Sequence[int] | None) -> str:
@@ -277,7 +293,9 @@ def cross_group_battery(prices: PriceSeries,
                         labeled = dict(result.metadata)
                         labeled.update(survey=survey_label, proxy=proxy_label,
                                        subset=subset_name)
-                        results.append(dataclasses.replace(result, metadata=labeled))
+                        results.append(_derived(result.kind, result.effect,
+                                                result.variance, result.statistic,
+                                                result.p_value, labeled))
                     else:
                         raise ValidationError(f"unknown test kind {kind!r}")
     return results

@@ -14,7 +14,6 @@ error object to stderr; invalid input never produces a traceback.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -44,7 +43,6 @@ from .dataio import (
     write_households,
 )
 from .errors import AuditError, AuditWarning, ConfigError, ValidationError, VerificationFailure
-from .montecarlo import run_verification
 from .survey import WeightEstimate, estimate_weights, index_variance, simulate_households
 
 
@@ -390,6 +388,8 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
         # every input of the draw is a flag or an already validated vector
         raise ConfigError(str(exc)) from exc
     write_households(config.out_path, panel, groups)
+    import hashlib
+
     digest = hashlib.sha256(Path(config.out_path).read_bytes()).hexdigest()
     return [{
         "type": "file_output",
@@ -397,6 +397,14 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
         "rows": len(panel) * len(groups),
         "sha256": digest,
     }]
+
+
+def run_verification(master_seed: int, scale: float, jobs: int) -> list:
+    """``montecarlo.run_verification``. The Monte Carlo module, and the
+    thread pool it imports, load on first use: only ``verify`` runs them."""
+    from .montecarlo import run_verification
+
+    return run_verification(master_seed, scale, jobs)
 
 
 def _verify_rows(config: RunConfig) -> tuple[list[dict], int]:

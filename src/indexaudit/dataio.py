@@ -13,8 +13,16 @@ throughout:
   given and mirrored values must agree), or ``households`` (an integer count,
   group columns empty).
 
-Loaders raise ValidationError naming the file and line of the offense.
-Writers emit full-precision floats (repr round-trip).
+A file with no double quote is split at commas and line ends directly, a
+chunk of lines at a time, so memory is bounded by one chunk of cells and the
+per-row codes and amounts. A file the direct split cannot read exactly as the
+csv module does (quotes, a NUL, a lone carriage return, an over-long line, a
+blank or ragged row, bytes that are not UTF-8) is read again, whole, by the
+csv module. Both give the same result and the same errors.
+
+Loaders raise ValidationError naming the file and line of the offense; text
+that is not UTF-8 and a field longer than ``csv.field_size_limit()`` are
+ValidationErrors too. Writers emit full-precision floats (repr round-trip).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .core import PriceSeries, WeightVector
 from .errors import ConfigError, ValidationError
@@ -41,34 +49,62 @@ __all__ = [
     "write_weight_estimate",
 ]
 
+# Characters of text the direct reader reads at a time, then up to the end of
+# a line: about 60k lines of micro data.
+_CHUNK_CHARS = 1 << 21
+# the ASCII characters besides line ends that str.strip removes
+_ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
-def _read_columns(path: Path, columns: Sequence[str],
-                  optional: Sequence[str] = ()) -> tuple[list[int], dict[str, list[str]]]:
-    """Read a headered CSV in one pass: the line number of every data row,
-    and each header column's stripped cells. Blank rows are skipped; a row
-    with the wrong field count is an error."""
+# the line number of every data row of a chunk, and each column's stripped cells
+_Chunk = tuple[Sequence[int], dict[str, list[str]]]
+_Result = TypeVar("_Result")
+
+
+class _NotPlain(Exception):
+    """The direct reader cannot split the file exactly as the csv module does."""
+
+
+def _open(path: Path) -> io.TextIOWrapper:
     try:
-        handle = path.open(newline="", encoding="utf-8")
+        return path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    with handle:
+
+
+def _check_header(path: Path, header: list[str], columns: Sequence[str],
+                  optional: Sequence[str]) -> list[str]:
+    header = [cell.strip() for cell in header]
+    required = set(columns)
+    allowed = required | set(optional)
+    if not required <= set(header) or not set(header) <= allowed:
+        raise ValidationError(
+            f"{path}: header must contain {', '.join(columns)}"
+            + (f" (optionally {', '.join(optional)})" if optional else "")
+            + f"; got {', '.join(header)}"
+        )
+    if len(set(header)) != len(header):
+        raise ValidationError(f"{path}: duplicated header column")
+    return header
+
+
+def _read_columns(path: Path, columns: Sequence[str],
+                  optional: Sequence[str] = ()) -> _Chunk:
+    """Read a headered CSV with the csv module in one pass: the line number
+    of every data row, and each header column's stripped cells. Blank rows
+    are skipped; a row with the wrong field count is an error."""
+    with _open(path) as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [cell.strip() for cell in header]
-        required = set(columns)
-        allowed = required | set(optional)
-        if not required <= set(header) or not set(header) <= allowed:
-            raise ValidationError(
-                f"{path}: header must contain {', '.join(columns)}"
-                + (f" (optionally {', '.join(optional)})" if optional else "")
-                + f"; got {', '.join(header)}"
-            )
-        if len(set(header)) != len(header):
-            raise ValidationError(f"{path}: duplicated header column")
-        rows = list(reader)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError(f"{path}: empty file") from None
+            header = _check_header(path, header, columns, optional)
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     # a row is blank when every cell is whitespace, i.e. when their
     # concatenation is
     lines = [line_no for line_no, row in enumerate(rows, start=2) if "".join(row).strip()]
@@ -87,46 +123,199 @@ def _read_columns(path: Path, columns: Sequence[str],
                    for key, cells in zip(header, zip(*rows))}
 
 
+def _plain_cells(text: str, width: int) -> list[str]:
+    """The stripped cells of ``text``, rows of ``width`` cells split at commas
+    and line ends, where that is what the csv module reads; raises _NotPlain
+    where it might not be. ``str.splitlines`` would also split at characters
+    such as ``\\x1c`` and ``\\x85`` that the csv module keeps in a cell."""
+    if '"' in text or "\0" in text:
+        raise _NotPlain
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            raise _NotPlain
+    if not _rows_have_width(text, width):
+        raise _NotPlain
+    cells = text.replace("\n", ",").split(",")
+    if text.endswith("\n"):
+        cells.pop()
+    if not text.isascii() or any(space in text for space in _ASCII_SPACE):
+        cells = list(map(str.strip, cells))
+    return cells
+
+
+def _rows_have_width(text: str, width: int) -> bool:
+    """Whether every line of ``text`` has ``width - 1`` commas and no line is
+    longer than the csv module's field limit (counted in UTF-8 bytes, which
+    are at least as many as characters)."""
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if not text.endswith("\n"):
+        ends = np.append(ends, raw.size)
+    lengths = np.diff(ends, prepend=-1)
+    commas = np.flatnonzero(raw == ord(","))
+    if lengths.max() > csv.field_size_limit() or commas.size != ends.size * (width - 1):
+        return False
+    if width == 1:
+        return True
+    # with that many commas in all, each line has its share when its first
+    # and last share fall inside it
+    rows = commas.reshape(ends.size, width - 1)
+    return bool((rows[:, 0] > ends - lengths).all() and (rows[:, -1] < ends).all())
+
+
+def _plain_chunks(path: Path, columns: Sequence[str],
+                  optional: Sequence[str] = ()) -> Iterator[_Chunk]:
+    """The file's data rows as chunks, split directly; raises _NotPlain at
+    the first chunk the csv module might read otherwise, and ValidationError
+    where ``_read_columns`` would for the header or an empty file."""
+    with _open(path) as handle:
+        try:
+            first = handle.readline()
+            if not first:
+                raise ValidationError(f"{path}: empty file")
+            header = _check_header(path, _plain_cells(first, first.count(",") + 1),
+                                   columns, optional)
+            width, start = len(header), 2
+            while text := handle.read(_CHUNK_CHARS):
+                # up to the end of the line the read stopped in
+                cells = _plain_cells(text + handle.readline(), width)
+                split = [cells[i::width] for i in range(width)]
+                # a row of empty cells is blank: the csv path skips it
+                if "" in split[0] and any(not any(row) for row in zip(*split)):
+                    raise _NotPlain
+                rows = len(split[0])
+                yield range(start, start + rows), dict(zip(header, split))
+                start += rows
+        except UnicodeDecodeError:
+            raise _NotPlain from None
+    if start == 2:
+        raise ValidationError(f"{path}: no data rows")
+
+
+def _load(path: Path, columns: Sequence[str], optional: Sequence[str],
+          consume: Callable[[Iterable[_Chunk]], _Result]) -> _Result:
+    """``consume`` run over the file's chunks as the direct reader splits
+    them or, where it cannot, over the csv module's one chunk of the file."""
+    chunks = _plain_chunks(path, columns, optional)
+    try:
+        try:
+            return consume(chunks)
+        except ValidationError:
+            # the csv path reads the whole file before it checks a cell, so
+            # a read error or a ragged row later in the file comes first
+            for _ in chunks:
+                pass
+            raise
+        finally:
+            chunks.close()
+    except _NotPlain:
+        return consume([_read_columns(path, columns, optional)])
+
+
+def _not_a_number(path: Path, line_no: int, column: str, text: str) -> ValidationError:
+    return ValidationError(f"{path}:{line_no}: column {column!r} is not a number: {text!r}")
+
+
 def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValidationError(
-            f"{path}:{line_no}: column {column!r} is not a number: {text!r}"
-        ) from None
+        raise _not_a_number(path, line_no, column, text) from None
+
+
+def _first_non_number(texts: Sequence[str]) -> int:
+    """Position of the first cell that ``float`` rejects; there must be one."""
+    for position, text in enumerate(texts):
+        try:
+            float(text)
+        except ValueError:
+            return position
+    raise ValueError("every cell is a number")
+
+
+def _encode(codes: dict[str, int], cells: Sequence[str]) -> np.ndarray:
+    """Each cell's code, where a cell not yet in ``codes`` gets the next
+    code, in order of first appearance."""
+    try:
+        return np.fromiter(map(codes.__getitem__, cells), dtype=np.intp, count=len(cells))
+    except KeyError:
+        for cell in dict.fromkeys(cells):
+            codes.setdefault(cell, len(codes))
+        return np.fromiter(map(codes.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
 def load_prices(path: str | Path) -> PriceSeries:
-    """Read a price panel; groups and periods keep first-appearance order."""
+    """Read a price panel; groups and periods keep first-appearance order.
+
+    The error raised is the one on the lowest line; on one line a duplicate
+    cell comes before a non-number. A panel with a missing cell is an error
+    after that.
+    """
     path = Path(path)
-    lines, cols = _read_columns(path, ("period", "group", "index"))
-    periods: dict[str, None] = {}
-    groups: dict[str, None] = {}
-    cells: dict[tuple[str, str], float] = {}
-    for line_no, period, group, text in zip(lines, cols["period"], cols["group"],
-                                            cols["index"]):
-        key = (group, period)
-        if key in cells:
+    return _load(path, ("period", "group", "index"), (),
+                 lambda chunks: _prices(path, chunks))
+
+
+def _prices(path: Path, chunks: Iterable[_Chunk]) -> PriceSeries:
+    period_code: dict[str, int] = {}
+    group_code: dict[str, int] = {}
+    lines, periods, groups, values = [], [], [], []
+    bad: tuple[int, str] | None = None  # row and text of the first non-number
+    rows = 0
+    for chunk_lines, cols in chunks:
+        lines.append(chunk_lines)
+        periods.append(_encode(period_code, cols["period"]))
+        groups.append(_encode(group_code, cols["group"]))
+        texts = cols["index"]
+        try:
+            values.append(np.fromiter(map(float, texts), dtype=float, count=len(texts)))
+        except ValueError:
+            row = _first_non_number(texts)
+            bad = (rows + row, texts[row])
+            # later rows cannot hold an earlier error
+            break
+        rows += len(texts)
+    period_labels, group_labels = list(period_code), list(group_code)
+    n_periods = len(period_labels)
+    period, group = np.concatenate(periods), np.concatenate(groups)
+    cell = group * n_periods + period
+    repeated = np.ones(cell.size, dtype=bool)
+    repeated[np.unique(cell, return_index=True)[1]] = False
+    if repeated.any():
+        row = int(np.argmax(repeated))
+        if bad is None or row <= bad[0]:
             raise ValidationError(
-                f"{path}:{line_no}: duplicate cell for group {group!r}, "
-                f"period {period!r}"
+                f"{path}:{_line_of(lines, row)}: duplicate cell for group "
+                f"{group_labels[group[row]]!r}, period {period_labels[period[row]]!r}"
             )
-        periods[period] = None
-        groups[group] = None
-        cells[key] = _parse_float(path, line_no, "index", text)
-    missing = [(g, p) for g in groups for p in periods if (g, p) not in cells]
-    if missing:
-        g, p = missing[0]
+    if bad is not None:
+        raise _not_a_number(path, _line_of(lines, bad[0]), "index", bad[1])
+    filled = np.zeros((len(group_labels), n_periods), dtype=bool)
+    filled[group, period] = True
+    if not filled.all():
+        g, p = divmod(int(np.argmin(filled)), n_periods)
         raise ValidationError(
-            f"{path}: panel is not rectangular; {len(missing)} missing cell(s), "
-            f"first is group {g!r}, period {p!r}"
+            f"{path}: panel is not rectangular; {filled.size - int(filled.sum())} "
+            f"missing cell(s), first is group {group_labels[g]!r}, period "
+            f"{period_labels[p]!r}"
         )
-    values = np.array([[cells[(g, p)] for p in periods] for g in groups])
+    matrix = np.empty(filled.shape)
+    matrix[group, period] = np.concatenate(values)
     try:
-        return PriceSeries(values=values, group_labels=tuple(groups),
-                           period_labels=tuple(periods))
+        return PriceSeries(values=matrix, group_labels=tuple(group_labels),
+                           period_labels=tuple(period_labels))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _line_of(lines: list[Sequence[int]], row: int) -> int:
+    """The line number of the row at position ``row`` over all chunks."""
+    for chunk_lines in lines:
+        if row < len(chunk_lines):
+            return chunk_lines[row]
+        row -= len(chunk_lines)
+    raise IndexError(row)
 
 
 def load_weights(path: str | Path,
@@ -137,25 +326,33 @@ def load_weights(path: str | Path,
     order over the whole file.
     """
     path = Path(path)
-    lines, cols = _read_columns(path, ("source", "group", "weight"))
-    order = (list(dict.fromkeys(cols["group"])) if group_labels is None
-             else list(group_labels))
+    return _load(path, ("source", "group", "weight"), (),
+                 lambda chunks: _weights(path, chunks, group_labels))
+
+
+def _weights(path: Path, chunks: Iterable[_Chunk],
+             group_labels: Sequence[str] | None) -> dict[str, WeightVector]:
+    order = [] if group_labels is None else list(group_labels)
     known = set(order)
     by_source: dict[str, dict[str, float]] = {}
-    for line_no, source, group, text in zip(lines, cols["source"], cols["group"],
-                                            cols["weight"]):
-        if group not in known:
-            raise ValidationError(
-                f"{path}:{line_no}: unknown group {group!r} (price panel has "
-                f"{', '.join(order)})"
-            )
-        entry = by_source.setdefault(source, {})
-        if group in entry:
-            raise ValidationError(
-                f"{path}:{line_no}: duplicate weight for source {source!r}, "
-                f"group {group!r}"
-            )
-        entry[group] = _parse_float(path, line_no, "weight", text)
+    for lines, cols in chunks:
+        for line_no, source, group, text in zip(lines, cols["source"], cols["group"],
+                                                cols["weight"]):
+            if group not in known:
+                if group_labels is not None:
+                    raise ValidationError(
+                        f"{path}:{line_no}: unknown group {group!r} (price panel has "
+                        f"{', '.join(order)})"
+                    )
+                order.append(group)
+                known.add(group)
+            entry = by_source.setdefault(source, {})
+            if group in entry:
+                raise ValidationError(
+                    f"{path}:{line_no}: duplicate weight for source {source!r}, "
+                    f"group {group!r}"
+                )
+            entry[group] = _parse_float(path, line_no, "weight", text)
     vectors = {}
     for source, entry in by_source.items():
         missing = [g for g in order if g not in entry]
@@ -180,115 +377,138 @@ def load_households(path: str | Path,
 
     When ``group_labels`` is omitted, groups are taken in first-appearance
     order. Households keep file order. A household reported under two
-    different strata is an error. The checks run on whole columns; the error
-    raised is the one on the lowest line and, within a line, the first of:
-    unknown group, non-number, negative amount, stratum conflict.
+    different strata is an error. The checks run on whole columns of a
+    chunk; the error raised is the one on the lowest line and, within a line,
+    the first of: unknown group, non-number, negative amount, stratum
+    conflict. Only integer codes and amounts are kept per row.
     """
     path = Path(path)
-    lines, cols = _read_columns(path, ("household_id", "group", "expenditure"),
-                                optional=("stratum",))
-    ids, groups, amounts = cols["household_id"], cols["group"], cols["expenditure"]
-    order = list(dict.fromkeys(groups)) if group_labels is None else list(group_labels)
-    group_code = {g: i for i, g in enumerate(order)}
-    household_code = {h: i for i, h in enumerate(dict.fromkeys(ids))}
-    households = np.array(list(map(household_code.__getitem__, ids)), dtype=np.intp)
-    first_row = np.unique(households, return_index=True)[1]
+    return _load(path, ("household_id", "group", "expenditure"), ("stratum",),
+                 lambda chunks: _households(path, chunks, group_labels))
 
-    failures: list[tuple[int, int, str]] = []  # (row, check order, message)
-    codes = list(map(group_code.get, groups))
-    if None in codes:
-        row = codes.index(None)
-        failures.append((row, 0, f"unknown group {groups[row]!r} (price panel has "
-                                 f"{', '.join(order)})"))
-    try:
-        values = np.array(list(map(float, amounts)), dtype=float)
-    except ValueError:
-        row = _first_non_number(amounts)
-        # only the rows before the first non-number can hold an earlier error
-        values = np.array(list(map(float, amounts[:row])) + [0.0] * (len(amounts) - row))
-        failures.append((row, 1, f"column 'expenditure' is not a number: "
-                                 f"{amounts[row]!r}"))
-    negative = np.flatnonzero(values < 0.0)
-    if negative.size:
-        row = int(negative[0])
-        failures.append((row, 2, f"negative expenditure for household {ids[row]!r}"))
-    # a stratum cell that is empty, like a missing column, means untagged
-    strata = cols.get("stratum", [""] * len(ids))
-    stratum_code = {s: i for i, s in enumerate(dict.fromkeys(strata))}
-    stratum_codes = np.array(list(map(stratum_code.__getitem__, strata)), dtype=np.intp)
-    conflicts = np.flatnonzero(stratum_codes != stratum_codes[first_row][households])
-    if conflicts.size:
-        row = int(conflicts[0])
-        first = strata[first_row[households[row]]] or None
-        failures.append((row, 3, f"household {ids[row]!r} appears under two strata "
-                                 f"({first!r} and {strata[row] or None!r})"))
-    if failures:
-        row, _, message = min(failures)
-        raise ValidationError(f"{path}:{lines[row]}: {message}")
 
-    m = len(order)
+def _households(path: Path, chunks: Iterable[_Chunk],
+                group_labels: Sequence[str] | None) -> HouseholdPanel:
+    order = None if group_labels is None else list(group_labels)
+    group_code = {} if order is None else {g: i for i, g in enumerate(order)}
+    household_code: dict[str, int] = {}
+    stratum_code: dict[str, int] = {}
+    # the stratum code of each household's first row, in household code order
+    first_strata = np.empty(0, dtype=np.intp)
+    households, groups, amounts = [], [], []
+    for lines, cols in chunks:
+        ids, group_cells, texts = cols["household_id"], cols["group"], cols["expenditure"]
+        seen = len(household_code)
+        household = _encode(household_code, ids)
+        failures: list[tuple[int, int, str]] = []  # (row, check order, message)
+        if order is None:
+            codes = _encode(group_code, group_cells)
+        else:
+            try:
+                codes = np.fromiter(map(group_code.__getitem__, group_cells),
+                                    dtype=np.intp, count=len(group_cells))
+            except KeyError:
+                row = next(row for row, group in enumerate(group_cells)
+                           if group not in group_code)
+                failures.append((row, 0, f"unknown group {group_cells[row]!r} (price "
+                                         f"panel has {', '.join(order)})"))
+        try:
+            values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+        except ValueError:
+            row = _first_non_number(texts)
+            # only the rows before the first non-number can hold an earlier error
+            values = np.zeros(len(texts))
+            values[:row] = list(map(float, texts[:row]))
+            failures.append((row, 1, f"column 'expenditure' is not a number: "
+                                     f"{texts[row]!r}"))
+        negative = np.flatnonzero(values < 0.0)
+        if negative.size:
+            row = int(negative[0])
+            failures.append((row, 2, f"negative expenditure for household {ids[row]!r}"))
+        # a stratum cell that is empty, like a missing column, means untagged
+        strata = cols.get("stratum")
+        if strata is not None:
+            stratum = _encode(stratum_code, strata)
+            new_rows = np.flatnonzero(household >= seen)
+            first_rows = new_rows[np.unique(household[new_rows], return_index=True)[1]]
+            first_strata = np.concatenate([first_strata, stratum[first_rows]])
+            conflicts = np.flatnonzero(stratum != first_strata[household])
+            if conflicts.size:
+                row = int(conflicts[0])
+                first = list(stratum_code)[first_strata[household[row]]] or None
+                failures.append((row, 3, f"household {ids[row]!r} appears under two "
+                                         f"strata ({first!r} and {strata[row] or None!r})"))
+        if failures:
+            row, _, message = min(failures)
+            raise ValidationError(f"{path}:{lines[row]}: {message}")
+        households.append(household)
+        groups.append(codes)
+        amounts.append(values)
+
+    m = len(group_code) if order is None else len(order)
+    cells = np.concatenate(households) * m + np.concatenate(groups)
     # bincount adds each cell's amounts in file order, as a running sum would
-    spend = np.bincount(households * m + np.array(codes, dtype=np.intp),
-                        weights=values, minlength=len(household_code) * m)
+    spend = np.bincount(cells, weights=np.concatenate(amounts),
+                        minlength=len(household_code) * m)
+    labels = [label or None for label in stratum_code]
     return HouseholdPanel(
         household_ids=tuple(household_code),
         expenditures=spend.reshape(len(household_code), m),
-        strata=tuple(strata[row] or None for row in first_row),
+        strata=(tuple(labels[code] for code in first_strata.tolist()) if labels
+                else None),
     )
-
-
-def _first_non_number(texts: Sequence[str]) -> int:
-    """Position of the first cell that ``float`` rejects; there must be one."""
-    for position, text in enumerate(texts):
-        try:
-            float(text)
-        except ValueError:
-            return position
-    raise ValueError("every cell is a number")
 
 
 def load_weight_estimate(path: str | Path,
                          group_labels: Sequence[str]) -> WeightEstimate:
     """Read a precomputed weight estimate: point weights, covariance, count."""
     path = Path(path)
-    lines, cols = _read_columns(path, ("kind", "row_group", "col_group", "value"))
+    return _load(path, ("kind", "row_group", "col_group", "value"), (),
+                 lambda chunks: _weight_estimate(path, chunks, group_labels))
+
+
+def _weight_estimate(path: Path, chunks: Iterable[_Chunk],
+                     group_labels: Sequence[str]) -> WeightEstimate:
     order = list(group_labels)
     positions = {g: i for i, g in enumerate(order)}
     weights: dict[str, float] = {}
     cov_entries: dict[tuple[int, int], float] = {}
     n_households: int | None = None
-    for line_no, kind, row_group, col_group, value in zip(
-            lines, cols["kind"], cols["row_group"], cols["col_group"], cols["value"]):
-        if kind == "weight":
-            if row_group not in positions:
-                raise ValidationError(f"{path}:{line_no}: unknown group {row_group!r}")
-            if row_group in weights:
-                raise ValidationError(f"{path}:{line_no}: duplicate weight for {row_group!r}")
-            weights[row_group] = _parse_float(path, line_no, "value", value)
-        elif kind == "cov":
-            for group in (row_group, col_group):
-                if group not in positions:
-                    raise ValidationError(f"{path}:{line_no}: unknown group {group!r}")
-            key = (positions[row_group], positions[col_group])
-            if key in cov_entries:
+    for lines, cols in chunks:
+        for line_no, kind, row_group, col_group, value in zip(
+                lines, cols["kind"], cols["row_group"], cols["col_group"], cols["value"]):
+            if kind == "weight":
+                if row_group not in positions:
+                    raise ValidationError(f"{path}:{line_no}: unknown group {row_group!r}")
+                if row_group in weights:
+                    raise ValidationError(
+                        f"{path}:{line_no}: duplicate weight for {row_group!r}")
+                weights[row_group] = _parse_float(path, line_no, "value", value)
+            elif kind == "cov":
+                for group in (row_group, col_group):
+                    if group not in positions:
+                        raise ValidationError(
+                            f"{path}:{line_no}: unknown group {group!r}")
+                key = (positions[row_group], positions[col_group])
+                if key in cov_entries:
+                    raise ValidationError(
+                        f"{path}:{line_no}: duplicate covariance entry "
+                        f"({row_group!r}, {col_group!r})"
+                    )
+                cov_entries[key] = _parse_float(path, line_no, "value", value)
+            elif kind == "households":
+                try:
+                    n_households = int(value)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}:{line_no}: households count is not an integer: "
+                        f"{value!r}"
+                    ) from None
+            else:
                 raise ValidationError(
-                    f"{path}:{line_no}: duplicate covariance entry "
-                    f"({row_group!r}, {col_group!r})"
+                    f"{path}:{line_no}: unknown kind {kind!r} "
+                    f"(expected weight, cov, or households)"
                 )
-            cov_entries[key] = _parse_float(path, line_no, "value", value)
-        elif kind == "households":
-            try:
-                n_households = int(value)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{line_no}: households count is not an integer: "
-                    f"{value!r}"
-                ) from None
-        else:
-            raise ValidationError(
-                f"{path}:{line_no}: unknown kind {kind!r} "
-                f"(expected weight, cov, or households)"
-            )
     missing_weights = [g for g in order if g not in weights]
     if missing_weights:
         raise ValidationError(

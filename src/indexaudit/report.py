@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from ._version import __version__
 from .bias_tests import TestResult
 from .coverage import CoverageEstimate, MseEstimate
 from .errors import ValidationError
-from .montecarlo import SimulationOutcome, VerificationCheck
+
+if TYPE_CHECKING:
+    from .montecarlo import SimulationOutcome, VerificationCheck
 
 SCHEMA_VERSION = "1"
 

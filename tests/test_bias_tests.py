@@ -19,7 +19,7 @@ from indexaudit.errors import (
     ValidationError,
 )
 from indexaudit.survey import WeightEstimate, index_variance
-from indexaudit import gaussian
+from indexaudit import bias_tests, gaussian
 
 
 def make_panel(rng, m, t):
@@ -61,6 +61,27 @@ def test_result_enforces_internal_consistency():
 
 # --- Z-test -----------------------------------------------------------------------
 
+
+
+def test_built_results_pass_the_construction_checks(food_prices, food_weights,
+                                                    food_estimate):
+    # the battery builds results without re-running __post_init__; each must
+    # be one that direct construction accepts, field for field
+    results = cross_group_battery(food_prices, {"survey": food_estimate}, food_weights,
+                                  period_subsets={"all": None, "first": [0, 1, 2]})
+    assert {r.kind for r in results} == {TestKind.Z, TestKind.B}
+    for result in results:
+        fields = {name: getattr(result, name) for name in
+                  ("kind", "effect", "variance", "statistic", "p_value", "metadata")}
+        assert TestResult(**fields) == result
+        assert type(result.metadata) is dict
+
+
+def test_built_results_keep_the_range_checks():
+    with pytest.raises(ValidationError, match="test variance must be positive, got inf"):
+        bias_tests._build_result(TestKind.Z, 1.0, math.inf, {})
+    with pytest.raises(ValidationError, match=r"p_value out of \[0, 1\]: nan"):
+        bias_tests._build_result(TestKind.Z, math.nan, 1.0, {})
 
 def test_z_test_zero_for_matching_weights(tiny_prices, tiny_estimate):
     result = z_test(tiny_prices, tiny_estimate,

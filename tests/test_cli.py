@@ -423,6 +423,26 @@ def test_data_errors_exit_2(capsys, fx, tmp_path):
     assert "not rectangular" in body["message"]
 
 
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("body, message", [
+    (b"p,a,1.0\np,b,\xff2.0\n", ": not UTF-8 text: invalid start byte"),
+    (b"p,a,1.0\np,b," + b"1" * 131073 + b"\n", ":3: field larger than field limit"),
+])
+def test_unreadable_input_is_a_data_error(capsys, fx, tmp_path, body, message, quoted):
+    # quote-free files are split directly, quoted ones by the csv module
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes((b'"period"' if quoted else b"period") + b",group,index\n" + body)
+    code, out, err = run(capsys, "ztest", "--prices", str(prices),
+                         "--weights", fx["weights"],
+                         "--survey-estimate", fx["estimate"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["code"] == "data_error"
+    assert error["message"].startswith(f"{prices}{message}")
+
 def test_missing_required_flag_exits_1_without_traceback(capsys):
     code, _, err = run(capsys, "ztest")
     assert code == 1

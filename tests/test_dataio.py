@@ -52,6 +52,11 @@ def test_prices_header_and_cell_errors(tmp_path):
         dataio.load_prices(write(tmp_path, "a.csv", ""))
     with pytest.raises(ValidationError, match="header must contain"):
         dataio.load_prices(write(tmp_path, "b.csv", "period,label,index\nx,y,1\n"))
+    # a header of one field, or a blank first line, is a header of one column
+    with pytest.raises(ValidationError, match="; got period group index$"):
+        dataio.load_prices(write(tmp_path, "b1.csv", "period group index\nx,y,1\n"))
+    with pytest.raises(ValidationError, match="; got $"):
+        dataio.load_prices(write(tmp_path, "b2.csv", "\nperiod,group,index\nx,y,1\n"))
     with pytest.raises(ValidationError, match="no data rows"):
         dataio.load_prices(write(tmp_path, "c.csv", "period,group,index\n"))
     with pytest.raises(ValidationError, match=r"d\.csv:3: expected 3 fields"):

@@ -3,10 +3,14 @@
 Generated micro CSVs mix valid rows with every kind of defect the loader
 checks for; for each file both loaders must return the same households,
 strata and bit-identical expenditure matrix, or raise the same
-ValidationError message.
+ValidationError message. Files are written by ``csv.writer`` and also joined
+quote-free with ``\\n`` or ``\\r\\n`` line ends, so both the direct reader and
+its csv fallback run, with chunks small enough that files cross chunk
+boundaries.
 """
 
 import csv
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,14 +20,24 @@ import micro_oracle
 from indexaudit import dataio
 from indexaudit.errors import ValidationError
 
-IDS = ["h1", "h2", "h3", " h2 ", "h,4", 'h"5']
-GROUPS = ["a", "b", "c", " b ", "zz", ""]
-# valid amounts are listed several times so most files get past the checks
-AMOUNTS = ["1.0", "2.5", "0", "0.1", "7e-320", "1e308", " 3 ", "-0.0", "1_0"] * 4 + [
-    "-1", "x", "", "nan", "inf", "-inf"]
-STRATA = ["", " ", "r1", "r2", "r,3"]
+# str.strip removes the tab, \x0b, \x1c and \xa0 padding; csv keeps \x0b,
+# \x1c and \x85 inside a cell, where str.splitlines would split
+IDS = ["h1", "h2", "h3", " h2 ", "h\x0b6", "\x1ch1\x1c", "\xa0h2", "h\x857"] * 2 + [
+    "h,4", 'h"5']
+GROUPS = ["a", "b", "c", " b ", "zz", "", "\ta", "b\xa0", "a\x0bb"]
+# valid amounts are listed several times so most files get past the checks;
+# float accepts underscores, non-ASCII digits and spelled-out infinity
+AMOUNTS = ["1.0", "2.5", "0", "0.1", "7e-320", "1e308", " 3 ", "-0.0", "1_0",
+           "1_000", "\u0661\u0662", "\t4\t", "\x1c5\xa0"] * 4 + [
+    "-1", "x", "", "nan", "inf", "-inf", "infinity", "1\r2"]
+STRATA = ["", " ", "r1", "r2", "r,3", "r\x0b1"]
 GROUP_LABELS = [None, None, ("a", "b", "c"), ("c", "a", "b"), ("a", "b"), ("a",),
                 ("a", "b", "c", " b ", "zz", "", "unused")]
+# how a generated file is written: by csv.writer, or joined at commas with
+# these line ends; and the reader's chunk size in characters
+LAYOUTS = ["csv", "\n", "\r\n", "\n", "\r\n"]
+CHUNKS = [1, 24, 1 << 21]
+OVERSIZED = "y" * (csv.field_size_limit() + 1)
 
 
 @st.composite
@@ -46,13 +60,14 @@ def micro_files(draw):
     data_row = st.fixed_dictionaries({c: cells[c] for c in header}).map(
         lambda row: [row[c] for c in header])
     rows = draw(st.lists(data_row, min_size=1, max_size=16))
-    blank_row = st.lists(st.sampled_from(["", " ", "\t"]), max_size=5)
+    # blank rows: empty, whitespace-only and comma-only
+    blank_row = st.lists(st.sampled_from(["", " ", "\t", "\xa0"]), max_size=5)
     ragged_row = data_row.flatmap(lambda row: st.sampled_from(
         [row[:-1], row + ["1.0"], row + [""]]))
     # now and then a blank or ragged row somewhere
     for position, row in draw(st.lists(st.tuples(
             st.integers(0, len(rows)), st.one_of(blank_row, blank_row, ragged_row)),
-            max_size=2)):
+            max_size=draw(st.sampled_from([0, 0, 1, 2])))):
         rows.insert(position, row)
     return header, rows
 
@@ -70,18 +85,51 @@ def load_panel(path, labels):
     return panel.household_ids, panel.strata, panel.expenditures
 
 
-@settings(max_examples=500, deadline=None,
+def write_rows(path, header, rows, layout):
+    if layout == "csv":
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+    else:
+        text = "".join(",".join(row) + layout for row in [header, *rows])
+        path.write_bytes(text.encode("utf-8"))
+
+
+@settings(max_examples=800, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(micro_files(), st.sampled_from(GROUP_LABELS))
-def test_columnar_loader_matches_row_wise_reference(tmp_path, micro, labels):
+@given(micro_files(), st.sampled_from(GROUP_LABELS), st.sampled_from(LAYOUTS),
+       st.sampled_from(CHUNKS))
+def test_columnar_loader_matches_row_wise_reference(tmp_path, micro, labels, layout,
+                                                    chunk):
     header, rows = micro
     path = tmp_path / "micro.csv"
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-    assert outcome(load_panel, path, labels) == outcome(
-        micro_oracle.load_households, path, labels)
+    write_rows(path, header, rows, layout)
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+        assert outcome(load_panel, path, labels) == outcome(
+            micro_oracle.load_households, path, labels)
+
+
+@pytest.mark.parametrize("quoted", [True, False])
+@pytest.mark.parametrize("chunk", [1, 1 << 21])
+@pytest.mark.parametrize("text, message", [
+    # a field past the csv module's limit, wherever it is
+    (f"h1,a,1\n{OVERSIZED},a,1\n", ":3: field larger than field limit"),
+    (f"h1,a,1\nh1,zz,1\nh2,b,{OVERSIZED}\n", ":4: field larger than field limit"),
+    # bytes that are not UTF-8 come before any cell check
+    ("h1,zz,1\nh1,a,\udcff\n", ": not UTF-8 text: invalid start byte"),
+])
+def test_read_errors_are_data_errors_on_both_paths(tmp_path, text, message, quoted,
+                                                   chunk):
+    # a quote sends the whole file to the csv path
+    header = ('"household_id"' if quoted else "household_id") + ",group,expenditure\n"
+    path = tmp_path / "micro.csv"
+    path.write_bytes((header + text).encode("utf-8", "surrogateescape"))
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+        with pytest.raises(ValidationError) as caught:
+            dataio.load_households(path, ["a", "b"])
+    assert str(caught.value).startswith(str(path))
+    assert message in str(caught.value)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -94,6 +142,9 @@ def test_columnar_loader_matches_row_wise_reference(tmp_path, micro, labels):
     ("h1,a,-x\n", ":2: column 'expenditure' is not a number: '-x'"),
     # a ragged row anywhere is found before any cell is checked
     ("h1,zz,1\nh1,a\n", ":3: expected 3 fields, got 2"),
+    # also where a long and a short row have the right number of commas in all
+    ("h1,a,1,1\nh1,a\n", ":2: expected 3 fields, got 4"),
+    ("h1,a\nh1,a,1,1\n", ":2: expected 3 fields, got 2"),
     # non-finite sums name the first household in file order
     ("h1,a,1\nh2,a,inf\nh3,b,nan\n", "household 'h2': expenditures must be finite"),
     ("h1,a,1e308\nh1,a,1e308\n", "household 'h1': expenditures must be finite"),

@@ -1,0 +1,86 @@
+"""The columnar price loader against the row-wise reference loader.
+
+Generated panels are mostly rectangular, then lose cells, gain duplicate
+cells (some with a non-number), blank rows and quoted labels; for each file
+both loaders must return the same labels and bit-identical values, or raise
+the same ValidationError message.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import price_oracle
+from indexaudit import dataio
+from indexaudit.errors import ValidationError
+from test_micro_loader import CHUNKS, LAYOUTS, write_rows
+
+# labels with a comma or a quote are quoted by csv.writer
+PERIODS = ["t0", "t1", "t2", " t1 ", "t3", "\x1ct6"] * 2 + ["t,4", 't"5']
+GROUPS = ["a", "b", "c", "b ", "\xa0d"] * 2 + ["g,1", 'g"2']
+VALUES = ["100.0", "101.5", " 99 ", "98.25", "1_00", "١٠٠", "1e2"] * 3 + [
+    "x", "", "nan", "-1", "0", "inf"]
+
+
+@st.composite
+def price_files(draw):
+    header = draw(st.permutations(["period", "group", "index"]))
+    periods = draw(st.lists(st.sampled_from(PERIODS), min_size=1, max_size=4, unique=True))
+    groups = draw(st.lists(st.sampled_from(GROUPS), min_size=1, max_size=3, unique=True))
+    cells = [{"period": p, "group": g, "index": draw(st.sampled_from(VALUES))}
+             for p in periods for g in groups]
+    cells = draw(st.permutations(cells))
+    # drop a cell now and then, and repeat some with a new index
+    if len(cells) > 1 and draw(st.booleans()):
+        del cells[draw(st.integers(0, len(cells) - 1))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        cell = dict(draw(st.sampled_from(cells)), index=draw(st.sampled_from(VALUES)))
+        cells.insert(draw(st.integers(0, len(cells))), cell)
+    rows = [[cell[column] for column in header] for cell in cells]
+    for _ in range(draw(st.sampled_from([0, 0, 1]))):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.sampled_from([[], ["", "", ""], [" ", "\t", ""]])))
+    return header, rows
+
+
+def outcome(load, path):
+    try:
+        prices = load(path)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return "ok", prices.group_labels, prices.period_labels, prices.values.tobytes()
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(price_files(), st.sampled_from(LAYOUTS), st.sampled_from(CHUNKS))
+def test_columnar_prices_match_row_wise_reference(tmp_path, prices, layout, chunk):
+    header, rows = prices
+    path = tmp_path / "prices.csv"
+    write_rows(path, header, rows, layout)
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+        assert outcome(dataio.load_prices, path) == outcome(price_oracle.load_prices, path)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("text, message", [
+    # on one line a duplicate cell comes before a non-number
+    ("x,a,1\nx,b,2\nx,a,oops\n", ":4: duplicate cell for group 'a', period 'x'"),
+    # otherwise the lowest line wins
+    ("x,a,oops\nx,b,2\nx,a,1\n", ":2: column 'index' is not a number: 'oops'"),
+    ("x,a,1\nx,a,2\nx,b,oops\n", ":3: duplicate cell for group 'a', period 'x'"),
+    # missing cells are counted after every line is read; the first is
+    # the first in group order, then period order
+    ("x,a,1\ny,b,2\n", "not rectangular; 2 missing cell(s), first is group 'a', "
+                       "period 'y'"),
+])
+def test_price_error_precedence(tmp_path, text, message, chunk):
+    path = tmp_path / "prices.csv"
+    path.write_text("period,group,index\n" + text, encoding="utf-8")
+    for load in (dataio.load_prices, price_oracle.load_prices):
+        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+            with pytest.raises(ValidationError) as caught:
+                load(path)
+        assert message in str(caught.value)
