@@ -15,10 +15,13 @@ throughout:
 
 A file with no double quote is split at commas and line ends directly, a
 chunk of lines at a time, so memory is bounded by one chunk of cells and the
-per-row codes and amounts. A file the direct split cannot read exactly as the
-csv module does (quotes, a NUL, a lone carriage return, an over-long line, a
-blank or ragged row, bytes that are not UTF-8) is read again, whole, by the
-csv module. Both give the same result and the same errors.
+per-row codes and amounts. Blank rows are skipped there as the csv module
+skips them: empty lines, lines of only commas and ASCII whitespace, and rows
+whose cells all strip to empty. A file the direct split cannot read exactly
+as the csv module does (quotes, a NUL, a lone carriage return, an over-long
+line, another blank line of the wrong width, a ragged row, bytes that are not
+UTF-8) is read again, whole, by the csv module. Both give the same result and
+the same errors.
 
 Loaders raise ValidationError naming the file and line of the offense; text
 that is not UTF-8 and a field longer than ``csv.field_size_limit()`` are
@@ -54,6 +57,8 @@ __all__ = [
 _CHUNK_CHARS = 1 << 21
 # the ASCII characters besides line ends that str.strip removes
 _ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+# a line of only these the csv module reads as a blank row
+_BLANK_LINE = "," + _ASCII_SPACE
 
 # the line number of every data row of a chunk, and each column's stripped cells
 _Chunk = tuple[Sequence[int], dict[str, list[str]]]
@@ -123,25 +128,41 @@ def _read_columns(path: Path, columns: Sequence[str],
                    for key, cells in zip(header, zip(*rows))}
 
 
-def _plain_cells(text: str, width: int) -> list[str]:
+def _plain_cells(text: str, width: int) -> tuple[list[str], list[int] | None]:
     """The stripped cells of ``text``, rows of ``width`` cells split at commas
     and line ends, where that is what the csv module reads; raises _NotPlain
     where it might not be. ``str.splitlines`` would also split at characters
-    such as ``\\x1c`` and ``\\x85`` that the csv module keeps in a cell."""
+    such as ``\\x1c`` and ``\\x85`` that the csv module keeps in a cell.
+
+    Where a line has another width, lines of only commas and ASCII
+    whitespace, which the csv module reads as blank rows, are dropped first
+    unless over-long, and the offsets of the lines kept come second; else
+    that is None."""
     if '"' in text or "\0" in text:
         raise _NotPlain
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             raise _NotPlain
+    kept = None
     if not _rows_have_width(text, width):
-        raise _NotPlain
+        lines = text.split("\n")
+        if text.endswith("\n"):
+            lines.pop()
+        limit = csv.field_size_limit()
+        kept = [i for i, line in enumerate(lines)
+                if line.strip(_BLANK_LINE) or len(line) > limit]
+        if not kept:
+            return [], kept
+        text = "".join([lines[i] + "\n" for i in kept])
+        if not _rows_have_width(text, width):
+            raise _NotPlain
     cells = text.replace("\n", ",").split(",")
     if text.endswith("\n"):
         cells.pop()
     if not text.isascii() or any(space in text for space in _ASCII_SPACE):
         cells = list(map(str.strip, cells))
-    return cells
+    return cells, kept
 
 
 def _rows_have_width(text: str, width: int) -> bool:
@@ -174,22 +195,29 @@ def _plain_chunks(path: Path, columns: Sequence[str],
             first = handle.readline()
             if not first:
                 raise ValidationError(f"{path}: empty file")
-            header = _check_header(path, _plain_cells(first, first.count(",") + 1),
+            header = _check_header(path, _plain_cells(first, first.count(",") + 1)[0],
                                    columns, optional)
-            width, start = len(header), 2
+            width, start, rows_read = len(header), 2, 0
             while text := handle.read(_CHUNK_CHARS):
                 # up to the end of the line the read stopped in
-                cells = _plain_cells(text + handle.readline(), width)
+                text += handle.readline()
+                cells, kept = _plain_cells(text, width)
                 split = [cells[i::width] for i in range(width)]
-                # a row of empty cells is blank: the csv path skips it
-                if "" in split[0] and any(not any(row) for row in zip(*split)):
-                    raise _NotPlain
-                rows = len(split[0])
-                yield range(start, start + rows), dict(zip(header, split))
-                start += rows
+                lines = (range(start, start + len(split[0])) if kept is None
+                         else [start + offset for offset in kept])
+                # a row of cells that strip to empty is blank: the csv module
+                # skips it
+                if "" in split[0] and not all(map(any, zip(*split))):
+                    rows = [i for i, row in enumerate(zip(*split)) if any(row)]
+                    split = [[column[i] for i in rows] for column in split]
+                    lines = [lines[i] for i in rows]
+                if lines:
+                    yield lines, dict(zip(header, split))
+                    rows_read += len(lines)
+                start += text.count("\n")
         except UnicodeDecodeError:
             raise _NotPlain from None
-    if start == 2:
+    if not rows_read:
         raise ValidationError(f"{path}: no data rows")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +60,10 @@ SCENARIOS = (
 )
 
 _REJECTION_CUTOFF = 1.959963984540054  # two-sided 5%: quantile(0.975)
+# Replicates drawn and transformed at a time: one gaussian.cdf slice. Numpy
+# draws the same values in consecutive blocks as in one call, and each step
+# is element-wise, so only the arrays a whole-sample sum reads are whole.
+_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,35 @@ def _rate_outcome(label: str, hits: int, replicates: int, target: float,
     )
 
 
+def _blocks(total: int) -> Iterator[slice]:
+    """Consecutive slices of ``total`` replicates, ``_BLOCK`` at a time. A
+    1-row tail joins the block before it: a 1-row matrix product takes
+    another BLAS path than the rows of a larger one, with other rounding."""
+    start = 0
+    while start < total:
+        stop = start + _BLOCK
+        if total - stop <= 1:
+            stop = total
+        yield slice(start, stop)
+        start = stop
+
+
+def _rejections(stats: np.ndarray) -> int:
+    """How many statistics the two-sided 5% test rejects."""
+    return sum(int(np.count_nonzero(np.abs(stats[block]) > _REJECTION_CUTOFF))
+               for block in _blocks(stats.size))
+
+
+def _mean_and_sd(values: np.ndarray) -> tuple[float, float]:
+    """``np.mean(values)`` and ``np.std(values, ddof=1)``, bit for bit, by
+    numpy's own steps done in place: ``values`` is overwritten."""
+    n = values.size
+    mean = np.add.reduce(values) / n
+    np.subtract(values, mean, out=values)
+    np.multiply(values, values, out=values)
+    return float(mean), math.sqrt(np.add.reduce(values) / (n - 1))
+
+
 def _require(plan: SimulationPlan, key: str, default=None):
     if key in plan.parameters:
         return plan.parameters[key]
@@ -150,26 +183,27 @@ def empirical_coverage(plan: SimulationPlan) -> SimulationOutcome:
     rng = np.random.Generator(np.random.PCG64(plan.seed))
     noise_sd = math.sqrt(extra_variance)
     # The chunk length decides which draws become estimates and which become
-    # references, so it is part of the result; the buffers are reused across
-    # chunks and every step writes in place.
+    # references, so it is part of the result. Each chunk's estimates are
+    # drawn whole into one buffer; its references follow in the stream, a
+    # block at a time into another, and every step writes in place.
     size = min(plan.replicates, 1_000_000)
-    estimates, references = np.empty(size), np.empty(size)
-    inside = np.empty(size, dtype=bool)
+    estimates, references = np.empty(size), np.empty(min(size, _BLOCK + 1))
     hits = 0
     remaining = plan.replicates
     while remaining > 0:
-        chunk = min(remaining, size)
-        est, ref, hit = estimates[:chunk], references[:chunk], inside[:chunk]
-        rng.standard_normal(out=est)
-        rng.standard_normal(out=ref)
-        np.multiply(est, noise_sd, out=est)
-        np.add(est, bias, out=est)
-        np.multiply(ref, scheme.sigma, out=ref)
-        np.subtract(est, ref, out=est)
-        np.abs(est, out=est)
-        np.less_equal(est, scheme.omega, out=hit)
-        hits += int(np.count_nonzero(hit))
-        remaining -= chunk
+        chunk = estimates[:min(remaining, size)]
+        rng.standard_normal(out=chunk)
+        np.multiply(chunk, noise_sd, out=chunk)
+        np.add(chunk, bias, out=chunk)
+        for block in _blocks(chunk.size):
+            est = chunk[block]
+            ref = references[:est.size]
+            rng.standard_normal(out=ref)
+            np.multiply(ref, scheme.sigma, out=ref)
+            np.subtract(est, ref, out=est)
+            np.abs(est, out=est)
+            hits += int(np.count_nonzero(est <= scheme.omega))
+        remaining -= chunk.size
     target = coverage_kernel(bias, extra_variance, scheme)
     return _rate_outcome(
         f"{plan.scenario}(bias={bias:.6g}, var={extra_variance:.6g})",
@@ -265,11 +299,19 @@ def _draw_statistics(rng: np.random.Generator, replicates: int,
                      true_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z and B statistics for weight estimates drawn N(true_weights, V)."""
     design = _DESIGN
-    deviations = rng.standard_normal((replicates, design.weights.size)) @ design.cov_root.T
-    deviations += true_weights
-    deviations -= design.weights
-    z_stats = deviations @ design.mean_prices / design.z_stderr
-    b_stats = deviations @ design.slope_coefficients / design.b_stderr
+    z_stats, b_stats = np.empty(replicates), np.empty(replicates)
+    # one block's normals and their product with the covariance root
+    shape = (min(replicates, _BLOCK + 1), design.weights.size)
+    normals, products = np.empty(shape), np.empty(shape)
+    for block in _blocks(replicates):
+        rows = block.stop - block.start
+        rng.standard_normal(out=normals[:rows])
+        deviations = np.matmul(normals[:rows], design.cov_root.T, out=products[:rows])
+        deviations += true_weights
+        deviations -= design.weights
+        np.divide(deviations @ design.mean_prices, design.z_stderr, out=z_stats[block])
+        np.divide(deviations @ design.slope_coefficients, design.b_stderr,
+                  out=b_stats[block])
     return z_stats, b_stats
 
 
@@ -282,11 +324,11 @@ def test_calibration(plan: SimulationPlan) -> SimulationOutcome:
     0.05) plus the KS distance to the standard normal in ``extras``.
     """
     rng = np.random.Generator(np.random.PCG64(plan.seed))
-    z_stats, b_stats = _draw_statistics(rng, plan.replicates, _DESIGN.weights)
-    stats = z_stats if plan.scenario == "z_calibration" else b_stats
-    hits = int(np.count_nonzero(np.abs(stats) > _REJECTION_CUTOFF))
+    # only the tested statistic is kept while ks_distance sorts it
+    stats = _draw_statistics(rng, plan.replicates, _DESIGN.weights)[
+        0 if plan.scenario == "z_calibration" else 1]
     outcome = _rate_outcome(
-        f"{plan.scenario} rejection@5%", hits, plan.replicates, 0.05,
+        f"{plan.scenario} rejection@5%", _rejections(stats), plan.replicates, 0.05,
         extras={"ks_distance": gaussian.ks_distance(stats)},
     )
     return outcome
@@ -323,11 +365,11 @@ def power_curve(plan: SimulationPlan) -> list[SimulationOutcome]:
             np.random.PCG64(derive_seed(plan.seed, position))
         )
         true_weights = design.weights + epsilon * direction
-        z_stats, b_stats = _draw_statistics(rng, plan.replicates, true_weights)
+        z_hits, b_hits = map(_rejections,
+                             _draw_statistics(rng, plan.replicates, true_weights))
         z_ncp = epsilon * float(np.dot(design.mean_prices, direction)) / design.z_stderr
         b_ncp = epsilon * float(np.dot(design.slope_coefficients, direction)) / design.b_stderr
-        for kind, stats, ncp in (("Z", z_stats, z_ncp), ("B", b_stats, b_ncp)):
-            hits = int(np.count_nonzero(np.abs(stats) > _REJECTION_CUTOFF))
+        for kind, hits, ncp in (("Z", z_hits, z_ncp), ("B", b_hits, b_ncp)):
             outcomes.append(_rate_outcome(
                 f"{direction_name}:{kind} power@eps={epsilon:.6g}",
                 hits, plan.replicates, _exact_power(ncp),
@@ -353,8 +395,9 @@ def mse_unbiasedness(plan: SimulationPlan) -> SimulationOutcome:
     np.subtract(bias, estimates, out=estimates)
     np.square(estimates, out=estimates)
     np.subtract(estimates, audit_variance, out=estimates)
-    point = float(np.mean(estimates))
-    spread = float(np.std(estimates, ddof=1))
+    negative = sum(int(np.count_nonzero(estimates[block] < 0.0))
+                   for block in _blocks(plan.replicates))
+    point, spread = _mean_and_sd(estimates)
     stderr = spread / math.sqrt(plan.replicates)
     target = bias * bias
     return SimulationOutcome(
@@ -362,7 +405,7 @@ def mse_unbiasedness(plan: SimulationPlan) -> SimulationOutcome:
         point=point, mc_stderr=stderr, target=target,
         z_score=_z_score(point, target, stderr),
         replicates_used=plan.replicates,
-        extras={"negative_fraction": float(np.mean(estimates < 0.0))},
+        extras={"negative_fraction": negative / plan.replicates},
     )
 
 
@@ -386,24 +429,35 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
         sd_ratio = float(plan.parameters.get("audit_sd_ratio", 0.15))
         bias = u * scheme.sigma
         audit_variance = (sd_ratio * scheme.sigma) ** 2
-        biases = rng.standard_normal(plan.replicates)
-        np.multiply(biases, math.sqrt(audit_variance), out=biases)
-        np.subtract(bias, biases, out=biases)
-        values = coverage_kernel(biases, 0.0, scheme)
+        audit_sd = math.sqrt(audit_variance)
+
+        def block_values(rows: int) -> np.ndarray:
+            biases = rng.standard_normal(rows)
+            np.multiply(biases, audit_sd, out=biases)
+            np.subtract(bias, biases, out=biases)
+            return coverage_kernel(biases, 0.0, scheme)
+
         target = math.sqrt(estimate_coverage(bias, 0.0, audit_variance, scheme).variance)
     elif quantity == "unbiased_benchmark":
         ratio = float(plan.parameters.get("variance_in_sigma2", 1.0))
         n_households = int(plan.parameters.get("n_households", 200))
         true_variance = ratio * scheme.sigma ** 2
-        draws = true_variance * rng.chisquare(n_households - 1, plan.replicates) / (n_households - 1)
-        values = coverage_kernel(0.0, draws, scheme)
+
+        def block_values(rows: int) -> np.ndarray:
+            draws = (true_variance * rng.chisquare(n_households - 1, rows)
+                     / (n_households - 1))
+            return coverage_kernel(0.0, draws, scheme)
+
         var_of_var = default_variance_of_variance(true_variance, n_households)
         target = math.sqrt(
             estimate_unbiased_coverage(true_variance, var_of_var, scheme).variance
         )
     else:
         raise ValidationError(f"unknown quantity {quantity!r}")
-    point = float(np.std(values, ddof=1))
+    values = np.empty(plan.replicates)
+    for block in _blocks(plan.replicates):
+        values[block] = block_values(block.stop - block.start)
+    point = _mean_and_sd(values)[1]
     stderr = point / math.sqrt(2.0 * (plan.replicates - 1))
     return SimulationOutcome(
         label=f"delta_method_check({quantity})",

@@ -280,6 +280,22 @@ def test_verify_passes_and_is_identical_across_jobs(capsys, tmp_path):
     assert all(row["passed"] for row in payload["results"])
 
 
+def test_verify_is_identical_across_jobs_at_block_boundaries(capsys, tmp_path):
+    # at this scale the calibration checks draw 65,537 replicates, one block
+    # and a 1-row tail, and the coverage checks cross their 1,000,000 chunk
+    reports = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"jobs{jobs}.json"
+        code, _, err = run(capsys, "verify", "--scale", "6.5537", "--jobs", jobs,
+                           "--output", str(out))
+        assert code == 0, err
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    replicates = {row["name"]: row["replicates"]
+                  for row in json.loads(reports[0])["results"]}
+    assert replicates["z_calibration"] == 65_537
+
+
 def test_verify_reports_gate_failures_with_exit_3(capsys, tmp_path):
     # with only a handful of replicates the calibration gates cannot hold
     out = tmp_path / "fail.json"

@@ -6,7 +6,8 @@ strata and bit-identical expenditure matrix, or raise the same
 ValidationError message. Files are written by ``csv.writer`` and also joined
 quote-free with ``\\n`` or ``\\r\\n`` line ends, so both the direct reader and
 its csv fallback run, with chunks small enough that files cross chunk
-boundaries.
+boundaries. Quote-free files whose only blank rows are lines of commas and
+ASCII whitespace must stay on the direct reader.
 """
 
 import csv
@@ -40,8 +41,22 @@ CHUNKS = [1, 24, 1 << 21]
 OVERSIZED = "y" * (csv.field_size_limit() + 1)
 
 
+# lines the csv module reads as blank rows: empty, commas only, and ASCII
+# whitespace with or without commas
+BLANK_LINES = ["", ",", ",,", ",,,,,", " ", "\t, ,\x0b", "\x1c,\x0c"]
+
+
+def plain(cells):
+    """The cells the direct split reads as they are written: no quote,
+    comma or carriage return."""
+    return [cell for cell in cells if not set(cell) & set('",\r')]
+
+
 @st.composite
-def micro_files(draw):
+def micro_files(draw, plain_rows=False):
+    """A header and data rows; unless ``plain_rows``, with quoted cells and
+    now and then a blank or ragged row."""
+    pick = plain if plain_rows else list
     columns = ["household_id", "group", "expenditure"]
     if draw(st.booleans()):
         columns.append("stratum")
@@ -50,16 +65,18 @@ def micro_files(draw):
     # conflicts likely
     cells = {
         "household_id": st.sampled_from(draw(st.lists(
-            st.sampled_from(IDS), min_size=1, max_size=4, unique=True))),
+            st.sampled_from(pick(IDS)), min_size=1, max_size=4, unique=True))),
         "group": st.sampled_from(draw(st.lists(
             st.sampled_from(GROUPS), min_size=1, max_size=4, unique=True))),
-        "expenditure": st.sampled_from(AMOUNTS),
+        "expenditure": st.sampled_from(pick(AMOUNTS)),
         "stratum": st.sampled_from(draw(st.lists(
-            st.sampled_from(STRATA), min_size=1, max_size=2, unique=True))),
+            st.sampled_from(pick(STRATA)), min_size=1, max_size=2, unique=True))),
     }
     data_row = st.fixed_dictionaries({c: cells[c] for c in header}).map(
         lambda row: [row[c] for c in header])
     rows = draw(st.lists(data_row, min_size=1, max_size=16))
+    if plain_rows:
+        return header, rows
     # blank rows: empty, whitespace-only and comma-only
     blank_row = st.lists(st.sampled_from(["", " ", "\t", "\xa0"]), max_size=5)
     ragged_row = data_row.flatmap(lambda row: st.sampled_from(
@@ -110,6 +127,37 @@ def test_columnar_loader_matches_row_wise_reference(tmp_path, micro, labels, lay
             micro_oracle.load_households, path, labels)
 
 
+def write_with_blank_lines(path, header, rows, blank_lines, last, line_end):
+    """Write ``rows`` joined at commas, with each (position, line) of
+    ``blank_lines`` among them and ``last`` as the file's last line."""
+    lines = [",".join(row) for row in rows]
+    for position, line in blank_lines:
+        lines.insert(position, line)
+    text = "".join(line + line_end for line in [",".join(header), *lines, last])
+    path.write_bytes(text.encode("utf-8"))
+
+
+blank_lines = st.lists(st.tuples(st.integers(0, 16), st.sampled_from(BLANK_LINES)),
+                       max_size=4)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(micro_files(plain_rows=True), blank_lines, st.sampled_from(BLANK_LINES),
+       st.sampled_from(GROUP_LABELS), st.sampled_from(["\n", "\r\n"]),
+       st.sampled_from(CHUNKS))
+def test_blank_lines_stay_on_the_direct_split(tmp_path, micro, blanks, last, labels,
+                                              line_end, chunk):
+    header, rows = micro
+    path = tmp_path / "micro.csv"
+    write_with_blank_lines(path, header, rows, blanks, last, line_end)
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), mock.patch.object(
+            dataio, "_read_columns", wraps=dataio._read_columns) as fallback:
+        got = outcome(load_panel, path, labels)
+    assert not fallback.called
+    assert got == outcome(micro_oracle.load_households, path, labels)
+
+
 @pytest.mark.parametrize("quoted", [True, False])
 @pytest.mark.parametrize("chunk", [1, 1 << 21])
 @pytest.mark.parametrize("text, message", [
@@ -118,6 +166,8 @@ def test_columnar_loader_matches_row_wise_reference(tmp_path, micro, labels, lay
     (f"h1,a,1\nh1,zz,1\nh2,b,{OVERSIZED}\n", ":4: field larger than field limit"),
     # bytes that are not UTF-8 come before any cell check
     ("h1,zz,1\nh1,a,\udcff\n", ": not UTF-8 text: invalid start byte"),
+    # a blank line is a blank row only where the csv module can read it
+    (f"h1,a,1\n\n{' ' * len(OVERSIZED)}\n", ":4: field larger than field limit"),
 ])
 def test_read_errors_are_data_errors_on_both_paths(tmp_path, text, message, quoted,
                                                    chunk):
@@ -150,6 +200,9 @@ def test_read_errors_are_data_errors_on_both_paths(tmp_path, text, message, quot
     ("h1,a,1e308\nh1,a,1e308\n", "household 'h1': expenditures must be finite"),
     # blank and all-whitespace rows are skipped
     ("\n , ,\t\n", "micro.csv: no data rows"),
+    ("\n\n,,,,\n", "micro.csv: no data rows"),
+    ("h1,zz,1\n\nh1,a,x\n", ":2: unknown group 'zz'"),
+    ("\n\nh1,a,x\n", ":4: column 'expenditure' is not a number: 'x'"),
 ])
 def test_loader_error_precedence(tmp_path, text, message):
     path = tmp_path / "micro.csv"

@@ -1,6 +1,7 @@
-"""The buffered Monte Carlo kernels against the whole-array kernels they
-replaced (``montecarlo_oracle``): the same draws must give the same bits, and
-each check's traced peak must stay within the buffers it allocates."""
+"""The blocked Monte Carlo kernels against the whole-array kernels they
+replaced (``montecarlo_oracle``): the same draws must give the same bits at
+and across every block and chunk boundary, and each check's traced peak must
+stay within the arrays it holds whole and the arrays of one block."""
 
 from __future__ import annotations
 
@@ -17,6 +18,10 @@ from indexaudit.montecarlo import SimulationPlan
 SIGMA2 = EvalScheme(alpha=0.95, omega=0.058).sigma ** 2
 # 1,000,000 is the coverage chunk: below, at, and across its boundary
 REPLICATES = [2, 999_999, 1_000_000, 1_000_001]
+BLOCK = montecarlo._BLOCK
+# below, at and across one block, where a 1-row tail joins the block before
+# it; a full block and a longer tail; three blocks and a 1-row tail
+BLOCK_REPLICATES = [BLOCK - 1, BLOCK, BLOCK + 1, 70_001, 3 * BLOCK + 1]
 MB = 1 << 20
 
 
@@ -44,7 +49,16 @@ def test_mse_unbiasedness_is_bit_identical(params, replicates):
     assert repr(montecarlo.mse_unbiasedness(p)) == repr(oracle.mse_unbiasedness(p))
 
 
-@pytest.mark.parametrize("replicates", [2, 10_001, 200_000])
+@pytest.mark.parametrize("total", [2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK,
+                                   3 * BLOCK + 1])
+def test_blocks_cover_the_replicates_without_a_one_row_block(total):
+    blocks = list(montecarlo._blocks(total))
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == total
+    assert all(2 <= b.stop - b.start <= BLOCK + 1 for b in blocks)
+
+
+@pytest.mark.parametrize("replicates", [2, 10_001, *BLOCK_REPLICATES, 200_000])
 @pytest.mark.parametrize("shift", [0.0, 0.01])
 def test_draw_statistics_is_bit_identical(replicates, shift):
     design = montecarlo._DESIGN
@@ -56,7 +70,7 @@ def test_draw_statistics_is_bit_identical(replicates, shift):
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
-@pytest.mark.parametrize("replicates", [2, 70_001])
+@pytest.mark.parametrize("replicates", [2, *BLOCK_REPLICATES])
 @pytest.mark.parametrize("params", [
     {"quantity": "plug_in", "bias_in_sigma": 0.3},
     {"quantity": "unbiased_benchmark"},
@@ -75,29 +89,64 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-# Each bound counts the float64 arrays of length R (8 bytes per replicate) and
-# bool masks (1 byte) that a check holds at once, plus 1 MB for small
-# objects. The delta checks also hold, per 65,536-value erfc slice, the
-# slice's Python floats (2.1 MB) and the array they fill (0.5 MB). The
+# What each check holds at once, in each phase of its run: float64 arrays of
+# the replicate count (of one 1,000,000 chunk for coverage), float64 arrays of
+# one block of at most BLOCK + 1 rows (a bool mask counts 1/8), and MB of
+# other objects: the Python floats one gaussian.cdf slice maps over erfc
+# (2.1 MB). The bound is the largest phase plus 1 MB for small objects. The
 # whole-array kernels exceed every bound.
-@pytest.mark.parametrize("scenario, replicates, params, floats, bools, slice_mb", [
-    # estimates and references buffers of one chunk, and the hit mask
-    ("coverage_biased_noisy", 1_000_001, {"bias": 0.0464, "extra_variance": 0.5 * SIGMA2},
-     2, 1, 0.0),
-    # the draw buffer, and the deviations np.std makes
-    ("mse_unbiasedness", 1_000_000, {"true_bias": 0.058}, 2, 0, 0.0),
-    # R x 5 normals and their product with the covariance root
-    ("z_calibration", 200_000, {}, 10, 0, 0.0),
-    # the same per grid point, and the Z and B statistics
-    ("power_curve", 40_000, {"direction": "trend_aligned"}, 12, 0, 0.0),
-    # biases, the first CDF, the second CDF's argument, negated argument and
-    # result; the benchmark also holds its draws and nu = sqrt(sigma^2 + draws)
-    ("delta_method_check", 250_000, {"quantity": "plug_in", "bias_in_sigma": 0.9}, 5, 0, 3.0),
-    ("delta_method_check", 250_000, {"quantity": "unbiased_benchmark"}, 6, 0, 3.0),
+DRAW_STATISTICS = (2, 11, 0.0)
+CALIBRATION = [DRAW_STATISTICS, (6, 1, 2.1)]
+LAYOUTS = {
+    # the estimates of one chunk; the references buffer and the hit mask
+    "coverage_constant": [(1, 1.125, 0.0)],
+    "coverage_unbiased": [(1, 1.125, 0.0)],
+    "coverage_biased_noisy": [(1, 1.125, 0.0)],
+    # drawing: the Z and B statistics, and per block the 5-column normals,
+    # their product with the covariance root and a statistic's product; then
+    # ks_distance on the tested statistic: its sorted copy, the CDF's argument
+    # and values with one slice, the grid and two differences with it
+    "z_calibration": CALIBRATION,
+    "b_calibration": CALIBRATION,
+    # drawing, one grid point at a time
+    "power_curve": [DRAW_STATISTICS],
+    # the draw buffer, which the mean and SD read; a block's negative mask
+    "mse_unbiasedness": [(1, 0.125, 0.0)],
+    # the values the SD reads; per block the biases, the kernel's two
+    # quotients, and a CDF's negated argument, argument and result
+    "plug_in": [(1, 5, 2.1)],
+    # the same with the chi-square draws in place of the biases, and their
+    # scaled copy
+    "unbiased_benchmark": [(1, 6, 2.1)],
+}
+
+
+def check_bound(p: SimulationPlan) -> float:
+    rows = min(p.replicates, 1_000_000) if p.scenario.startswith("coverage") else p.replicates
+    return max(8 * (whole * rows + block * (BLOCK + 1)) + other_mb * MB
+               for whole, block, other_mb in LAYOUTS[p.parameters.get("quantity", p.scenario)]
+               ) + MB
+
+
+@pytest.mark.parametrize("scenario, replicates, params", [
+    ("coverage_biased_noisy", 1_000_001, {"bias": 0.0464, "extra_variance": 0.5 * SIGMA2}),
+    ("mse_unbiasedness", 1_000_000, {"true_bias": 0.058}),
+    ("z_calibration", 200_000, {}),
+    ("b_calibration", 200_000, {}),
+    ("power_curve", 200_000, {"direction": "trend_aligned"}),
+    ("delta_method_check", 250_000, {"quantity": "plug_in", "bias_in_sigma": 0.9}),
+    ("delta_method_check", 250_000, {"quantity": "unbiased_benchmark"}),
 ])
-def test_check_peak_stays_within_its_buffers(scenario, replicates, params, floats, bools,
-                                             slice_mb):
-    chunk = min(replicates, 1_000_000)
-    bound = (8 * floats + bools) * chunk + (1.0 + slice_mb) * MB
-    peak = traced_peak(montecarlo.run_plan, plan(scenario, replicates, **params))
+def test_check_peak_stays_within_its_buffers(scenario, replicates, params):
+    p = plan(scenario, replicates, **params)
+    bound = check_bound(p)
+    peak = traced_peak(montecarlo.run_plan, p)
     assert peak < bound, f"{scenario}: traced peak {peak / MB:.2f} MB, bound {bound / MB:.2f} MB"
+
+
+def test_verify_peak_is_at_most_two_checks_at_once():
+    # with two threads at most two checks run at a time
+    bounds = sorted(check_bound(p) for _, p, _ in montecarlo.default_verification_suite(7, 20.0))
+    bound = bounds[-1] + bounds[-2] + 2 * MB
+    peak = traced_peak(montecarlo.run_verification, 7, 20.0, 2)
+    assert peak < bound, f"traced peak {peak / MB:.2f} MB, bound {bound / MB:.2f} MB"

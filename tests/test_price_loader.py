@@ -3,7 +3,8 @@
 Generated panels are mostly rectangular, then lose cells, gain duplicate
 cells (some with a non-number), blank rows and quoted labels; for each file
 both loaders must return the same labels and bit-identical values, or raise
-the same ValidationError message.
+the same ValidationError message. Quote-free panels with blank lines of
+commas and ASCII whitespace must stay on the direct reader.
 """
 
 from unittest import mock
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 import price_oracle
 from indexaudit import dataio
 from indexaudit.errors import ValidationError
-from test_micro_loader import CHUNKS, LAYOUTS, write_rows
+from test_micro_loader import (BLANK_LINES, CHUNKS, LAYOUTS, blank_lines, plain,
+                               write_rows, write_with_blank_lines)
 
 # labels with a comma or a quote are quoted by csv.writer
 PERIODS = ["t0", "t1", "t2", " t1 ", "t3", "\x1ct6"] * 2 + ["t,4", 't"5']
@@ -25,10 +27,14 @@ VALUES = ["100.0", "101.5", " 99 ", "98.25", "1_00", "١٠٠", "1e2"] * 3 + [
 
 
 @st.composite
-def price_files(draw):
+def price_files(draw, plain_rows=False):
+    """A header and data rows; unless ``plain_rows``, labels may be quoted."""
+    pick = plain if plain_rows else list
     header = draw(st.permutations(["period", "group", "index"]))
-    periods = draw(st.lists(st.sampled_from(PERIODS), min_size=1, max_size=4, unique=True))
-    groups = draw(st.lists(st.sampled_from(GROUPS), min_size=1, max_size=3, unique=True))
+    periods = draw(st.lists(st.sampled_from(pick(PERIODS)), min_size=1, max_size=4,
+                            unique=True))
+    groups = draw(st.lists(st.sampled_from(pick(GROUPS)), min_size=1, max_size=3,
+                           unique=True))
     cells = [{"period": p, "group": g, "index": draw(st.sampled_from(VALUES))}
              for p in periods for g in groups]
     cells = draw(st.permutations(cells))
@@ -62,6 +68,22 @@ def test_columnar_prices_match_row_wise_reference(tmp_path, prices, layout, chun
     write_rows(path, header, rows, layout)
     with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
         assert outcome(dataio.load_prices, path) == outcome(price_oracle.load_prices, path)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(price_files(plain_rows=True), blank_lines, st.sampled_from(BLANK_LINES),
+       st.sampled_from(["\n", "\r\n"]), st.sampled_from(CHUNKS))
+def test_blank_lines_stay_on_the_direct_split(tmp_path, prices, blanks, last, line_end,
+                                              chunk):
+    header, rows = prices
+    path = tmp_path / "prices.csv"
+    write_with_blank_lines(path, header, rows, blanks, last, line_end)
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), mock.patch.object(
+            dataio, "_read_columns", wraps=dataio._read_columns) as fallback:
+        got = outcome(dataio.load_prices, path)
+    assert not fallback.called
+    assert got == outcome(price_oracle.load_prices, path)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
