@@ -37,7 +37,7 @@ _EXPORTS = {
                "write_weights"),
     "errors": ("AuditError", "AuditWarning", "ConfigError", "DegenerateVarianceError",
                "DimensionMismatchError", "UndefinedSlopeError", "ValidationError",
-               "VerificationFailure"),
+               "VerificationFailure", "WorkerFailure"),
     "gaussian": (),
     "montecarlo": ("SCENARIOS", "SimulationOutcome", "SimulationPlan",
                    "VerificationCheck", "default_verification_suite",

@@ -7,8 +7,9 @@ default or as an aligned table with --format table, to stdout unless
 
 Exit codes: 0 success, 1 configuration error (bad flags, missing files),
 2 data error (files that parse or validate wrong), 3 verification failure
-(the Monte Carlo suite tripped a gate). All failures print a one-line JSON
-error object to stderr; invalid input never produces a traceback.
+(the Monte Carlo suite tripped a gate), 4 a verify worker process died. All
+failures print a one-line JSON error object to stderr; invalid input never
+produces a traceback.
 """
 
 from __future__ import annotations
@@ -401,7 +402,7 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
 
 def run_verification(master_seed: int, scale: float, jobs: int) -> list:
     """``montecarlo.run_verification``. The Monte Carlo module, and the
-    thread pool it imports, load on first use: only ``verify`` runs them."""
+    process pool it imports, load on first use: only ``verify`` runs them."""
     from .montecarlo import run_verification
 
     return run_verification(master_seed, scale, jobs)
@@ -612,7 +613,7 @@ def simulate(**kwargs):
 @click.option("--scale", type=float, default=1.0, show_default=True,
               help="Multiplier on every replicate count.")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker threads (output is identical for any value).")
+              help="Worker processes (output is identical for any value).")
 @_format_option
 def verify(**kwargs):
     """Run the Monte Carlo oracle suite; exit 3 if any gate fails."""

@@ -2,7 +2,8 @@
 
 Every failure the library raises on purpose derives from :class:`AuditError`,
 and each class carries the process exit code the CLI maps it to. Exit codes:
-0 success, 1 configuration error, 2 data error, 3 verification failure.
+0 success, 1 configuration error, 2 data error, 3 verification failure,
+4 a verification worker process died.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ class VerificationFailure(AuditError):
 
     exit_code = 3
     code = "verification_failure"
+
+
+class WorkerFailure(AuditError):
+    """A worker process of the verification suite died (killed, out of memory)
+    before its check finished; no check result is lost silently."""
+
+    exit_code = 4
+    code = "worker_failure"
 
 
 class AuditWarning(UserWarning):

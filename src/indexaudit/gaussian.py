@@ -33,11 +33,12 @@ def cdf(x):
     same libm ``erfc`` element by element, so both paths give the same bits.
     """
     if isinstance(x, np.ndarray):
-        args = np.ravel(-x / _SQRT2)
-        values = np.empty(args.size)
-        # fixed slices bound the list of Python floats that erfc maps over
-        for start in range(0, args.size, _CDF_SLICE):
-            part = args[start:start + _CDF_SLICE]
+        flat = np.ravel(x)
+        values = np.empty(flat.size)
+        # fixed slices bound the arguments and the list of Python floats that
+        # erfc maps over
+        for start in range(0, flat.size, _CDF_SLICE):
+            part = -flat[start:start + _CDF_SLICE] / _SQRT2
             values[start:start + part.size] = np.fromiter(
                 map(math.erfc, part.tolist()), float, count=part.size)
         values *= 0.5
@@ -109,13 +110,23 @@ def two_sided_p(statistic: float) -> float:
 
 
 def ks_distance(sample: np.ndarray) -> float:
-    """One-sample Kolmogorov-Smirnov distance against the standard normal."""
+    """One-sample Kolmogorov-Smirnov distance against the standard normal.
+
+    At most three arrays of the sample size live at once: the sorted copy and
+    the CDF values, then the CDF values, the grid i / n and one difference,
+    with ``grid - 1 / n`` formed in place.
+    """
     values = np.sort(np.asarray(sample, dtype=float))
     n = values.size
     if n == 0:
         raise ValueError("ks_distance requires a non-empty sample")
     probs = cdf(values)
-    grid = np.arange(1, n + 1, dtype=float) / n
-    d_plus = float(np.max(grid - probs))
-    d_minus = float(np.max(probs - (grid - 1.0 / n)))
+    del values
+    grid = np.arange(1, n + 1, dtype=float)
+    grid /= n
+    difference = np.subtract(grid, probs)
+    d_plus = float(np.max(difference))
+    np.subtract(grid, 1.0 / n, out=grid)
+    np.subtract(probs, grid, out=difference)
+    d_minus = float(np.max(difference))
     return max(d_plus, d_minus)

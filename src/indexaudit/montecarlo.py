@@ -9,13 +9,16 @@ Monte Carlo standard error and a z-score. A healthy implementation keeps
 Determinism: every scenario derives its own PCG64 stream from a master seed
 and a fixed scenario position via splitmix64, so results are byte-identical
 no matter which subset of scenarios runs, in what order, or across how many
-threads.
+worker processes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -30,7 +33,7 @@ from .coverage import (
     default_variance_of_variance,
 )
 from .core import PriceSeries
-from .errors import ValidationError
+from .errors import ValidationError, WorkerFailure
 from .seeding import derive_seed
 
 __all__ = [
@@ -596,22 +599,45 @@ def _apply_gate(name: str, plan: SimulationPlan, gate: str,
     )
 
 
+def _execute(entry: tuple[str, SimulationPlan, str]
+             ) -> tuple[VerificationCheck, list[tuple[Warning, type[Warning]]]]:
+    """Run and gate one suite entry; returns the check and the warnings it
+    raised, which a worker process cannot hand to the caller's filters."""
+    name, plan, gate = entry
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        check = _apply_gate(name, plan, gate, run_plan(plan))
+    return check, [(w.message, w.category) for w in caught]
+
+
 def run_verification(master_seed: int = 42, scale: float = 1.0,
                      jobs: int = 1) -> list[VerificationCheck]:
-    """Run the whole suite, optionally across threads, in stable order.
+    """Run the whole suite, optionally across worker processes, in stable order.
 
     Results are identical for any ``jobs`` because each check owns a derived
-    seed and the output order is the suite definition order.
+    seed and the output order is the suite definition order. With ``jobs`` > 1
+    the checks run in at most ``min(jobs, 14)`` worker processes, forked where
+    the platform can, so each holds only its own check's arrays; the warnings
+    each check raised are re-issued here in suite order. A worker that dies
+    raises :class:`WorkerFailure`.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     suite = default_verification_suite(master_seed, scale)
-
-    def execute(entry):
-        name, plan, gate = entry
-        return _apply_gate(name, plan, gate, run_plan(plan))
-
     if jobs == 1:
-        return [execute(entry) for entry in suite]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(execute, suite))
+        results = [_execute(entry) for entry in suite]
+    else:
+        context = (multiprocessing.get_context("fork")
+                   if "fork" in multiprocessing.get_all_start_methods() else None)
+        try:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(suite)),
+                                     mp_context=context) as pool:
+                results = list(pool.map(_execute, suite))
+        except BrokenProcessPool as exc:
+            raise WorkerFailure(
+                f"a verify worker process died before its check finished: {exc}"
+            ) from exc
+    for _, caught in results:
+        for message, category in caught:
+            warnings.warn(message, category, stacklevel=2)
+    return [check for check, _ in results]

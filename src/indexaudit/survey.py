@@ -15,7 +15,7 @@ so estimator behavior can be checked end to end.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -97,14 +97,17 @@ class WeightEstimate:
     -1e-10 eigenvalue slack, and every row sums to zero on the same slack
     (weights are shares, so their estimation errors must cancel along the
     all-ones direction). ``n_households`` is the number of records actually
-    used; None means unknown (e.g. a file that omitted it).
+    used; None means unknown (e.g. a file that omitted it). An estimator
+    passes ``row_sum_scale``, the size of the terms its row sums round with,
+    when that exceeds the covariance's own scale; it is not stored.
     """
 
     point: WeightVector
     covariance: np.ndarray
     n_households: int | None = None
+    row_sum_scale: InitVar[float] = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, row_sum_scale):
         cov = _frozen_array(self.covariance)
         m = self.point.n_groups
         if cov.shape != (m, m):
@@ -123,7 +126,7 @@ class WeightEstimate:
                 f"(min eigenvalue {eigenvalues.min():.3e})"
             )
         row_sums = np.abs(cov.sum(axis=1))
-        if float(row_sums.max()) > 1e-10 * max(scale, 1e-30) * m:
+        if float(row_sums.max()) > 1e-10 * max(scale, row_sum_scale, 1e-30) * m:
             raise ValidationError(
                 "covariance rows must sum to zero (weight errors cancel across groups)"
             )
@@ -167,10 +170,15 @@ def estimate_weights(panel: HouseholdPanel) -> WeightEstimate:
     influence -= influence.mean(axis=0)
     cov = influence.T @ influence / (n * (n - 1))
     cov = 0.5 * (cov + cov.T)
+    # a row sum rounds with the influence terms times the shares they cancel
+    # from, not with the covariance, which for nearly proportional households
+    # cancels to far less
+    row_sum_scale = float(np.max(np.abs(influence).T @ (totals / mean_total))) / (n * (n - 1))
     return WeightEstimate(
         point=WeightVector(point, label="survey"),
         covariance=cov,
         n_households=n,
+        row_sum_scale=row_sum_scale,
     )
 
 

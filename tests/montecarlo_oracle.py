@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from indexaudit import gaussian
 from indexaudit.coverage import (EvalScheme, coverage_kernel, default_variance_of_variance,
                                  estimate_coverage, estimate_unbiased_coverage)
 from indexaudit.errors import ValidationError
@@ -112,3 +113,15 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
         replicates_used=plan.replicates,
         extras={"ratio_to_target": point / target if target else math.inf},
     )
+
+
+def ks_distance(sample: np.ndarray) -> float:
+    values = np.sort(np.asarray(sample, dtype=float))
+    n = values.size
+    if n == 0:
+        raise ValueError("ks_distance requires a non-empty sample")
+    probs = gaussian.cdf(values)
+    grid = np.arange(1, n + 1, dtype=float) / n
+    d_plus = float(np.max(grid - probs))
+    d_minus = float(np.max(probs - (grid - 1.0 / n)))
+    return max(d_plus, d_minus)

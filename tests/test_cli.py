@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +188,21 @@ def test_report_lists_each_dropped_household_once_per_pool(capsys, fx, tmp_path,
         "warnings"] == [dropped]
 
 
+def test_ztest_on_nearly_proportional_households(capsys, tmp_path):
+    # the estimator's covariance cancels far below its rows' rounding
+    micro = tmp_path / "micro.csv"
+    micro.write_text("household_id,group,expenditure\nh1,bread,520.86\nh1,meat,88.78\n"
+                     "h2,bread,603.99\nh2,meat,102.95\n", encoding="utf-8")
+    prices = tmp_path / "prices.csv"
+    prices.write_text("period,group,index\nt1,bread,100\nt1,meat,100\n"
+                      "t2,bread,101\nt2,meat,103\n", encoding="utf-8")
+    weights = tmp_path / "weights.csv"
+    weights.write_text("source,group,weight\np,bread,0.8\np,meat,0.2\n", encoding="utf-8")
+    payload = run_machine(capsys, "ztest", "--prices", str(prices),
+                          "--weights", str(weights), "--survey-micro", str(micro))
+    assert [row["kind"] for row in payload["results"]] == ["Z"]
+
+
 def test_full_report_combines_sections(capsys, fx):
     payload = run_machine(capsys, "report", "--prices", fx["prices"],
                           "--weights", fx["weights"],
@@ -265,14 +281,14 @@ def test_simulate_rejects_duplicate_group_labels(capsys, tmp_path):
 
 def test_verify_passes_and_is_identical_across_jobs(capsys, tmp_path):
     out_serial = tmp_path / "serial.json"
-    out_threaded = tmp_path / "threaded.json"
+    out_parallel = tmp_path / "parallel.json"
     code, _, err = run(capsys, "verify", "--scale", "0.2",
                        "--output", str(out_serial))
     assert code == 0, err
     code, _, _ = run(capsys, "verify", "--scale", "0.2", "--jobs", "3",
-                     "--output", str(out_threaded))
+                     "--output", str(out_parallel))
     assert code == 0
-    assert out_serial.read_bytes() == out_threaded.read_bytes()
+    assert out_serial.read_bytes() == out_parallel.read_bytes()
 
     payload = json.loads(out_serial.read_text())
     jsonschema.validate(payload, SCHEMA)
@@ -294,6 +310,28 @@ def test_verify_is_identical_across_jobs_at_block_boundaries(capsys, tmp_path):
     replicates = {row["name"]: row["replicates"]
                   for row in json.loads(reports[0])["results"]}
     assert replicates["z_calibration"] == 65_537
+
+
+def test_verify_worker_death_is_a_one_line_error(capsys, tmp_path, monkeypatch):
+    from indexaudit import montecarlo
+
+    run_plan = montecarlo.run_plan
+
+    def dying_run_plan(plan):
+        if plan.scenario == "mse_unbiasedness":
+            os._exit(9)
+        return run_plan(plan)
+
+    # the forked workers inherit the patched module
+    monkeypatch.setattr(montecarlo, "run_plan", dying_run_plan)
+    out = tmp_path / "verify.json"
+    code, stdout, err = run(capsys, "verify", "--scale", "0.01", "--jobs", "2",
+                            "--output", str(out))
+    assert code == 4
+    assert stdout == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["code"] == "worker_failure"
+    assert not out.exists()
 
 
 def test_verify_reports_gate_failures_with_exit_3(capsys, tmp_path):

@@ -11,10 +11,11 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_cli_import_leaves_the_monte_carlo_suite_and_hashlib_unloaded():
-    # only verify runs the Monte Carlo suite and its thread pool, and only
+    # only verify runs the Monte Carlo suite and its process pool, and only
     # simulate hashes its output
     code = ("import indexaudit.cli, sys; print(' '.join(sorted(m for m in "
-            "('indexaudit.montecarlo', 'concurrent.futures', 'hashlib') "
+            "('indexaudit.montecarlo', 'concurrent.futures', "
+            "'concurrent.futures.process', 'multiprocessing', 'hashlib') "
             "if m in sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -1,10 +1,13 @@
 import math
+import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
 
+from indexaudit import montecarlo
 from indexaudit.coverage import EvalScheme
-from indexaudit.errors import ValidationError
+from indexaudit.errors import AuditWarning, ValidationError
 from indexaudit.montecarlo import (
     SCENARIOS,
     SimulationPlan,
@@ -212,11 +215,11 @@ def test_full_verification_suite_passes():
     assert not failures, failures
 
 
-def test_verification_is_identical_across_thread_counts():
+def test_verification_is_identical_across_job_counts():
     serial = run_verification(master_seed=9, scale=0.05, jobs=1)
-    threaded = run_verification(master_seed=9, scale=0.05, jobs=4)
-    assert [c.name for c in serial] == [c.name for c in threaded]
-    for a, b in zip(serial, threaded):
+    parallel = run_verification(master_seed=9, scale=0.05, jobs=4)
+    assert [c.name for c in serial] == [c.name for c in parallel]
+    for a, b in zip(serial, parallel):
         assert a.passed == b.passed and a.detail == b.detail
         assert [(o.point, o.z_score) for o in a.outcomes] == \
                [(o.point, o.z_score) for o in b.outcomes]
@@ -231,3 +234,55 @@ def test_verification_depends_on_master_seed():
 def test_run_verification_validates_jobs():
     with pytest.raises(ValidationError, match="jobs"):
         run_verification(jobs=0)
+
+
+class RecordingExecutor:
+    """Stands in for the process pool: records its arguments and runs the
+    work in this process, so no worker is ever started."""
+
+    calls: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.calls.append((max_workers, mp_context))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_worker_count_is_capped_at_the_suite_size(monkeypatch):
+    monkeypatch.setattr(RecordingExecutor, "calls", [])
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
+    expected = run_verification(master_seed=3, scale=1e-9, jobs=1)
+    assert RecordingExecutor.calls == []
+    for jobs in (2, 14, 15, 100_000):
+        assert run_verification(master_seed=3, scale=1e-9, jobs=jobs) == expected
+    assert [workers for workers, _ in RecordingExecutor.calls] == [2, 14, 14, 14]
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert all(context.get_start_method() == "fork"
+                   for _, context in RecordingExecutor.calls)
+
+
+def test_worker_warnings_are_reissued_in_suite_order(monkeypatch):
+    run = montecarlo.run_plan
+
+    def warning_run_plan(plan):
+        warnings.warn(f"seed {plan.seed}", AuditWarning)
+        return run(plan)
+
+    # the forked workers inherit the patched module
+    monkeypatch.setattr(montecarlo, "run_plan", warning_run_plan)
+    seen = []
+    for jobs in (1, 2, 3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_verification(master_seed=3, scale=1e-9, jobs=jobs)
+        seen.append([(w.category, str(w.message)) for w in caught])
+    expected = [(AuditWarning, f"seed {plan.seed}")
+                for _, plan, _ in default_verification_suite(3, 1e-9)]
+    assert seen == [expected] * 3

@@ -94,6 +94,18 @@ def test_estimate_weights_identical_households_have_zero_covariance():
     np.testing.assert_allclose(est.covariance, 0.0, atol=1e-18)
 
 
+def test_estimate_weights_accepts_nearly_proportional_households():
+    # the covariance cancels to ~1e-13 while its rows round to ~4e-23: more
+    # than the slack on the covariance's own scale, within the influence terms'
+    est = estimate_weights(panel(("h1", [520.86, 88.78]),
+                                 ("h2", [603.99, 102.95])))
+    cov = est.covariance
+    assert np.abs(cov.sum(axis=1)).max() > 1e-10 * np.abs(cov).max() * 2
+    # the same matrix made by hand has only its own scale, and is rejected
+    with pytest.raises(ValidationError, match="sum to zero"):
+        WeightEstimate(point=est.point, covariance=cov)
+
+
 def test_estimate_weights_point_is_ratio_of_totals():
     rng = np.random.default_rng(42)
     spend = rng.gamma(2.0, 1.0, size=(30, 4))
