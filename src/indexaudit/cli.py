@@ -402,7 +402,8 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
 
 def run_verification(master_seed: int, scale: float, jobs: int) -> list:
     """``montecarlo.run_verification``. The Monte Carlo module, and the
-    process pool it imports, load on first use: only ``verify`` runs them."""
+    process and thread pools it imports, load on first use: only ``verify``
+    runs them."""
     from .montecarlo import run_verification
 
     return run_verification(master_seed, scale, jobs)

@@ -14,13 +14,15 @@ worker processes.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
+import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -483,10 +485,32 @@ _DISPATCH = {
 }
 
 
-def run_plan(plan: SimulationPlan) -> list[SimulationOutcome]:
-    """Run one plan and return its outcomes (most scenarios yield one)."""
+def run_plan(plan: SimulationPlan,
+             runner: Callable[[SimulationPlan], list[SimulationOutcome]] | None = None
+             ) -> list[SimulationOutcome]:
+    """Run one plan and return its outcomes (most scenarios yield one).
+
+    A ``runner``, when given, runs the plan instead and its outcomes are
+    returned. :func:`run_verification` passes one that hands the plan to a
+    worker process and waits, so this call still spans each check in the
+    calling process.
+    """
+    return runner(plan) if runner is not None else _simulate(plan)
+
+
+def _simulate(plan: SimulationPlan) -> list[SimulationOutcome]:
     result = _DISPATCH[plan.scenario](plan)
     return result if isinstance(result, list) else [result]
+
+
+def _simulate_recorded(plan: SimulationPlan
+                       ) -> tuple[list[SimulationOutcome], list[tuple[Warning, type[Warning]]]]:
+    """The outcomes of one plan in a worker process, and the warnings it
+    raised, which the caller's filters cannot see from there."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcomes = _simulate(plan)
+    return outcomes, [(w.message, w.category) for w in caught]
 
 
 # --- the verification suite ------------------------------------------------
@@ -599,15 +623,22 @@ def _apply_gate(name: str, plan: SimulationPlan, gate: str,
     )
 
 
-def _execute(entry: tuple[str, SimulationPlan, str]
+def _execute(entry: tuple[str, SimulationPlan, str], pool: ProcessPoolExecutor | None = None
              ) -> tuple[VerificationCheck, list[tuple[Warning, type[Warning]]]]:
-    """Run and gate one suite entry; returns the check and the warnings it
-    raised, which a worker process cannot hand to the caller's filters."""
+    """Run and gate one suite entry; returns the check and the warnings its
+    plan raised in a worker process. Without a ``pool`` the plan runs here
+    and its warnings reach the caller directly. With one, the plan runs in a
+    worker process while this thread waits in :func:`run_plan`."""
     name, plan, gate = entry
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        check = _apply_gate(name, plan, gate, run_plan(plan))
-    return check, [(w.message, w.category) for w in caught]
+    caught: list[tuple[Warning, type[Warning]]] = []
+
+    def in_worker(plan: SimulationPlan) -> list[SimulationOutcome]:
+        outcomes, raised = pool.submit(_simulate_recorded, plan).result()
+        caught.extend(raised)
+        return outcomes
+
+    outcomes = run_plan(plan, in_worker if pool is not None else None)
+    return _apply_gate(name, plan, gate, outcomes), caught
 
 
 def run_verification(master_seed: int = 42, scale: float = 1.0,
@@ -616,10 +647,11 @@ def run_verification(master_seed: int = 42, scale: float = 1.0,
 
     Results are identical for any ``jobs`` because each check owns a derived
     seed and the output order is the suite definition order. With ``jobs`` > 1
-    the checks run in at most ``min(jobs, 14)`` worker processes, forked where
-    the platform can, so each holds only its own check's arrays; the warnings
-    each check raised are re-issued here in suite order. A worker that dies
-    raises :class:`WorkerFailure`.
+    the checks run in at most ``min(jobs, 14)`` worker processes (forked on
+    Linux), so each holds only its own check's arrays. As many threads of this
+    process wait for them, one check at a time each, and run no simulation.
+    The warnings each check raised in a worker are re-issued here in suite
+    order. A worker that dies raises :class:`WorkerFailure`.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
@@ -627,12 +659,16 @@ def run_verification(master_seed: int = 42, scale: float = 1.0,
     if jobs == 1:
         results = [_execute(entry) for entry in suite]
     else:
-        context = (multiprocessing.get_context("fork")
-                   if "fork" in multiprocessing.get_all_start_methods() else None)
+        workers = min(jobs, len(suite))
+        # Elsewhere, fork is unsafe once system frameworks have run (macOS)
+        # or absent; the platform's default start method is used there.
+        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
         try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(suite)),
-                                     mp_context=context) as pool:
-                results = list(pool.map(_execute, suite))
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool, \
+                    ThreadPoolExecutor(max_workers=workers) as waiters:
+                # the first task starts every worker, before a waiting thread exists
+                pool.submit(int).result()
+                results = list(waiters.map(functools.partial(_execute, pool=pool), suite))
         except BrokenProcessPool as exc:
             raise WorkerFailure(
                 f"a verify worker process died before its check finished: {exc}"

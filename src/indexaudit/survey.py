@@ -97,17 +97,17 @@ class WeightEstimate:
     -1e-10 eigenvalue slack, and every row sums to zero on the same slack
     (weights are shares, so their estimation errors must cancel along the
     all-ones direction). ``n_households`` is the number of records actually
-    used; None means unknown (e.g. a file that omitted it). An estimator
-    passes ``row_sum_scale``, the size of the terms its row sums round with,
-    when that exceeds the covariance's own scale; it is not stored.
+    used; None means unknown (e.g. a file that omitted it).
     """
 
     point: WeightVector
     covariance: np.ndarray
     n_households: int | None = None
-    row_sum_scale: InitVar[float] = 0.0
+    # Only estimate_weights passes this: the size of the terms its row sums
+    # round with, which can exceed the covariance's own scale. Not stored.
+    _row_sum_scale: InitVar[float] = 0.0
 
-    def __post_init__(self, row_sum_scale):
+    def __post_init__(self, _row_sum_scale):
         cov = _frozen_array(self.covariance)
         m = self.point.n_groups
         if cov.shape != (m, m):
@@ -126,7 +126,7 @@ class WeightEstimate:
                 f"(min eigenvalue {eigenvalues.min():.3e})"
             )
         row_sums = np.abs(cov.sum(axis=1))
-        if float(row_sums.max()) > 1e-10 * max(scale, row_sum_scale, 1e-30) * m:
+        if float(row_sums.max()) > 1e-10 * max(scale, _row_sum_scale, 1e-30) * m:
             raise ValidationError(
                 "covariance rows must sum to zero (weight errors cancel across groups)"
             )
@@ -178,7 +178,7 @@ def estimate_weights(panel: HouseholdPanel) -> WeightEstimate:
         point=WeightVector(point, label="survey"),
         covariance=cov,
         n_households=n,
-        row_sum_scale=row_sum_scale,
+        _row_sum_scale=row_sum_scale,
     )
 
 

@@ -1,6 +1,7 @@
 import math
-import multiprocessing
+import sys
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -237,8 +238,9 @@ def test_run_verification_validates_jobs():
 
 
 class RecordingExecutor:
-    """Stands in for the process pool: records its arguments and runs the
-    work in this process, so no worker is ever started."""
+    """Stands in for the process pool and for its waiting threads: records
+    each pool's size and runs the work in this process, so no worker is ever
+    started."""
 
     calls: list = []
 
@@ -251,6 +253,11 @@ class RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
     def map(self, fn, iterable):
         return map(fn, iterable)
 
@@ -258,25 +265,51 @@ class RecordingExecutor:
 def test_worker_count_is_capped_at_the_suite_size(monkeypatch):
     monkeypatch.setattr(RecordingExecutor, "calls", [])
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
     expected = run_verification(master_seed=3, scale=1e-9, jobs=1)
     assert RecordingExecutor.calls == []
     for jobs in (2, 14, 15, 100_000):
         assert run_verification(master_seed=3, scale=1e-9, jobs=jobs) == expected
-    assert [workers for workers, _ in RecordingExecutor.calls] == [2, 14, 14, 14]
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert all(context.get_start_method() == "fork"
-                   for _, context in RecordingExecutor.calls)
+    # one process pool and one set of waiting threads per run, as large as each other
+    workers = [workers for workers, _ in RecordingExecutor.calls]
+    assert workers == [2, 2, 14, 14, 14, 14, 14, 14]
+    contexts = [context for _, context in RecordingExecutor.calls]
+    assert contexts[1::2] == [None] * 4
+    assert [c and c.get_start_method() for c in contexts[::2]] == (
+        ["fork"] * 4 if sys.platform == "linux" else [None] * 4)
 
 
-def test_worker_warnings_are_reissued_in_suite_order(monkeypatch):
+def test_each_check_passes_through_run_plan_in_the_calling_process(monkeypatch):
+    # a span or a profiler hook on run_plan times every check, in any mode
     run = montecarlo.run_plan
+    for jobs in (1, 2):
+        seen = []
 
-    def warning_run_plan(plan):
-        warnings.warn(f"seed {plan.seed}", AuditWarning)
-        return run(plan)
+        def recording_run_plan(plan, *args):
+            outcomes = run(plan, *args)
+            seen.append((plan.seed, len(outcomes)))
+            return outcomes
 
-    # the forked workers inherit the patched module
-    monkeypatch.setattr(montecarlo, "run_plan", warning_run_plan)
+        monkeypatch.setattr(montecarlo, "run_plan", recording_run_plan)
+        checks = run_verification(master_seed=3, scale=1e-9, jobs=jobs)
+        assert sorted(seen) == sorted((c.plan.seed, len(c.outcomes)) for c in checks)
+
+
+fork_only = pytest.mark.skipif(
+    sys.platform != "linux", reason="a patch reaches the workers only through fork")
+
+
+@fork_only
+def test_worker_warnings_are_reissued_in_suite_order(monkeypatch):
+    def warning(simulate):
+        def simulate_and_warn(plan):
+            warnings.warn(f"seed {plan.seed}", AuditWarning)
+            return simulate(plan)
+        return simulate_and_warn
+
+    # the forked workers inherit the patched table
+    for scenario, simulate in list(montecarlo._DISPATCH.items()):
+        monkeypatch.setitem(montecarlo._DISPATCH, scenario, warning(simulate))
     seen = []
     for jobs in (1, 2, 3):
         with warnings.catch_warnings(record=True) as caught:
