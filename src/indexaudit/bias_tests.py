@@ -34,7 +34,6 @@ from .core import (
     WeightVector,
     _check_groups,
     _resolve_periods,
-    index_series,
     mean_price_vector,
 )
 from .errors import (

@@ -163,20 +163,7 @@ def _parse_periods(spec: str, prices: PriceSeries) -> list[int] | None:
             positions.extend(range(start, end + 1))
         else:
             positions.append(resolve(token))
-    seen: set[int] = set()
-    unique = []
-    for position in positions:
-        if position not in seen:
-            seen.add(position)
-            unique.append(position)
-    return unique
-
-
-def _capture_warnings():
-    ctx = warnings.catch_warnings(record=True)
-    caught = ctx.__enter__()
-    warnings.simplefilter("always", AuditWarning)
-    return ctx, caught
+    return list(dict.fromkeys(positions))
 
 
 def _load_survey_estimates(config: RunConfig,
@@ -412,16 +399,15 @@ def run_verification(master_seed: int, scale: float, jobs: int) -> list:
 def _verify_rows(config: RunConfig) -> tuple[list[dict], int]:
     checks = run_verification(config.seed, config.scale, config.jobs)
     rows = [reporting.verification_row(check) for check in checks]
-    failed = [check.name for check in checks if not check.passed]
-    return rows, (3 if failed else 0)
+    return rows, (0 if all(check.passed for check in checks) else 3)
 
 
 def run_command(config: RunConfig) -> tuple[reporting.ReportDocument, int]:
     """Execute one configured command and build its report document."""
-    ctx, caught = _capture_warnings()
     exit_code = 0
     derived: dict = {}
-    try:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AuditWarning)
         if config.command in ("ztest", "btest", "coverage", "mse", "report"):
             rows, derived = _audit_rows(config)
         elif config.command == "simulate":
@@ -430,8 +416,6 @@ def run_command(config: RunConfig) -> tuple[reporting.ReportDocument, int]:
             rows, exit_code = _verify_rows(config)
         else:
             raise ConfigError(f"unknown command {config.command!r}")
-    finally:
-        ctx.__exit__(None, None, None)
     # fmt/output/jobs shape the run, not the result; echoing jobs would break
     # the promise that --jobs never changes the report bytes
     config_echo = {
@@ -458,24 +442,18 @@ def emit_report(doc: reporting.ReportDocument, fmt: str,
         if directory:
             suffix = "json" if fmt == "machine" else "txt"
             output = str(Path(directory) / f"{command}.{suffix}")
+    if fmt == "machine":
+        payload = reporting.emit_machine(doc)
+    else:
+        payload = reporting.emit_table(doc).encode("utf-8")
     try:
-        if fmt == "machine":
-            payload = reporting.emit_machine(doc)
-            if output is None:
-                sys.stdout.buffer.write(payload)
-                sys.stdout.buffer.flush()
-            else:
-                target = Path(output)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_bytes(payload)
+        if output is None:
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
         else:
-            text = reporting.emit_table(doc)
-            if output is None:
-                sys.stdout.write(text)
-            else:
-                target = Path(output)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_text(text, encoding="utf-8")
+            target = Path(output)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(payload)
     except OSError as exc:
         raise ConfigError(f"cannot write report to {output}: {exc}") from exc
 
@@ -489,149 +467,110 @@ def _execute(config: RunConfig) -> None:
         )
 
 
-def _format_option(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["machine", "table"]),
-                      default="machine", show_default=True,
-                      help="Report format.")(fn)
-    return click.option("--output", type=click.Path(dir_okay=False),
-                        default=None, help="Write the report here instead of stdout.")(fn)
-
-
-def _audit_input_options(fn):
-    for option in reversed([
-        click.option("--prices", "prices_path", required=True,
-                     type=click.Path(dir_okay=False),
-                     help="Price panel CSV (period,group,index)."),
-        click.option("--weights", "weights_path", required=True,
-                     type=click.Path(dir_okay=False),
-                     help="Proxy weights CSV (source,group,weight)."),
-        click.option("--survey-micro", "survey_micro_path",
-                     type=click.Path(dir_okay=False), default=None,
-                     help="Household micro CSV (household_id,group,expenditure[,stratum])."),
-        click.option("--survey-estimate", "survey_estimate_path",
-                     type=click.Path(dir_okay=False), default=None,
-                     help="Precomputed weight estimate CSV (kind,row_group,col_group,value)."),
-        click.option("--survey-stratum", "survey_strata", multiple=True,
-                     help="Restrict micro data to these strata (repeatable)."),
-        click.option("--periods", "periods_spec", default="all", show_default=True,
-                     help="Period subset: 'all', labels, 0-based positions, "
-                          "or start:end ranges, comma-separated."),
-    ]):
-        fn = option(fn)
-    return fn
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="indexaudit")
 def cli():
     """Audit proxy-weighted price indices against a survey sample."""
 
 
-@cli.command()
-@_audit_input_options
-@click.option("--proxy", "proxy_sources", multiple=True,
-              help="Proxy source label(s) to test (default: all in the file).")
-@click.option("--each-period", is_flag=True,
-              help="One test per period instead of one pooled test.")
-@_format_option
-def ztest(**kwargs):
-    """Index-level bias tests (survey vs proxy weights)."""
-    _execute(RunConfig(command="ztest", **kwargs))
+_FILE = click.Path(dir_okay=False)
+_AUDIT_INPUTS = (
+    click.Option(["--prices", "prices_path"], required=True, type=_FILE,
+                 help="Price panel CSV (period,group,index)."),
+    click.Option(["--weights", "weights_path"], required=True, type=_FILE,
+                 help="Proxy weights CSV (source,group,weight)."),
+    click.Option(["--survey-micro", "survey_micro_path"], type=_FILE, default=None,
+                 help="Household micro CSV (household_id,group,expenditure[,stratum])."),
+    click.Option(["--survey-estimate", "survey_estimate_path"], type=_FILE, default=None,
+                 help="Precomputed weight estimate CSV (kind,row_group,col_group,value)."),
+    click.Option(["--survey-stratum", "survey_strata"], multiple=True,
+                 help="Restrict micro data to these strata (repeatable)."),
+    click.Option(["--periods", "periods_spec"], default="all", show_default=True,
+                 help="Period subset: 'all', labels, 0-based positions, "
+                      "or start:end ranges, comma-separated."),
+)
+_TESTED_PROXIES = click.Option(
+    ["--proxy", "proxy_sources"], multiple=True,
+    help="Proxy source label(s) to test (default: all in the file).")
+_EVALUATED_PROXY = click.Option(
+    ["--proxy", "proxy_sources"], multiple=True,
+    help="The proxy source whose published index is evaluated.")
+_SCHEME = (
+    click.Option(["--omega-se-mult", "omega_se_multiple"], type=float, default=None,
+                 help="Half-width as a multiple of the mean audit SE "
+                      "(default 2.0 when --omega is not given)."),
+    click.Option(["--omega"], type=float, default=None,
+                 help="Evaluation half-width (absolute)."),
+    click.Option(["--alpha"], type=float, default=0.95, show_default=True,
+                 help="Evaluation confidence level."),
+    click.Option(["--var-of-variance"], type=float, default=None,
+                 help="Override the variance of the audit variance estimate."),
+)
+# every command ends with these
+_REPORT_OPTIONS = (
+    click.Option(["--output"], type=_FILE, default=None,
+                 help="Write the report here instead of stdout."),
+    click.Option(["--format", "fmt"], type=click.Choice(["machine", "table"]),
+                 default="machine", show_default=True, help="Report format."),
+)
+
+# (name, help, options in --help order before the report options)
+_COMMANDS = (
+    ("ztest", "Index-level bias tests (survey vs proxy weights).", (
+        *_AUDIT_INPUTS, _TESTED_PROXIES,
+        click.Option(["--each-period"], is_flag=True,
+                     help="One test per period instead of one pooled test."),
+    )),
+    ("btest", "Index-trend bias tests (survey-on-proxy slope vs 1).",
+     (*_AUDIT_INPUTS, _TESTED_PROXIES)),
+    ("coverage", "Evaluation coverage of the proxy index, period by period.",
+     (*_AUDIT_INPUTS, _EVALUATED_PROXY, *_SCHEME)),
+    ("mse", "Bias-corrected squared-error estimates, period by period.",
+     (*_AUDIT_INPUTS, _EVALUATED_PROXY)),
+    ("simulate", "Draw synthetic household micro data with known true weights.", (
+        click.Option(["--true-weights"], default=None,
+                     help="Comma-separated true weights (with --groups)."),
+        click.Option(["--groups", "group_names"], default=None,
+                     help="Comma-separated group labels for --true-weights."),
+        click.Option(["--weights-file", "weights_path"], type=_FILE, default=None,
+                     help="Take the true weights from this weights CSV instead."),
+        click.Option(["--source"], default=None, help="Source label inside --weights-file."),
+        click.Option(["--n", "n_households"], type=int, required=True,
+                     help="Number of households to draw."),
+        click.Option(["--dispersion"], type=float, default=0.5, show_default=True,
+                     help="Spread of totals and shares around the true weights."),
+        click.Option(["--seed"], type=int, default=0, show_default=True),
+        click.Option(["--stratum"], default=None, help="Stratum label to stamp on rows."),
+        click.Option(["--out", "out_path"], required=True, type=_FILE,
+                     help="Micro CSV to write."),
+    )),
+    ("verify", "Run the Monte Carlo oracle suite; exit 3 if any gate fails.", (
+        click.Option(["--seed"], type=int, default=42, show_default=True,
+                     help="Master seed for the whole suite."),
+        click.Option(["--scale"], type=float, default=1.0, show_default=True,
+                     help="Multiplier on every replicate count."),
+        click.Option(["--jobs"], type=int, default=1, show_default=True,
+                     help="Worker processes (output is identical for any value)."),
+    )),
+    ("report", "Full audit: Z and B tests, coverage, and MSE in one document.", (
+        *_AUDIT_INPUTS,
+        click.Option(["--proxy", "proxy_sources"], multiple=True,
+                     help="The proxy source to audit (exactly one)."),
+        *_SCHEME,
+    )),
+)
 
 
-@cli.command()
-@_audit_input_options
-@click.option("--proxy", "proxy_sources", multiple=True,
-              help="Proxy source label(s) to test (default: all in the file).")
-@_format_option
-def btest(**kwargs):
-    """Index-trend bias tests (survey-on-proxy slope vs 1)."""
-    _execute(RunConfig(command="btest", **kwargs))
+def _command(name: str, help_text: str, options: tuple[click.Option, ...]) -> click.Command:
+    def callback(**kwargs):
+        _execute(RunConfig(command=name, **kwargs))
+
+    return click.Command(name, callback=callback, help=help_text,
+                         params=[*options, *_REPORT_OPTIONS])
 
 
-def _scheme_options(fn):
-    fn = click.option("--alpha", type=float, default=0.95, show_default=True,
-                      help="Evaluation confidence level.")(fn)
-    fn = click.option("--omega", type=float, default=None,
-                      help="Evaluation half-width (absolute).")(fn)
-    fn = click.option("--omega-se-mult", "omega_se_multiple", type=float, default=None,
-                      help="Half-width as a multiple of the mean audit SE "
-                           "(default 2.0 when --omega is not given).")(fn)
-    return fn
-
-
-@cli.command()
-@_audit_input_options
-@click.option("--proxy", "proxy_sources", multiple=True,
-              help="The proxy source whose published index is evaluated.")
-@_scheme_options
-@click.option("--var-of-variance", type=float, default=None,
-              help="Override the variance of the audit variance estimate.")
-@_format_option
-def coverage(**kwargs):
-    """Evaluation coverage of the proxy index, period by period."""
-    _execute(RunConfig(command="coverage", **kwargs))
-
-
-@cli.command()
-@_audit_input_options
-@click.option("--proxy", "proxy_sources", multiple=True,
-              help="The proxy source whose published index is evaluated.")
-@_format_option
-def mse(**kwargs):
-    """Bias-corrected squared-error estimates, period by period."""
-    _execute(RunConfig(command="mse", **kwargs))
-
-
-@cli.command()
-@click.option("--true-weights", default=None,
-              help="Comma-separated true weights (with --groups).")
-@click.option("--groups", "group_names", default=None,
-              help="Comma-separated group labels for --true-weights.")
-@click.option("--weights-file", "weights_path",
-              type=click.Path(dir_okay=False), default=None,
-              help="Take the true weights from this weights CSV instead.")
-@click.option("--source", default=None,
-              help="Source label inside --weights-file.")
-@click.option("--n", "n_households", type=int, required=True,
-              help="Number of households to draw.")
-@click.option("--dispersion", type=float, default=0.5, show_default=True,
-              help="Spread of totals and shares around the true weights.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--stratum", default=None, help="Stratum label to stamp on rows.")
-@click.option("--out", "out_path", required=True,
-              type=click.Path(dir_okay=False),
-              help="Micro CSV to write.")
-@_format_option
-def simulate(**kwargs):
-    """Draw synthetic household micro data with known true weights."""
-    _execute(RunConfig(command="simulate", **kwargs))
-
-
-@cli.command()
-@click.option("--seed", type=int, default=42, show_default=True,
-              help="Master seed for the whole suite.")
-@click.option("--scale", type=float, default=1.0, show_default=True,
-              help="Multiplier on every replicate count.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes (output is identical for any value).")
-@_format_option
-def verify(**kwargs):
-    """Run the Monte Carlo oracle suite; exit 3 if any gate fails."""
-    _execute(RunConfig(command="verify", **kwargs))
-
-
-@cli.command()
-@_audit_input_options
-@click.option("--proxy", "proxy_sources", multiple=True,
-              help="The proxy source to audit (exactly one).")
-@_scheme_options
-@click.option("--var-of-variance", type=float, default=None,
-              help="Override the variance of the audit variance estimate.")
-@_format_option
-def report(**kwargs):
-    """Full audit: Z and B tests, coverage, and MSE in one document."""
-    _execute(RunConfig(command="report", **kwargs))
+for _row in _COMMANDS:
+    cli.add_command(_command(*_row))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,6 @@ immutable and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 

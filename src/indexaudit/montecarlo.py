@@ -53,17 +53,6 @@ __all__ = [
     "run_verification",
 ]
 
-SCENARIOS = (
-    "coverage_constant",
-    "coverage_unbiased",
-    "coverage_biased_noisy",
-    "z_calibration",
-    "b_calibration",
-    "power_curve",
-    "mse_unbiasedness",
-    "delta_method_check",
-)
-
 _REJECTION_CUTOFF = 1.959963984540054  # two-sided 5%: quantile(0.975)
 # Replicates drawn and transformed at a time: one gaussian.cdf slice. Numpy
 # draws the same values in consecutive blocks as in one call, and each step
@@ -473,7 +462,8 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
     )
 
 
-_DISPATCH = {
+# scenario name -> the function that simulates it
+SCENARIOS = {
     "coverage_constant": empirical_coverage,
     "coverage_unbiased": empirical_coverage,
     "coverage_biased_noisy": empirical_coverage,
@@ -499,7 +489,7 @@ def run_plan(plan: SimulationPlan,
 
 
 def _simulate(plan: SimulationPlan) -> list[SimulationOutcome]:
-    result = _DISPATCH[plan.scenario](plan)
+    result = SCENARIOS[plan.scenario](plan)
     return result if isinstance(result, list) else [result]
 
 
@@ -528,6 +518,10 @@ class VerificationCheck:
     detail: str
 
 
+# gate name -> the band that the empirical-to-target SD ratio must lie in
+_RATIO_BANDS = {"ratio_0.85_1.15": (0.85, 1.15), "ratio_0.80_1.20": (0.80, 1.20)}
+
+
 def _scaled(count: int, scale: float) -> int:
     return max(2, int(round(count * scale)))
 
@@ -542,7 +536,8 @@ def default_verification_suite(master_seed: int = 42,
     [0.040, 0.060] and KS distance < 0.02), ``power_separation`` (z3 plus
     B-power exceeding Z-power by at least 0.1 somewhere on the grid),
     ``negative_majority`` (z3 plus negative MSE estimates in the majority),
-    ``ratio_0.85_1.15`` / ``ratio_0.80_1.20`` (empirical-to-target SD ratio).
+    ``ratio_0.85_1.15`` / ``ratio_0.80_1.20`` (empirical-to-target SD ratio
+    within the gate's band, stored as two numbers in ``_RATIO_BANDS``).
     """
     if scale <= 0.0 or not math.isfinite(scale):
         raise ValidationError(f"scale must be a positive float, got {scale}")
@@ -598,22 +593,17 @@ def _apply_gate(name: str, plan: SimulationPlan, gate: str,
         passed = 0.040 <= rate <= 0.060 and ks < 0.02
         detail = f"rejection rate {rate:.4f}, KS {ks:.4f}"
     elif gate == "power_separation":
-        by_eps: dict[float, dict[str, float]] = {}
-        for outcome in outcomes:
-            kind = "B" if ":B " in outcome.label else "Z"
-            by_eps.setdefault(outcome.extras["epsilon"], {})[kind] = outcome.point
-        separation = max(
-            powers.get("B", 0.0) - powers.get("Z", 0.0)
-            for eps, powers in by_eps.items() if eps > 0.0
-        )
+        # power_curve yields the Z then the B outcome of each epsilon
+        separation = max(b.point - z.point for z, b in zip(outcomes[::2], outcomes[1::2])
+                         if z.extras["epsilon"] > 0.0)
         passed = z_ok and separation >= 0.1
         detail = f"max |z| = {abs(worst.z_score):.3f}, best B-Z separation {separation:.3f}"
     elif gate == "negative_majority":
         fraction = outcomes[0].extras["negative_fraction"]
         passed = z_ok and fraction > 0.5
         detail = f"|z| = {abs(worst.z_score):.3f}, negative fraction {fraction:.4f}"
-    elif gate.startswith("ratio_"):
-        low, high = (float(part) for part in gate.split("_")[1:])
+    elif gate in _RATIO_BANDS:
+        low, high = _RATIO_BANDS[gate]
         ratio = outcomes[0].extras["ratio_to_target"]
         passed = low <= ratio <= high
         detail = f"SD ratio {ratio:.4f} (band {low:.2f}..{high:.2f})"

@@ -22,11 +22,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._version import __version__
-from .bias_tests import TestResult
-from .coverage import CoverageEstimate, MseEstimate
 from .errors import ValidationError
 
 if TYPE_CHECKING:
+    from .bias_tests import TestResult
+    from .coverage import CoverageEstimate, MseEstimate
     from .montecarlo import SimulationOutcome, VerificationCheck
 
 SCHEMA_VERSION = "1"
@@ -267,10 +267,6 @@ def verification_row(check: VerificationCheck) -> dict:
         "detail": check.detail,
         "outcomes": [outcome_row(outcome) for outcome in check.outcomes],
     }
-
-
-_SUMMARY_STATS = ("minimum", "first_quartile", "median", "mean",
-                  "third_quartile", "maximum")
 
 
 def quantile_summary_row(column: str, values) -> dict:

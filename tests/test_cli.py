@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 
 from indexaudit import dataio
-from indexaudit.cli import main
+from indexaudit.cli import cli, main
 from indexaudit.report import parse_report
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -321,7 +322,7 @@ def test_verify_worker_death_is_a_one_line_error(capsys, tmp_path, monkeypatch):
         os._exit(9)
 
     # the forked workers inherit the patched table
-    monkeypatch.setitem(montecarlo._DISPATCH, "mse_unbiasedness", die)
+    monkeypatch.setitem(montecarlo.SCENARIOS, "mse_unbiasedness", die)
     out = tmp_path / "verify.json"
     code, stdout, err = run(capsys, "verify", "--scale", "0.01", "--jobs", "2",
                             "--output", str(out))
@@ -357,6 +358,38 @@ def test_verify_seed_changes_report_bytes(capsys, tmp_path):
 
 
 # --- plumbing -----------------------------------------------------------------------
+
+
+AUDIT_INPUTS = [("--prices", "prices_path"), ("--weights", "weights_path"),
+                ("--survey-micro", "survey_micro_path"),
+                ("--survey-estimate", "survey_estimate_path"),
+                ("--survey-stratum", "survey_strata"), ("--periods", "periods_spec"),
+                ("--proxy", "proxy_sources")]
+SCHEME = [("--omega-se-mult", "omega_se_multiple"), ("--omega", "omega"),
+          ("--alpha", "alpha"), ("--var-of-variance", "var_of_variance")]
+REPORT_OPTIONS = [("--output", "output"), ("--format", "fmt"), ("--help", "help")]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("ztest", [*AUDIT_INPUTS, ("--each-period", "each_period")]),
+    ("btest", AUDIT_INPUTS),
+    ("coverage", [*AUDIT_INPUTS, *SCHEME]),
+    ("mse", AUDIT_INPUTS),
+    ("simulate", [("--true-weights", "true_weights"), ("--groups", "group_names"),
+                  ("--weights-file", "weights_path"), ("--source", "source"),
+                  ("--n", "n_households"), ("--dispersion", "dispersion"),
+                  ("--seed", "seed"), ("--stratum", "stratum"), ("--out", "out_path")]),
+    ("verify", [("--seed", "seed"), ("--scale", "scale"), ("--jobs", "jobs")]),
+    ("report", [*AUDIT_INPUTS, *SCHEME]),
+])
+def test_each_command_lists_its_options_in_help_order(capsys, command, options):
+    expected = [*options, *REPORT_OPTIONS]
+    params = cli.commands[command].get_params(click.Context(cli.commands[command]))
+    assert [(param.opts[0], param.name) for param in params] == expected
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+    assert listed == [flag for flag, _ in expected]
 
 
 def test_output_dir_environment_variable(capsys, fx, tmp_path, monkeypatch):

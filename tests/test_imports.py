@@ -1,5 +1,7 @@
-"""What importing the package and its CLI loads."""
+"""What importing the package and its CLI loads, and what the package
+source imports or defines that nothing uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import indexaudit
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PACKAGE = Path(SRC) / "indexaudit"
 
 
 def test_cli_import_leaves_the_monte_carlo_suite_and_hashlib_unloaded():
@@ -35,3 +38,51 @@ def test_every_export_resolves():
     namespace: dict = {}
     exec("from indexaudit import *", namespace)
     assert set(indexaudit.__all__) <= set(namespace)
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Every name a module reads, as a name, an attribute or a from-import."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unused_names(tree: ast.Module, package_names: set[str]) -> list[str]:
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"line {node.lineno}: import {name}")
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [name.id for target in targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name)]
+        else:
+            continue
+        unused += [f"line {node.lineno}: private {name}" for name in defined
+                   if name.startswith("_") and not name.startswith("__")
+                   and name not in package_names]
+    return unused
+
+
+def test_no_unused_import_or_private_name_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    package_names = set().union(*map(_loaded_names, trees.values()))
+    unused = {module: _unused_names(tree, package_names)
+              for module, tree in trees.items() if module != "__init__.py"}
+    assert {module: names for module, names in unused.items() if names} == {}

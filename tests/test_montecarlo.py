@@ -216,6 +216,65 @@ def test_full_verification_suite_passes():
     assert not failures, failures
 
 
+def _outcome(label, point, z_score, **extras):
+    return montecarlo.SimulationOutcome(label=label, point=point, mc_stderr=0.01,
+                                        target=point, z_score=z_score,
+                                        replicates_used=100, extras=extras)
+
+
+def _power_outcomes(grid):
+    """power_curve's order: the Z then the B outcome of each epsilon."""
+    return [_outcome(f"trend_aligned:{kind} power@eps={eps:.6g}", point, z_score,
+                     epsilon=eps, noncentrality=0.0)
+            for eps, z_point, b_point, z_z, b_z in grid
+            for kind, point, z_score in (("Z", z_point, z_z), ("B", b_point, b_z))]
+
+
+@pytest.mark.parametrize("gate, outcomes, passed, detail", [
+    ("z3", [_outcome("a", 0.5, 1.25), _outcome("b", 0.5, -2.5)],
+     True, "max |z| = 2.500 (b)"),
+    ("z3", [_outcome("a", 0.5, 1.25), _outcome("b", 0.5, -3.0)],
+     False, "max |z| = 3.000 (b)"),
+    ("calibration", [_outcome("z_calibration rejection@5%", 0.052, 0.4, ks_distance=0.0123)],
+     True, "rejection rate 0.0520, KS 0.0123"),
+    ("calibration", [_outcome("z_calibration rejection@5%", 0.061, 0.4, ks_distance=0.0123)],
+     False, "rejection rate 0.0610, KS 0.0123"),
+    ("calibration", [_outcome("z_calibration rejection@5%", 0.05, 5.0, ks_distance=0.02)],
+     False, "rejection rate 0.0500, KS 0.0200"),
+    # epsilon 0 has the widest B-Z gap and is left out; the best of the rest
+    # is the middle epsilon
+    ("power_separation", _power_outcomes([(0.0, 0.05, 0.9, 0.1, 0.2),
+                                          (0.01, 0.1, 0.45, 0.5, -1.5),
+                                          (0.02, 0.3, 0.35, 1.0, 0.5)]),
+     True, "max |z| = 1.500, best B-Z separation 0.350"),
+    ("power_separation", _power_outcomes([(0.0, 0.05, 0.9, 0.1, 0.2),
+                                          (0.01, 0.1, 0.15, 0.5, -1.5),
+                                          (0.02, 0.3, 0.38, 1.0, 0.5)]),
+     False, "max |z| = 1.500, best B-Z separation 0.080"),
+    ("power_separation", _power_outcomes([(0.0, 0.05, 0.05, 0.1, 0.2),
+                                          (0.01, 0.1, 0.45, 3.5, -1.5)]),
+     False, "max |z| = 3.500, best B-Z separation 0.350"),
+    ("negative_majority", [_outcome("mse", 0.0, -0.75, negative_fraction=0.6827)],
+     True, "|z| = 0.750, negative fraction 0.6827"),
+    ("negative_majority", [_outcome("mse", 0.0, -0.75, negative_fraction=0.5)],
+     False, "|z| = 0.750, negative fraction 0.5000"),
+    ("negative_majority", [_outcome("mse", 0.0, 3.25, negative_fraction=0.6827)],
+     False, "|z| = 3.250, negative fraction 0.6827"),
+    ("ratio_0.85_1.15", [_outcome("delta", 0.1, 9.0, ratio_to_target=1.15)],
+     True, "SD ratio 1.1500 (band 0.85..1.15)"),
+    ("ratio_0.85_1.15", [_outcome("delta", 0.1, 0.0, ratio_to_target=0.8499)],
+     False, "SD ratio 0.8499 (band 0.85..1.15)"),
+    ("ratio_0.80_1.20", [_outcome("delta", 0.1, 0.0, ratio_to_target=0.8)],
+     True, "SD ratio 0.8000 (band 0.80..1.20)"),
+    ("ratio_0.80_1.20", [_outcome("delta", 0.1, 0.0, ratio_to_target=1.2001)],
+     False, "SD ratio 1.2001 (band 0.80..1.20)"),
+])
+def test_each_gate_on_synthetic_outcomes(gate, outcomes, passed, detail):
+    check = montecarlo._apply_gate("check", plan("z_calibration", 100), gate, outcomes)
+    assert (check.gate, check.passed, check.detail) == (gate, passed, detail)
+    assert check.outcomes == tuple(outcomes)
+
+
 def test_verification_is_identical_across_job_counts():
     serial = run_verification(master_seed=9, scale=0.05, jobs=1)
     parallel = run_verification(master_seed=9, scale=0.05, jobs=4)
@@ -308,8 +367,8 @@ def test_worker_warnings_are_reissued_in_suite_order(monkeypatch):
         return simulate_and_warn
 
     # the forked workers inherit the patched table
-    for scenario, simulate in list(montecarlo._DISPATCH.items()):
-        monkeypatch.setitem(montecarlo._DISPATCH, scenario, warning(simulate))
+    for scenario, simulate in list(montecarlo.SCENARIOS.items()):
+        monkeypatch.setitem(montecarlo.SCENARIOS, scenario, warning(simulate))
     seen = []
     for jobs in (1, 2, 3):
         with warnings.catch_warnings(record=True) as caught:

@@ -6,6 +6,7 @@ several jobs, no check array lives in the parent process."""
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -162,6 +163,18 @@ def test_check_peak_stays_within_its_buffers(scenario, replicates, params):
 
 def test_verify_holds_no_check_array_in_the_parent():
     # with two jobs every check runs in a worker process, so the parent holds
-    # only the plans, the pool's bookkeeping and the results
-    peak = traced_peak(montecarlo.run_verification, 7, 20.0, 2)
+    # only the plans, the pool's bookkeeping and the results. A forked worker
+    # would go on tracing its own allocations, which only slows it down: a
+    # fork hook, live for this test alone, stops tracing in each child.
+    tracing = True
+
+    def stop_tracing_in_child():
+        if tracing:
+            tracemalloc.stop()
+
+    os.register_at_fork(after_in_child=stop_tracing_in_child)
+    try:
+        peak = traced_peak(montecarlo.run_verification, 7, 20.0, 2)
+    finally:
+        tracing = False
     assert peak < 2 * MB, f"traced peak {peak / MB:.2f} MB"
