@@ -375,15 +375,24 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
     except ValidationError as exc:
         # every input of the draw is a flag or an already validated vector
         raise ConfigError(str(exc)) from exc
-    write_households(config.out_path, panel, groups)
     import hashlib
 
-    digest = hashlib.sha256(Path(config.out_path).read_bytes()).hexdigest()
+    digest, target = hashlib.sha256(), Path(config.out_path)
+    # --out is treated as --output is: its directories are made, and a path
+    # that cannot be written is a config error
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        write_households(target, panel, groups)
+        with target.open("rb") as handle:
+            while chunk := handle.read(1 << 20):
+                digest.update(chunk)
+    except OSError as exc:
+        raise ConfigError(f"cannot write households to {config.out_path}: {exc}") from exc
     return [{
         "type": "file_output",
         "path": config.out_path,
         "rows": len(panel) * len(groups),
-        "sha256": digest,
+        "sha256": digest.hexdigest(),
     }]
 
 

@@ -56,7 +56,8 @@ __all__ = [
 _REJECTION_CUTOFF = 1.959963984540054  # two-sided 5%: quantile(0.975)
 # Replicates drawn and transformed at a time: one gaussian.cdf slice. Numpy
 # draws the same values in consecutive blocks as in one call, and each step
-# is element-wise, so only the arrays a whole-sample sum reads are whole.
+# is element-wise; whole-sample sums go leaf by leaf (_tree_sum), so only the
+# coverage chunk, the calibration statistics and the delta values are whole.
 _BLOCK = 65_536
 
 
@@ -138,14 +139,32 @@ def _rejections(stats: np.ndarray) -> int:
                for block in _blocks(stats.size))
 
 
-def _mean_and_sd(values: np.ndarray) -> tuple[float, float]:
-    """``np.mean(values)`` and ``np.std(values, ddof=1)``, bit for bit, by
-    numpy's own steps done in place: ``values`` is overwritten."""
-    n = values.size
-    mean = np.add.reduce(values) / n
-    np.subtract(values, mean, out=values)
-    np.multiply(values, values, out=values)
-    return float(mean), math.sqrt(np.add.reduce(values) / (n - 1))
+def _tree_sum(leaf_sum: Callable[[int, int], float], n: int, start: int = 0) -> float:
+    """``np.add.reduce`` of ``n`` values from ``start``, bit for bit: the sum
+    follows numpy's own pairwise tree, which splits ``n`` at ``n // 2``
+    rounded down to a multiple of 8, and ``leaf_sum(start, stop)`` sums each
+    node of at most ``_BLOCK`` values, left to right."""
+    if n <= _BLOCK:
+        return leaf_sum(start, start + n)
+    half = n // 2 - (n // 2) % 8
+    return _tree_sum(leaf_sum, half, start) + _tree_sum(leaf_sum, n - half, start + half)
+
+
+def _mean_and_sd(n: int, first_pass: Callable[[int, int], np.ndarray],
+                 second_pass: Callable[[int, int], np.ndarray]) -> tuple[float, float]:
+    """``np.mean`` and ``np.std(ddof=1)`` of ``n`` values, bit for bit, read
+    one leaf of at most ``_BLOCK`` values at a time: each pass calls its
+    callable for the values of each leaf, in order from 0 to ``n``, and the
+    second pass overwrites the array its callable returns."""
+    mean = _tree_sum(lambda start, stop: np.add.reduce(first_pass(start, stop)), n) / n
+
+    def squared_deviations(start: int, stop: int) -> float:
+        values = second_pass(start, stop)
+        np.subtract(values, mean, out=values)
+        np.multiply(values, values, out=values)
+        return np.add.reduce(values)
+
+    return float(mean), math.sqrt(_tree_sum(squared_deviations, n) / (n - 1))
 
 
 def _require(plan: SimulationPlan, key: str, default=None):
@@ -376,22 +395,38 @@ def mse_unbiasedness(plan: SimulationPlan) -> SimulationOutcome:
     """Does the bias-corrected squared error average to the true squared bias?
 
     Parameters: true_bias (default 0) and audit_variance (default 0.029^2).
-    Also records how often the estimate is negative.
+    Also records how often the estimate is negative. No array of the
+    replicate count is held: the mean pass draws one leaf at a time into one
+    block buffer, and the SD pass draws the same stream again.
     """
     bias = float(plan.parameters.get("true_bias", 0.0))
     audit_variance = float(plan.parameters.get("audit_variance", 0.029 ** 2))
     if audit_variance < 0.0:
         raise ValidationError("audit_variance must be non-negative")
-    rng = np.random.Generator(np.random.PCG64(plan.seed))
-    # (bias - sd * normal) ** 2 - audit_variance, in one buffer
-    estimates = rng.standard_normal(plan.replicates)
-    np.multiply(estimates, math.sqrt(audit_variance), out=estimates)
-    np.subtract(bias, estimates, out=estimates)
-    np.square(estimates, out=estimates)
-    np.subtract(estimates, audit_variance, out=estimates)
-    negative = sum(int(np.count_nonzero(estimates[block] < 0.0))
-                   for block in _blocks(plan.replicates))
-    point, spread = _mean_and_sd(estimates)
+    audit_sd = math.sqrt(audit_variance)
+    buffer = np.empty(min(plan.replicates, _BLOCK))
+    negative = 0
+
+    def draws(count_negatives: bool) -> Callable[[int, int], np.ndarray]:
+        # each pass draws the plan's stream again, one leaf at a time
+        rng = np.random.Generator(np.random.PCG64(plan.seed))
+
+        def estimates(start: int, stop: int) -> np.ndarray:
+            # (bias - sd * normal) ** 2 - audit_variance, in the one buffer
+            nonlocal negative
+            values = buffer[:stop - start]
+            rng.standard_normal(out=values)
+            np.multiply(values, audit_sd, out=values)
+            np.subtract(bias, values, out=values)
+            np.square(values, out=values)
+            np.subtract(values, audit_variance, out=values)
+            if count_negatives:
+                negative += int(np.count_nonzero(values < 0.0))
+            return values
+
+        return estimates
+
+    point, spread = _mean_and_sd(plan.replicates, draws(True), draws(False))
     stderr = spread / math.sqrt(plan.replicates)
     target = bias * bias
     return SimulationOutcome(
@@ -451,7 +486,12 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
     values = np.empty(plan.replicates)
     for block in _blocks(plan.replicates):
         values[block] = block_values(block.stop - block.start)
-    point = _mean_and_sd(values)[1]
+    # The values stay whole and both passes read them: drawing them again for
+    # the second pass would double the erfc maps.
+    def leaf(start: int, stop: int) -> np.ndarray:
+        return values[start:stop]
+
+    point = _mean_and_sd(plan.replicates, leaf, leaf)[1]
     stderr = point / math.sqrt(2.0 * (plan.replicates - 1))
     return SimulationOutcome(
         label=f"delta_method_check({quantity})",

@@ -199,7 +199,7 @@ def simulate_households(true_weights: WeightVector, n: int, dispersion: float,
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         totals = np.exp(rng.normal(0.0, dispersion, size=n))
         shares = rng.dirichlet(true_weights.w / dispersion, size=n)
-        spend = totals[:, None] * shares
+        spend = np.multiply(shares, totals[:, None], out=shares)
     if not np.isfinite(spend).all():
         raise ValidationError(
             f"dispersion {dispersion!r} is out of range: household totals or "

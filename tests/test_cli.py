@@ -277,6 +277,28 @@ def test_simulate_rejects_duplicate_group_labels(capsys, tmp_path):
     assert not out.exists()
 
 
+SIMULATE = ("simulate", "--true-weights", "0.6,0.4", "--groups", "a,b", "--n", "3")
+
+
+def test_simulate_out_makes_missing_directories(capsys, tmp_path):
+    out = tmp_path / "sub" / "deeper" / "sim.csv"
+    payload = run_machine(capsys, *SIMULATE, "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == payload["results"][0]["sha256"]
+
+
+@pytest.mark.parametrize("where", ["a directory", "under a file"])
+def test_simulate_unwritable_out_is_a_one_line_config_error(capsys, tmp_path, where):
+    (tmp_path / "file.csv").write_text("")
+    target = tmp_path if where == "a directory" else tmp_path / "file.csv" / "sim.csv"
+    code, out, err = run(capsys, *SIMULATE, "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    body = json.loads(err)["error"]
+    assert body["code"] == "config_error"
+    assert str(target) in body["message"]
+
+
 # --- verify -------------------------------------------------------------------------
 
 

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import montecarlo_oracle as oracle
 from indexaudit import gaussian, montecarlo
@@ -49,6 +51,48 @@ def test_empirical_coverage_is_bit_identical(scenario, params, replicates):
 def test_mse_unbiasedness_is_bit_identical(params, replicates):
     p = plan("mse_unbiasedness", replicates, **params)
     assert repr(montecarlo.mse_unbiasedness(p)) == repr(oracle.mse_unbiasedness(p))
+
+
+def assert_tree_matches_numpy(size: int, seed: int) -> None:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    # an offset far from 0 makes the rounding of every partial sum count
+    values = rng.standard_normal(size) * rng.uniform(1e-3, 1e3) + rng.uniform(-1e3, 1e3)
+    overwritten, leaves = values.copy(), []
+
+    def leaf(start, stop):
+        leaves.append((start, stop))
+        return overwritten[start:stop]
+
+    mean, sd = montecarlo._mean_and_sd(size, leaf, leaf)
+    assert (repr(mean), repr(sd)) == (repr(float(np.mean(values))),
+                                      repr(float(np.std(values, ddof=1))))
+    # each pass reads the values once, in order, at most a block at a time
+    half = len(leaves) // 2
+    assert leaves[:half] == leaves[half:]
+    assert [start for start, _ in leaves[:half]] == [0] + [stop for _, stop in leaves[:half - 1]]
+    assert leaves[half - 1][1] == size
+    assert all(stop - start <= BLOCK for start, stop in leaves)
+    tree_sum = montecarlo._tree_sum(lambda start, stop: np.add.reduce(values[start:stop]),
+                                    size)
+    assert repr(float(tree_sum)) == repr(float(np.add.reduce(values)))
+
+
+# numpy's own leaves (below 8, up to 128), a block and one value either side,
+# two blocks and one either side, and block multiples whose halves round down
+# to a multiple of 8
+@pytest.mark.parametrize("size", [*range(2, 129), BLOCK - 1, BLOCK, BLOCK + 1,
+                                  2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
+                                  *(k * BLOCK + 8 for k in range(1, 6))])
+def test_tree_mean_and_sd_match_numpy_at_boundaries(size):
+    assert_tree_matches_numpy(size, seed=size)
+
+
+# sizes up to ~3M, drawn as whole blocks plus a rest so that large sizes are
+# as likely as small ones
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 44), st.integers(2, BLOCK + 1), st.integers(0, 2 ** 32 - 1))
+def test_tree_mean_and_sd_match_numpy(blocks, rest, seed):
+    assert_tree_matches_numpy(blocks * BLOCK + rest, seed)
 
 
 @pytest.mark.parametrize("total", [2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK,
@@ -126,8 +170,8 @@ LAYOUTS = {
     "b_calibration": CALIBRATION,
     # drawing, one grid point at a time
     "power_curve": [DRAW_STATISTICS],
-    # the draw buffer, which the mean and SD read; a block's negative mask
-    "mse_unbiasedness": [(1, 0.125, 0.0)],
+    # one leaf's draws, in the one block buffer, and its negative mask
+    "mse_unbiasedness": [(0, 1.125, 0.0)],
     # the values the SD reads; per block the biases, the kernel's two
     # quotients, and a CDF's negated argument, argument and result
     "plug_in": [(1, 5, 2.1)],
