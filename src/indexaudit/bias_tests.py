@@ -22,7 +22,7 @@ run both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
@@ -67,9 +67,9 @@ class TestResult:
 
     ``effect`` is the raw discrepancy (index points for Z, slope minus one
     in slope units for B), ``variance`` its sampling variance, ``statistic``
-    the standardized effect, and ``p_value`` the two-sided normal p-value.
-    ``metadata`` carries string labels (weight sources, period subset) for
-    reporting.
+    the standardized effect, and ``p_value`` the two-sided normal p-value;
+    those two are derived on construction. ``metadata`` carries string labels
+    (weight sources, period subset) for reporting.
     """
 
     __test__ = False  # not a test class, despite the name
@@ -77,52 +77,20 @@ class TestResult:
     kind: TestKind
     effect: float
     variance: float
-    statistic: float
-    p_value: float
+    statistic: float = field(init=False)
+    p_value: float = field(init=False)
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_variance(self.variance)
-        expected_stat = self.effect / math.sqrt(self.variance)
-        if abs(self.statistic - expected_stat) > 1e-12 * max(1.0, abs(expected_stat)):
-            raise ValidationError("statistic is not effect / sqrt(variance)")
-        expected_p = gaussian.two_sided_p(self.statistic)
-        if abs(self.p_value - expected_p) > 1e-12:
-            raise ValidationError("p_value does not match the statistic")
-        _check_p_value(self.p_value)
+        if not (self.variance > 0.0 and math.isfinite(self.variance)):
+            raise ValidationError(f"test variance must be positive, got {self.variance}")
+        statistic = self.effect / math.sqrt(self.variance)
+        p_value = gaussian.two_sided_p(statistic)
+        if not 0.0 <= p_value <= 1.0:
+            raise ValidationError(f"p_value out of [0, 1]: {p_value}")
+        object.__setattr__(self, "statistic", statistic)
+        object.__setattr__(self, "p_value", p_value)
         object.__setattr__(self, "metadata", dict(self.metadata))
-
-
-def _check_variance(variance: float) -> None:
-    if not (variance > 0.0 and math.isfinite(variance)):
-        raise ValidationError(f"test variance must be positive, got {variance}")
-
-
-def _check_p_value(p_value: float) -> None:
-    if not 0.0 <= p_value <= 1.0:
-        raise ValidationError(f"p_value out of [0, 1]: {p_value}")
-
-
-def _build_result(kind: TestKind, effect: float, variance: float,
-                  metadata: Mapping[str, str]) -> TestResult:
-    """The result of a test with this effect and variance. The statistic and
-    p-value are derived here, so of the checks construction makes only the
-    range checks run again."""
-    statistic = effect / math.sqrt(variance)
-    p_value = gaussian.two_sided_p(statistic)
-    _check_variance(variance)
-    _check_p_value(p_value)
-    return _derived(kind, effect, variance, statistic, p_value, metadata)
-
-
-def _derived(kind: TestKind, effect: float, variance: float, statistic: float,
-             p_value: float, metadata: Mapping[str, str]) -> TestResult:
-    """A TestResult built without ``__post_init__``, from values that already
-    passed its checks."""
-    result = object.__new__(TestResult)
-    result.__dict__.update(kind=kind, effect=effect, variance=variance,
-                           statistic=statistic, p_value=p_value, metadata=dict(metadata))
-    return result
 
 
 def _describe_periods(prices: PriceSeries, periods: Sequence[int] | None) -> str:
@@ -155,7 +123,7 @@ def z_test(prices: PriceSeries, estimate: WeightEstimate, w_proxy: WeightVector,
     _check_groups(prices, w_proxy)
     p_bar = mean_price_vector(prices, periods)
     effect = float(np.dot(p_bar, estimate.point.w - w_proxy.w))
-    return _build_result(
+    return TestResult(
         TestKind.Z, effect, _level_variance(p_bar, estimate),
         metadata={
             "survey": estimate.point.label,
@@ -225,7 +193,7 @@ def b_test(prices: PriceSeries, estimate: WeightEstimate, w_proxy: WeightVector,
         raise DegenerateVarianceError(
             f"slope variance {variance:.3e} is numerically zero; no B-test possible"
         )
-    return _build_result(
+    return TestResult(
         TestKind.B, fit.beta_hat - 1.0, variance,
         metadata={
             "survey": estimate.point.label,
@@ -280,7 +248,7 @@ def cross_group_battery(prices: PriceSeries,
                         effect = float(np.dot(p_bar, weight_diff))
                         if subset_name not in level_variances:
                             level_variances[subset_name] = _level_variance(p_bar, estimate)
-                        results.append(_build_result(
+                        results.append(TestResult(
                             TestKind.Z, effect, level_variances[subset_name],
                             metadata={"survey": survey_label, "proxy": proxy_label,
                                       "periods": described, "subset": subset_name},
@@ -292,9 +260,7 @@ def cross_group_battery(prices: PriceSeries,
                         labeled = dict(result.metadata)
                         labeled.update(survey=survey_label, proxy=proxy_label,
                                        subset=subset_name)
-                        results.append(_derived(result.kind, result.effect,
-                                                result.variance, result.statistic,
-                                                result.p_value, labeled))
+                        results.append(replace(result, metadata=labeled))
                     else:
                         raise ValidationError(f"unknown test kind {kind!r}")
     return results

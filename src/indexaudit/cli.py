@@ -365,10 +365,6 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
             )
         vector = vectors[config.source]
         groups = vector.group_labels
-    if config.n_households is None:
-        raise ConfigError("--n is required")
-    if config.out_path is None:
-        raise ConfigError("--out is required")
     try:
         panel = simulate_households(vector, config.n_households, config.dispersion,
                                     config.seed, stratum_label=config.stratum)
@@ -589,9 +585,6 @@ def main(argv: list[str] | None = None) -> int:
     except AuditError as exc:
         _print_error(exc.code, str(exc))
         return exc.exit_code
-    except click.UsageError as exc:
-        _print_error("config_error", exc.format_message())
-        return 1
     except click.ClickException as exc:
         _print_error("config_error", exc.format_message())
         return 1

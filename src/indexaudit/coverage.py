@@ -131,36 +131,37 @@ def coverage_of_unbiased(extra_variance: float, scheme: EvalScheme) -> float:
     return coverage_kernel(0.0, extra_variance, scheme)
 
 
+def _check_non_negative(what: str, value: float) -> None:
+    if value < 0.0 or not math.isfinite(value):
+        raise ValidationError(f"{what} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class CoverageEstimate:
     """A coverage point estimate with delta-method variance and normal CI.
 
-    ``ci_clipped`` records whether the nominal interval leaked outside [0, 1]
-    and was clipped. ``inputs`` echoes the numbers that produced the estimate.
+    The 95% CI is derived on construction and clipped to [0, 1];
+    ``ci_clipped`` records whether the nominal interval leaked outside it.
+    ``inputs`` echoes the numbers that produced the estimate.
     """
 
     value: float
     variance: float
-    ci_low: float
-    ci_high: float
+    ci_low: float = field(init=False)
+    ci_high: float = field(init=False)
     inputs: Mapping[str, float] = field(default_factory=dict)
-    ci_clipped: bool = False
+    ci_clipped: bool = field(init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
             raise ValidationError(f"coverage estimate out of [0, 1]: {self.value}")
-        if self.variance < 0.0 or not math.isfinite(self.variance):
-            raise ValidationError(f"coverage variance must be non-negative, got {self.variance}")
-        if not (self.ci_low <= self.value <= self.ci_high):
-            raise ValidationError("coverage CI does not bracket the point estimate")
+        _check_non_negative("coverage variance", self.variance)
+        half = gaussian.quantile(0.975) * math.sqrt(self.variance)
+        low, high = self.value - half, self.value + half
+        object.__setattr__(self, "ci_low", max(low, 0.0))
+        object.__setattr__(self, "ci_high", min(high, 1.0))
+        object.__setattr__(self, "ci_clipped", low < 0.0 or high > 1.0)
         object.__setattr__(self, "inputs", dict(self.inputs))
-
-
-def _normal_ci(value: float, variance: float) -> tuple[float, float, bool]:
-    half = gaussian.quantile(0.975) * math.sqrt(variance)
-    low, high = value - half, value + half
-    clipped = low < 0.0 or high > 1.0
-    return max(low, 0.0), min(high, 1.0), clipped
 
 
 def estimate_coverage(theta_star: float, theta_audit: float, audit_variance: float,
@@ -173,16 +174,14 @@ def estimate_coverage(theta_star: float, theta_audit: float, audit_variance: flo
     u = (theta_star - theta_audit) / sigma. The estimate never exceeds alpha,
     and at u = 0 the derivative vanishes so the variance is exactly zero.
     """
-    if audit_variance < 0.0 or not math.isfinite(audit_variance):
-        raise ValidationError(f"audit variance must be non-negative, got {audit_variance}")
+    _check_non_negative("audit variance", audit_variance)
     bias_hat = theta_star - theta_audit
     value = coverage_kernel(bias_hat, 0.0, scheme)
     u = bias_hat / scheme.sigma
     slope = gaussian.pdf(u + scheme.kappa) - gaussian.pdf(u - scheme.kappa)
     variance = (audit_variance / scheme.sigma ** 2) * slope ** 2
-    low, high, clipped = _normal_ci(value, variance)
     return CoverageEstimate(
-        value=value, variance=variance, ci_low=low, ci_high=high,
+        value=value, variance=variance,
         inputs={
             "theta_star": theta_star,
             "theta_audit": theta_audit,
@@ -190,7 +189,6 @@ def estimate_coverage(theta_star: float, theta_audit: float, audit_variance: flo
             "alpha": scheme.alpha,
             "omega": scheme.omega,
         },
-        ci_clipped=clipped,
     )
 
 
@@ -205,14 +203,8 @@ def estimate_unbiased_coverage(variance_estimate: float, var_of_variance: float,
     omega^2 / (4 tau^6):
     Var = (phi(omega/tau) + phi(-omega/tau))^2 * omega^2 / (4 tau^6) * var_of_variance.
     """
-    if variance_estimate < 0.0 or not math.isfinite(variance_estimate):
-        raise ValidationError(
-            f"variance estimate must be non-negative, got {variance_estimate}"
-        )
-    if var_of_variance < 0.0 or not math.isfinite(var_of_variance):
-        raise ValidationError(
-            f"variance of the variance must be non-negative, got {var_of_variance}"
-        )
+    _check_non_negative("variance estimate", variance_estimate)
+    _check_non_negative("variance of the variance", var_of_variance)
     value = coverage_kernel(0.0, variance_estimate, scheme)
     tau = math.sqrt(scheme.sigma ** 2 + variance_estimate)
     ratio = scheme.omega / tau
@@ -225,25 +217,20 @@ def estimate_unbiased_coverage(variance_estimate: float, var_of_variance: float,
             f"tau^6 = (sigma^2 + variance estimate)^3 overflows"
         ) from None
     variance = slope_sq * scheme.omega ** 2 / (4.0 * tau6) * var_of_variance
-    low, high, clipped = _normal_ci(value, variance)
     return CoverageEstimate(
-        value=value, variance=variance, ci_low=low, ci_high=high,
+        value=value, variance=variance,
         inputs={
             "variance_estimate": variance_estimate,
             "var_of_variance": var_of_variance,
             "alpha": scheme.alpha,
             "omega": scheme.omega,
         },
-        ci_clipped=clipped,
     )
 
 
 def default_variance_of_variance(variance_estimate: float, n_households: int) -> float:
     """Normal-theory variance of a sample variance: 2 v^2 / (n - 1)."""
-    if variance_estimate < 0.0 or not math.isfinite(variance_estimate):
-        raise ValidationError(
-            f"variance estimate must be non-negative, got {variance_estimate}"
-        )
+    _check_non_negative("variance estimate", variance_estimate)
     if n_households < 2:
         raise ValidationError(f"need at least 2 households, got {n_households}")
     return 2.0 * variance_estimate ** 2 / (n_households - 1)
@@ -264,8 +251,7 @@ def mse_estimate(theta_star: float, theta_audit: float, audit_variance: float) -
     picks up from the audit itself; the price is that small true biases often
     produce negative estimates, which are flagged rather than clamped.
     """
-    if audit_variance < 0.0 or not math.isfinite(audit_variance):
-        raise ValidationError(f"audit variance must be non-negative, got {audit_variance}")
+    _check_non_negative("audit variance", audit_variance)
     value = (theta_star - theta_audit) ** 2 - audit_variance
     return MseEstimate(value=value, is_negative=value < 0.0)
 

@@ -320,6 +320,57 @@ _SUMMARY_LABELS = {
 }
 
 
+def _outcome_cells(outcome: dict) -> list[str]:
+    return [outcome["label"], _fmt(outcome["point"], ".6g"),
+            _fmt(outcome["target"], ".6g"), _fmt(outcome["z_score"], ".3f")]
+
+
+# row type -> its tables in print order, each (headers, rows -> cells); the
+# summary's headers are the columns it summarises
+_SECTIONS = {
+    "test_result": [(
+        ["survey", "proxy", "periods", "test", "effect", "statistic", "p-value"],
+        lambda rows: [[
+            row["metadata"].get("survey", ""), row["metadata"].get("proxy", ""),
+            row["metadata"].get("periods", ""), row["kind"], _fmt(row["effect"], ".6f"),
+            _fmt(row["statistic"], ".5f"), _fmt(row["p_value"], ".3f"),
+        ] for row in rows],
+    )],
+    "coverage_estimate": [(
+        ["period", "estimator", "coverage", "ci low", "ci high", "clipped"],
+        lambda rows: [[
+            row["period"], row["role"], _fmt(row["value"], ".3f"), _fmt(row["ci_low"], ".3f"),
+            _fmt(row["ci_high"], ".3f"), "yes" if row["ci_clipped"] else "",
+        ] for row in rows],
+    )],
+    "coverage_summary": [(
+        lambda rows: ["statistic"] + [row["column"] for row in rows],
+        lambda rows: [[label] + [_fmt(row[stat], ".3f") for row in rows]
+                      for stat, label in _SUMMARY_LABELS.items()],
+    )],
+    "mse_estimate": [(
+        ["period", "published", "audit", "mse estimate", "negative"],
+        lambda rows: [[row["period"], _fmt(row["theta_star"], ".4f"),
+                       _fmt(row["theta_audit"], ".4f"), _fmt(row["value"], ".3e"),
+                       "yes" if row["is_negative"] else ""] for row in rows],
+    )],
+    "verification_check": [(
+        ["check", "gate", "status", "detail"],
+        lambda rows: [[row["name"], row["gate"], "pass" if row["passed"] else "FAIL",
+                       row["detail"]] for row in rows],
+    ), (
+        ["oracle", "empirical", "target", "z"],
+        lambda rows: [_outcome_cells(outcome) for row in rows
+                      for outcome in row["outcomes"]],
+    )],
+    "simulation_outcome": [(
+        ["scenario", "empirical", "target", "z", "replicates"],
+        lambda rows: [_outcome_cells(row) + [str(row["replicates_used"])]
+                      for row in rows],
+    )],
+}
+
+
 def emit_table(doc: ReportDocument) -> str:
     """Aligned, sectioned plain text for terminals."""
     lines = [f"indexaudit {doc.command} report (v{doc.meta.get('version', '?')})"]
@@ -338,92 +389,14 @@ def emit_table(doc: ReportDocument) -> str:
     for row in doc.results:
         by_type.setdefault(row.get("type", "?"), []).append(row)
 
-    if "test_result" in by_type:
-        rows = [[
-            row["metadata"].get("survey", ""),
-            row["metadata"].get("proxy", ""),
-            row["metadata"].get("periods", ""),
-            row["kind"],
-            _fmt(row["effect"], ".6f"),
-            _fmt(row["statistic"], ".5f"),
-            _fmt(row["p_value"], ".3f"),
-        ] for row in by_type["test_result"]]
-        lines.append("")
-        lines += _render_table(
-            ["survey", "proxy", "periods", "test", "effect", "statistic", "p-value"],
-            rows,
-        )
-
-    if "coverage_estimate" in by_type:
-        rows = [[
-            row["period"],
-            row["role"],
-            _fmt(row["value"], ".3f"),
-            _fmt(row["ci_low"], ".3f"),
-            _fmt(row["ci_high"], ".3f"),
-            "yes" if row["ci_clipped"] else "",
-        ] for row in by_type["coverage_estimate"]]
-        lines.append("")
-        lines += _render_table(
-            ["period", "estimator", "coverage", "ci low", "ci high", "clipped"],
-            rows,
-        )
-
-    if "coverage_summary" in by_type:
-        summaries = by_type["coverage_summary"]
-        headers = ["statistic"] + [row["column"] for row in summaries]
-        body = [
-            [label] + [_fmt(row[stat], ".3f") for row in summaries]
-            for stat, label in _SUMMARY_LABELS.items()
-        ]
-        lines.append("")
-        lines += _render_table(headers, body)
-
-    if "mse_estimate" in by_type:
-        rows = [[
-            row["period"],
-            _fmt(row["theta_star"], ".4f"),
-            _fmt(row["theta_audit"], ".4f"),
-            format(row["value"], ".3e"),
-            "yes" if row["is_negative"] else "",
-        ] for row in by_type["mse_estimate"]]
-        lines.append("")
-        lines += _render_table(
-            ["period", "published", "audit", "mse estimate", "negative"], rows,
-        )
-
-    if "verification_check" in by_type:
-        rows = [[
-            row["name"],
-            row["gate"],
-            "pass" if row["passed"] else "FAIL",
-            row["detail"],
-        ] for row in by_type["verification_check"]]
-        lines.append("")
-        lines += _render_table(["check", "gate", "status", "detail"], rows)
-        lines.append("")
-        outcome_rows = []
-        for check in by_type["verification_check"]:
-            for outcome in check["outcomes"]:
-                z = outcome["z_score"]
-                outcome_rows.append([
-                    outcome["label"],
-                    _fmt(outcome["point"], ".6g"),
-                    _fmt(outcome["target"], ".6g"),
-                    z if isinstance(z, str) else _fmt(z, ".3f"),
-                ])
-        lines += _render_table(["oracle", "empirical", "target", "z"], outcome_rows)
-
-    if "simulation_outcome" in by_type:
-        rows = [[
-            row["label"],
-            _fmt(row["point"], ".6g"),
-            _fmt(row["target"], ".6g"),
-            row["z_score"] if isinstance(row["z_score"], str) else _fmt(row["z_score"], ".3f"),
-            str(row["replicates_used"]),
-        ] for row in by_type["simulation_outcome"]]
-        lines.append("")
-        lines += _render_table(["scenario", "empirical", "target", "z", "replicates"], rows)
+    for row_type, tables in _SECTIONS.items():
+        if row_type not in by_type:
+            continue
+        rows = by_type[row_type]
+        for headers, cells in tables:
+            lines.append("")
+            lines += _render_table(headers(rows) if callable(headers) else headers,
+                                   cells(rows))
 
     if "file_output" in by_type:
         lines.append("")

@@ -36,12 +36,15 @@ def z_test(prices, estimate, w_proxy, periods=None):
     statistic = effect / math.sqrt(variance)
     described = ("all" if periods is None
                  else ",".join(prices.period_labels[int(t)] for t in periods))
-    return TestResult(
-        kind=TestKind.Z, effect=effect, variance=variance, statistic=statistic,
-        p_value=gaussian.two_sided_p(statistic),
+    result = TestResult(
+        kind=TestKind.Z, effect=effect, variance=variance,
         metadata={"survey": estimate.point.label, "proxy": w_proxy.label,
                   "periods": described},
     )
+    # the type derives both; they must be these, bit for bit
+    assert result.statistic.hex() == statistic.hex()
+    assert result.p_value.hex() == gaussian.two_sided_p(statistic).hex()
+    return result
 
 
 def cross_group_battery(prices, estimates, proxies, period_subsets=None,

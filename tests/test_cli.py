@@ -466,6 +466,14 @@ def test_config_errors_exit_1(capsys, fx, tmp_path):
     assert code == 1
     assert "backwards period range" in json.loads(err)["error"]["message"]
 
+    code, _, err = run(capsys, "coverage", "--prices", fx["prices"],
+                       "--weights", fx["weights"],
+                       "--survey-estimate", fx["estimate"], "--proxy", "age_lt26",
+                       "--omega", "0.05", "--omega-se-mult", "2")
+    assert code == 1
+    assert json.loads(err)["error"] == {
+        "code": "config_error", "message": "pass --omega or --omega-se-mult, not both"}
+
 
 @pytest.mark.parametrize("command, flag, value", [
     ("coverage", "--omega", "1e-200"),  # sigma^2 underflows to 0
@@ -482,6 +490,9 @@ def test_config_errors_exit_1(capsys, fx, tmp_path):
     ("verify", "--scale", "nan"),
     ("simulate", "--dispersion", "inf"),
     ("simulate", "--dispersion", "-1"),
+    ("coverage", "--alpha", "1.5"),
+    ("verify", "--jobs", "0"),
+    ("simulate", "--n", "0"),
 ])
 def test_invalid_float_flags_exit_1(capsys, fx, tmp_path, command, flag, value):
     argv = {
@@ -550,10 +561,20 @@ def test_unreadable_input_is_a_data_error(capsys, fx, tmp_path, body, message, q
     assert error["code"] == "data_error"
     assert error["message"].startswith(f"{prices}{message}")
 
-def test_missing_required_flag_exits_1_without_traceback(capsys):
+def test_missing_required_flag_exits_1_without_traceback(capsys, tmp_path):
     code, _, err = run(capsys, "ztest")
     assert code == 1
     assert json.loads(err)["error"]["code"] == "config_error"
+
+    code, out, err = run(capsys, "simulate", "--true-weights", "1,2", "--groups", "a,b",
+                         "--out", str(tmp_path / "micro.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    body = json.loads(err)["error"]
+    assert body["code"] == "config_error"
+    assert "--n" in body["message"]
+    assert not (tmp_path / "micro.csv").exists()
 
 
 def test_version_flag(capsys):

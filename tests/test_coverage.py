@@ -244,12 +244,29 @@ def test_default_variance_of_variance():
 
 
 def test_coverage_estimate_validation():
-    with pytest.raises(ValidationError, match=r"out of \[0, 1\]"):
-        CoverageEstimate(value=1.2, variance=0.0, ci_low=1.2, ci_high=1.2)
-    with pytest.raises(ValidationError, match="variance"):
-        CoverageEstimate(value=0.5, variance=-1.0, ci_low=0.4, ci_high=0.6)
-    with pytest.raises(ValidationError, match="bracket"):
-        CoverageEstimate(value=0.5, variance=0.0, ci_low=0.6, ci_high=0.7)
+    with pytest.raises(ValidationError, match=r"coverage estimate out of \[0, 1\]: 1.2"):
+        CoverageEstimate(value=1.2, variance=0.0)
+    with pytest.raises(ValidationError,
+                       match="coverage variance must be non-negative, got -1.0"):
+        CoverageEstimate(value=0.5, variance=-1.0)
+    with pytest.raises(ValidationError,
+                       match="coverage variance must be non-negative, got nan"):
+        CoverageEstimate(value=0.5, variance=math.nan)
+    with pytest.raises(TypeError):
+        CoverageEstimate(value=0.5, variance=0.0, ci_low=0.4, ci_high=0.6)
+
+
+def test_coverage_estimate_derives_the_clipped_normal_ci():
+    half = gaussian.quantile(0.975) * 0.01
+    inside = CoverageEstimate(value=0.5, variance=1e-4)
+    assert (inside.ci_low, inside.ci_high, inside.ci_clipped) == (0.5 - half, 0.5 + half,
+                                                                  False)
+    near_one = CoverageEstimate(value=0.995, variance=1e-4)
+    assert (near_one.ci_low, near_one.ci_high, near_one.ci_clipped) == (0.995 - half, 1.0,
+                                                                        True)
+    near_zero = CoverageEstimate(value=0.005, variance=1e-4)
+    assert (near_zero.ci_low, near_zero.ci_high, near_zero.ci_clipped) == (
+        0.0, 0.005 + half, True)
 
 
 # --- MSE -------------------------------------------------------------------------------

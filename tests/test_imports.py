@@ -1,9 +1,12 @@
-"""What importing the package and its CLI loads, and what the package
-source imports or defines that nothing uses."""
+"""What importing the package and its CLI loads, what the package source
+imports or defines that nothing uses, and which of its names the benchmark
+wraps."""
 
 import ast
+import importlib
 import os
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -86,3 +89,38 @@ def test_no_unused_import_or_private_name_in_the_package():
     unused = {module: _unused_names(tree, package_names)
               for module, tree in trees.items() if module != "__init__.py"}
     assert {module: names for module, names in unused.items() if names} == {}
+
+
+def _cli_reads(tree: symtable.SymbolTable, name: str, owner: str = "") -> list[tuple[str, bool]]:
+    """(scope, whether as a global) for every function scope of ``tree`` that
+    reads ``name``, skipping the body of a function that is itself ``name``."""
+    reads = []
+    for child in tree.get_children():
+        if child.get_name() == name:
+            continue
+        scope = f"{owner}{child.get_name()}"
+        if name in child.get_identifiers():
+            symbol = child.lookup(name)
+            if symbol.is_referenced():
+                reads.append((scope, symbol.is_global()))
+        reads += _cli_reads(child, name, scope + ".")
+    return reads
+
+
+def test_every_name_the_benchmark_wraps_is_read_where_it_is_wrapped(monkeypatch):
+    # perfbench/traced.py replaces these module attributes with timed
+    # wrappers; a renamed attribute breaks the benchmark, and a name that cli
+    # imports locally bypasses the wrapper and reads 0
+    monkeypatch.syspath_prepend(str(Path(SRC).parent / "perfbench"))
+    traced = importlib.import_module("traced")
+    table = [(module, attribute) for module, attribute, *_ in traced._instrumentation({})]
+    assert table
+    cli_table = symtable.symtable((PACKAGE / "cli.py").read_text(encoding="utf-8"),
+                                  "cli.py", "exec")
+    for module, attribute in table:
+        assert hasattr(importlib.import_module(f"indexaudit.{module}"), attribute), \
+            (module, attribute)
+        if module == "cli":
+            reads = _cli_reads(cli_table, attribute)
+            assert reads, attribute
+            assert all(as_global for _, as_global in reads), (attribute, reads)

@@ -194,3 +194,113 @@ def test_table_prints_non_finite_z_verbatim():
         "replicates_used": 5, "extras": {},
     }])
     assert "inf" in report.emit_table(doc)
+
+
+def _every_row_type_doc():
+    """One document with every row type the table prints, out of print order,
+    plus a row type it skips."""
+    outcome = {"type": "simulation_outcome", "label": "coverage_plug_in",
+               "point": 0.9487, "mc_stderr": 0.0021, "target": 0.95,
+               "z_score": -0.619047619047619, "replicates_used": 4000, "extras": {}}
+    results = [
+        {"type": "file_output", "path": "out.csv", "rows": 36, "sha256": "ab" * 32},
+        {"type": "simulation_outcome", "label": "degenerate", "point": 0.0,
+         "mc_stderr": 0.0, "target": 0.0, "z_score": math.inf,
+         "replicates_used": 2, "extras": {}},
+        {"type": "mse_estimate", "period": "2015-02", "value": -3.25e-4,
+         "is_negative": True, "theta_star": 100.0125, "theta_audit": 100.0,
+         "audit_variance": 0.029 ** 2},
+        {"type": "verification_check", "name": "coverage_constant_unbiased",
+         "scenario": "coverage", "replicates": 4000, "seed": 7, "parameters": {},
+         "gate": "z3", "passed": True, "detail": "max |z| 0.62",
+         "outcomes": [outcome, dict(outcome, label="edge", z_score="nan",
+                                    point=12345678.9, target=None)]},
+        {"type": "test_result", "kind": "Z", "effect": 0.24, "variance": 0.0036,
+         "statistic": 4.0, "p_value": 6.334248366623996e-05,
+         "metadata": {"survey": "survey", "proxy": "age_lt26", "periods": "all"}},
+        {"type": "coverage_estimate", "period": "2015-01", "role": "published_constant",
+         "value": 0.9499, "variance": 1e-6, "ci_low": 0.9479, "ci_high": 0.9519,
+         "ci_clipped": False, "inputs": {}},
+        {"type": "coverage_summary", "column": "published_constant", "minimum": 0.9,
+         "first_quartile": 0.92, "median": 0.94, "mean": 0.935,
+         "third_quartile": 0.95, "maximum": 0.951},
+        {"type": "verification_check", "name": "z_calibration", "scenario": "z",
+         "replicates": 2, "seed": 8, "parameters": {}, "gate": "calibration",
+         "passed": False, "detail": "rejection rate 0.5 outside [0.03, 0.07]",
+         "outcomes": []},
+        {"type": "test_result", "kind": "B", "effect": -0.0123456789,
+         "variance": 0.0004, "statistic": "-inf", "p_value": 1.0,
+         "metadata": {"survey": "survey", "proxy": "a_much_longer_proxy_label",
+                      "periods": "2015-01,2015-02,2015-03", "beta_hat": "0.98"}},
+        {"type": "coverage_estimate", "period": "2015-02", "role": "unbiased_benchmark",
+         "value": 0.999, "variance": 1e-4, "ci_low": 0.979, "ci_high": 1.0,
+         "ci_clipped": True, "inputs": {}},
+        {"type": "coverage_summary", "column": "unbiased_benchmark", "minimum": 0.99,
+         "first_quartile": 0.991, "median": 0.995, "mean": 0.9945,
+         "third_quartile": 0.998, "maximum": 0.999},
+        {"type": "mse_estimate", "period": "2015-01", "value": 1.5625e-4,
+         "is_negative": False, "theta_star": 100.0125, "theta_audit": 100.0,
+         "audit_variance": 0.0},
+        {"type": "unknown_row", "value": 1.0},
+    ]
+    return report.build_document("report", {"alpha": 0.95, "paths": ["a.csv"]}, results,
+                                 warnings=["dropped 1 household", "second warning"])
+
+
+# emit_table's output for _every_row_type_doc, byte for byte: a change to any
+# section's columns, formats or order shows here
+EVERY_ROW_TYPE_TABLE = """\
+indexaudit report report (v0.1.0)
+
+configuration:
+  alpha = 0.95
+  paths = ['a.csv']
+
+warnings:
+  ! dropped 1 household
+  ! second warning
+
+survey  proxy                      periods                  test  effect     statistic  p-value
+------  -------------------------  -----------------------  ----  ---------  ---------  -------
+survey  age_lt26                   all                      Z     0.240000   4.00000    0.000
+survey  a_much_longer_proxy_label  2015-01,2015-02,2015-03  B     -0.012346  -inf       1.000
+
+period   estimator           coverage  ci low  ci high  clipped
+-------  ------------------  --------  ------  -------  -------
+2015-01  published_constant  0.950     0.948   0.952
+2015-02  unbiased_benchmark  0.999     0.979   1.000    yes
+
+statistic       published_constant  unbiased_benchmark
+--------------  ------------------  ------------------
+Minimum         0.900               0.990
+First Quartile  0.920               0.991
+Median          0.940               0.995
+Mean            0.935               0.995
+Third Quartile  0.950               0.998
+Maximum         0.951               0.999
+
+period   published  audit     mse estimate  negative
+-------  ---------  --------  ------------  --------
+2015-02  100.0125   100.0000  -3.250e-04    yes
+2015-01  100.0125   100.0000  1.563e-04
+
+check                       gate         status  detail
+--------------------------  -----------  ------  ---------------------------------------
+coverage_constant_unbiased  z3           pass    max |z| 0.62
+z_calibration               calibration  FAIL    rejection rate 0.5 outside [0.03, 0.07]
+
+oracle            empirical    target  z
+----------------  -----------  ------  ------
+coverage_plug_in  0.9487       0.95    -0.619
+edge              1.23457e+07          nan
+
+scenario    empirical  target  z    replicates
+----------  ---------  ------  ---  ----------
+degenerate  0          0       inf  2
+
+wrote out.csv (36 rows, sha256 abababababababababababababababababababababababababababababababab)
+"""
+
+
+def test_table_bytes_for_every_row_type():
+    assert report.emit_table(_every_row_type_doc()) == EVERY_ROW_TYPE_TABLE
