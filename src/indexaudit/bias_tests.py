@@ -22,6 +22,7 @@ run both.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
@@ -37,6 +38,7 @@ from .core import (
     mean_price_vector,
 )
 from .errors import (
+    AuditWarning,
     DegenerateVarianceError,
     UndefinedSlopeError,
     ValidationError,
@@ -214,8 +216,9 @@ def cross_group_battery(prices: PriceSeries,
 
     Iteration order is sorted by survey label, proxy label, then subset name,
     so output order is deterministic. B-tests are computed only for subsets
-    with at least 3 periods (per-period sweeps still get their Z-tests);
-    other component errors propagate.
+    with at least 3 periods (per-period sweeps still get their Z-tests), and
+    each subset skipped is named in an :class:`AuditWarning`; other component
+    errors propagate.
 
     Every Z-test result, and the first error any input raises, is the one
     :func:`z_test` gives on that cell. Only the effect depends on the proxy,
@@ -228,6 +231,7 @@ def cross_group_battery(prices: PriceSeries,
     subsets = [(name, period_subsets[name]) for name in sorted(period_subsets)]
     levels: dict[str, tuple[np.ndarray, str]] = {}  # subset -> mean prices, label
     results: list[TestResult] = []
+    skipped: set[str] = set()  # subsets whose B-tests were skipped
     for survey_label in sorted(estimates):
         estimate = estimates[survey_label]
         level_variances: dict[str, float] = {}
@@ -254,7 +258,14 @@ def cross_group_battery(prices: PriceSeries,
                                       "periods": described, "subset": subset_name},
                         ))
                     elif kind == TestKind.B:
-                        if (prices.n_periods if periods is None else len(list(periods))) < 3:
+                        size = prices.n_periods if periods is None else len(list(periods))
+                        if size < 3:
+                            if subset_name not in skipped:
+                                skipped.add(subset_name)
+                                warnings.warn(
+                                    f"B-test skipped for period subset {subset_name!r}: "
+                                    f"the slope fit needs at least 3 periods, the subset "
+                                    f"has {size}", AuditWarning, stacklevel=2)
                             continue
                         result = b_test(prices, estimate, proxy, periods)
                         labeled = dict(result.metadata)

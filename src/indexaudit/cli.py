@@ -58,6 +58,17 @@ def _check_positive(flag: str, value: float) -> None:
         raise ConfigError(f"{flag} must be positive, got {value}")
 
 
+# each audit command's battery, the test kinds it runs against every survey
+# pool, and its per-period sections for one proxy against one pool
+_AUDITS: dict[str, tuple[tuple[TestKind, ...], tuple[str, ...]]] = {
+    "ztest": ((TestKind.Z,), ()),
+    "btest": ((TestKind.B,), ()),
+    "coverage": ((), ("coverage",)),
+    "mse": ((), ("mse",)),
+    "report": ((TestKind.Z, TestKind.B), ("coverage", "mse")),
+}
+
+
 @dataclass
 class RunConfig:
     """Everything one invocation needs, validated before any work starts."""
@@ -115,7 +126,7 @@ class RunConfig:
             raise ConfigError(f"--jobs must be at least 1, got {self.jobs}")
         if self.n_households is not None and self.n_households < 1:
             raise ConfigError(f"--n must be positive, got {self.n_households}")
-        if self.command in ("ztest", "btest", "coverage", "mse", "report"):
+        if self.command in _AUDITS:
             have_micro = self.survey_micro_path is not None
             have_estimate = self.survey_estimate_path is not None
             if have_micro == have_estimate:
@@ -166,9 +177,22 @@ def _parse_periods(spec: str, prices: PriceSeries) -> list[int] | None:
     return list(dict.fromkeys(positions))
 
 
-def _load_survey_estimates(config: RunConfig,
-                           prices: PriceSeries) -> dict[str, WeightEstimate]:
-    """Survey-side estimates keyed by stratum ('all' pools every household)."""
+def _section_pool(config: RunConfig) -> str:
+    """The survey pool the per-period sections evaluate: the one
+    --survey-stratum, else every household ('survey' for an estimate file)."""
+    if config.survey_estimate_path is not None:
+        return "survey"
+    if not config.survey_strata:
+        return "all"
+    if len(config.survey_strata) != 1:
+        raise ConfigError("this command takes exactly one --survey-stratum")
+    return config.survey_strata[0]
+
+
+def _load_survey_estimates(config: RunConfig, prices: PriceSeries,
+                           every_pool: bool) -> dict[str, WeightEstimate]:
+    """Survey-side estimates keyed by stratum ('all' pools every household):
+    every pool for a test battery, else only the pool the sections evaluate."""
     if config.survey_estimate_path is not None:
         return {"survey": load_weight_estimate(config.survey_estimate_path,
                                                prices.group_labels)}
@@ -176,21 +200,23 @@ def _load_survey_estimates(config: RunConfig,
     rows_by_stratum: dict[str, list[int]] = {}
     for row, stratum in enumerate(panel.strata):
         rows_by_stratum.setdefault(stratum or "all", []).append(row)
-    wanted = list(config.survey_strata)
-    if not wanted:
-        pools = {"all": panel} if len(rows_by_stratum) == 1 else {
-            **{stratum: panel.select(rows) for stratum, rows in rows_by_stratum.items()},
-            "all": panel,
-        }
-    else:
-        unknown = [s for s in wanted if s not in rows_by_stratum]
+    # each pool's household rows; None is every household
+    if config.survey_strata:
+        unknown = [s for s in config.survey_strata if s not in rows_by_stratum]
         if unknown:
             raise ConfigError(
                 f"unknown survey stratum {unknown[0]!r}; file has "
                 f"{', '.join(sorted(rows_by_stratum))}"
             )
-        pools = {stratum: panel.select(rows_by_stratum[stratum]) for stratum in wanted}
-    return {stratum: estimate_weights(pool) for stratum, pool in sorted(pools.items())}
+        pools = {stratum: rows_by_stratum[stratum] for stratum in config.survey_strata}
+    else:
+        pools = {**rows_by_stratum, "all": None} if len(rows_by_stratum) > 1 else {"all": None}
+    if not every_pool:
+        label = _section_pool(config)
+        pools = {label: pools[label]}
+    return {stratum: estimate_weights(panel if pools[stratum] is None
+                                      else panel.select(pools[stratum]))
+            for stratum in sorted(pools)}
 
 
 def _select_proxies(config: RunConfig, prices: PriceSeries) -> dict[str, WeightVector]:
@@ -205,102 +231,60 @@ def _select_proxies(config: RunConfig, prices: PriceSeries) -> dict[str, WeightV
     return {source: proxies[source] for source in config.proxy_sources}
 
 
-def _single_survey(config: RunConfig,
-                   estimates: dict[str, WeightEstimate]) -> tuple[str, WeightEstimate]:
-    if config.survey_strata:
-        if len(config.survey_strata) != 1:
-            raise ConfigError("this command takes exactly one --survey-stratum")
-        label = config.survey_strata[0]
-        return label, estimates[label]
-    if "all" in estimates:
-        return "all", estimates["all"]
-    (label, estimate), = estimates.items()
-    return label, estimate
-
-
-def _single_proxy(proxies: dict[str, WeightVector]) -> tuple[str, WeightVector]:
-    if len(proxies) != 1:
-        raise ConfigError(
-            "this command needs exactly one proxy source (pass --proxy)"
-        )
-    (label, vector), = proxies.items()
-    return label, vector
-
-
 def _audit_rows(config: RunConfig) -> tuple[list[dict], dict]:
-    """Result rows and derived config of ztest, btest, coverage, mse and
-    report. Prices, proxies and survey estimates are each loaded once, in the
-    order each command has always loaded them, so that with several bad
-    inputs the same one is reported."""
+    """Result rows and derived config of an audit command. Prices, survey,
+    proxies and periods are read once each, in that order; the battery then
+    tests every survey pool, and the per-period sections evaluate one proxy
+    against one pool, the only pool estimated when there is no battery."""
+    kinds, sections = _AUDITS[config.command]
     prices = load_prices(config.prices_path)
-    if config.command in ("coverage", "mse"):
-        proxy_label, proxy = _single_proxy(_select_proxies(config, prices))
-        survey_label, estimate = _single_survey(
-            config, _load_survey_estimates(config, prices))
-        chosen = _parse_periods(config.periods_spec, prices)
-        rows: list[dict] = []
-    else:
-        estimates = _load_survey_estimates(config, prices)
-        proxies = _select_proxies(config, prices)
-        chosen = _parse_periods(config.periods_spec, prices)
-        kinds = {"ztest": (TestKind.Z,), "btest": (TestKind.B,)}.get(
-            config.command, (TestKind.Z, TestKind.B))
-        rows = _battery_rows(config, prices, estimates, proxies, chosen, kinds)
-        if config.command != "report":
-            return rows, {}
-        proxy_label, proxy = _single_proxy(proxies)
-        survey_label, estimate = _single_survey(config, estimates)
-    period_values = _period_values(prices, chosen, proxy, estimate)
-    if config.command == "mse":
-        return _mse_rows(period_values), {}
-    coverage_rows, omega = _coverage_rows(config, period_values, estimate)
-    rows += coverage_rows
-    if config.command == "report":
-        rows += _mse_rows(period_values)
-    return rows, {"resolved_omega": omega, "survey": survey_label, "proxy": proxy_label}
-
-
-def _battery_rows(config: RunConfig, prices: PriceSeries,
-                  estimates: dict[str, WeightEstimate],
-                  proxies: dict[str, WeightVector], chosen: list[int] | None,
-                  kinds: tuple[TestKind, ...]) -> list[dict]:
-    if config.each_period:
-        targets = chosen if chosen is not None else range(prices.n_periods)
-        subsets = {prices.period_labels[t]: [t] for t in targets}
-    else:
-        subsets = {config.periods_spec: chosen}
-    results = cross_group_battery(prices, estimates, proxies,
-                                  period_subsets=subsets, include=kinds)
-    return [reporting.test_result_row(result) for result in results]
-
-
-def _resolve_scheme(config: RunConfig, variances: list[float]) -> EvalScheme:
-    if config.omega is not None:
-        return EvalScheme(alpha=config.alpha, omega=config.omega)
-    multiple = config.omega_se_multiple if config.omega_se_multiple is not None else 2.0
-    mean_se = sum(v ** 0.5 for v in variances) / len(variances)
-    if mean_se <= 0.0:
-        raise ConfigError(
-            "audit standard error is zero; pass --omega explicitly"
-        )
-    return EvalScheme(alpha=config.alpha, omega=multiple * mean_se)
-
-
-def _period_values(prices: PriceSeries, chosen: list[int] | None,
-                   proxy: WeightVector,
-                   estimate: WeightEstimate) -> list[tuple[str, float, float, float]]:
-    """(period label, proxy index, audit index, audit variance) per chosen
-    period: the one per-period pass that coverage and MSE rows share."""
+    estimates = _load_survey_estimates(config, prices, every_pool=bool(kinds))
+    proxies = _select_proxies(config, prices)
+    chosen = _parse_periods(config.periods_spec, prices)
     targets = chosen if chosen is not None else range(prices.n_periods)
-    return [(prices.period_labels[t], weighted_index(prices, proxy, t),
-             weighted_index(prices, estimate.point, t), index_variance(prices, estimate, t))
-            for t in targets]
+    rows: list[dict] = []
+    if kinds:
+        subsets = ({prices.period_labels[t]: [t] for t in targets} if config.each_period
+                   else {config.periods_spec: chosen})
+        rows = [reporting.test_result_row(result) for result in cross_group_battery(
+            prices, estimates, proxies, period_subsets=subsets, include=kinds)]
+    if not sections:
+        return rows, {}
+    if len(proxies) != 1:
+        raise ConfigError("this command needs exactly one proxy source (pass --proxy)")
+    (proxy_label, proxy), = proxies.items()
+    survey_label = _section_pool(config)
+    estimate = estimates[survey_label]
+    # (period label, proxy index, audit index, audit variance) per period
+    period_values = [(prices.period_labels[t], weighted_index(prices, proxy, t),
+                      weighted_index(prices, estimate.point, t),
+                      index_variance(prices, estimate, t)) for t in targets]
+    derived: dict = {}
+    if "coverage" in sections:
+        coverage_rows, omega = _coverage_rows(config, period_values, estimate)
+        rows += coverage_rows
+        derived = {"resolved_omega": omega, "survey": survey_label, "proxy": proxy_label}
+    if "mse" in sections:
+        rows += [reporting.mse_row(period, mse_estimate(theta_star, theta_audit, variance),
+                                   theta_star, theta_audit, variance)
+                 for period, theta_star, theta_audit, variance in period_values]
+    return rows, derived
 
 
 def _coverage_rows(config: RunConfig, period_values: list[tuple[str, float, float, float]],
                    estimate: WeightEstimate) -> tuple[list[dict], float]:
-    """Per-period coverage rows and their summaries, with the resolved omega."""
-    scheme = _resolve_scheme(config, [variance for *_, variance in period_values])
+    """Per-period coverage rows and their summaries, with the resolved omega:
+    --omega, else --omega-se-mult (default 2) times the mean audit SE."""
+    omega = config.omega
+    if omega is None:
+        mean_se = sum(variance ** 0.5 for *_, variance in period_values) / len(period_values)
+        if mean_se <= 0.0:
+            raise ConfigError(
+                "audit standard error is zero; pass --omega explicitly"
+            )
+        multiple = config.omega_se_multiple if config.omega_se_multiple is not None else 2.0
+        omega = multiple * mean_se
+    scheme = EvalScheme(alpha=config.alpha, omega=omega)
     rows: list[dict] = []
     plug_in_values: list[float] = []
     benchmark_values: list[float] = []
@@ -322,12 +306,6 @@ def _coverage_rows(config: RunConfig, period_values: list[tuple[str, float, floa
     rows.append(reporting.quantile_summary_row("published_constant", plug_in_values))
     rows.append(reporting.quantile_summary_row("unbiased_benchmark", benchmark_values))
     return rows, scheme.omega
-
-
-def _mse_rows(period_values: list[tuple[str, float, float, float]]) -> list[dict]:
-    return [reporting.mse_row(period, mse_estimate(theta_star, theta_audit, variance),
-                              theta_star, theta_audit, variance)
-            for period, theta_star, theta_audit, variance in period_values]
 
 
 def _simulate_rows(config: RunConfig) -> list[dict]:
@@ -401,24 +379,20 @@ def run_verification(master_seed: int, scale: float, jobs: int) -> list:
     return run_verification(master_seed, scale, jobs)
 
 
-def _verify_rows(config: RunConfig) -> tuple[list[dict], int]:
-    checks = run_verification(config.seed, config.scale, config.jobs)
-    rows = [reporting.verification_row(check) for check in checks]
-    return rows, (0 if all(check.passed for check in checks) else 3)
-
-
 def run_command(config: RunConfig) -> tuple[reporting.ReportDocument, int]:
     """Execute one configured command and build its report document."""
     exit_code = 0
     derived: dict = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AuditWarning)
-        if config.command in ("ztest", "btest", "coverage", "mse", "report"):
+        if config.command in _AUDITS:
             rows, derived = _audit_rows(config)
         elif config.command == "simulate":
             rows = _simulate_rows(config)
         elif config.command == "verify":
-            rows, exit_code = _verify_rows(config)
+            checks = run_verification(config.seed, config.scale, config.jobs)
+            rows = [reporting.verification_row(check) for check in checks]
+            exit_code = 0 if all(check.passed for check in checks) else 3
         else:
             raise ConfigError(f"unknown command {config.command!r}")
     # fmt/output/jobs shape the run, not the result; echoing jobs would break

@@ -103,9 +103,10 @@ class PriceSeries:
 class WeightVector:
     """Non-negative expenditure weights over groups, normalized to sum to 1.
 
-    The raw (pre-normalization) sum is kept so callers can tell whether the
-    input deviated from 1 by more than rounding; ``needs_renormalization`` is
-    True when it was off by more than 1e-6.
+    The raw (pre-normalization) sum must be positive and finite. It is kept
+    so callers can tell whether the input deviated from 1 by more than
+    rounding; ``needs_renormalization`` is True when it was off by more than
+    1e-6.
     """
 
     w: np.ndarray
@@ -127,7 +128,12 @@ class WeightVector:
                 f"weight vector {self.label!r} has a negative weight at "
                 f"{self._group_name(bad)}"
             )
-        total = float(np.sum(raw))
+        with np.errstate(over="ignore"):  # checked just below
+            total = float(np.sum(raw))
+        if not np.isfinite(total):
+            raise ValidationError(
+                f"weight vector {self.label!r} overflows: its weights sum to {total}"
+            )
         if total <= 0.0:
             raise ValidationError(f"weight vector {self.label!r} sums to zero")
         normalized = _frozen_array(raw / total)

@@ -1,7 +1,7 @@
 """CSV schemas for panels, weights, micro data, and weight estimates.
 
-All files are plain UTF-8 CSV with a header row. Long (tidy) layouts
-throughout:
+All files are plain UTF-8 CSV with a header row; a leading byte-order mark
+is skipped. Long (tidy) layouts throughout:
 
 * prices: ``period,group,index`` - every period/group cell exactly once.
 * weights: ``source,group,weight`` - one weight vector per source label.
@@ -72,7 +72,8 @@ class _NotPlain(Exception):
 
 def _open(path: Path) -> io.TextIOWrapper:
     try:
-        return path.open(newline="", encoding="utf-8")
+        # a leading byte-order mark, as spreadsheets write, is not header text
+        return path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 

@@ -140,30 +140,34 @@ def estimate_weights(panel: HouseholdPanel) -> WeightEstimate:
 
     Households with zero total expenditure carry no information about shares;
     they are dropped and counted in an :class:`AuditWarning`. At least two
-    usable households are required. With n usable households, expenditure
-    matrix X (n by m), row totals s, estimated weights w = colsum(X) / sum(s),
-    and mean total S, the influence of household h is
-    z_h = (x_h - w * s_h) / S and the covariance is
-    sum_h z_h z_h^T / (n (n - 1)).
+    usable households are required, and their pooled total must be finite.
+    With n usable households, expenditure matrix X (n by m), row totals s,
+    estimated weights w = colsum(X) / sum(s), and mean total S, the
+    influence of household h is z_h = (x_h - w * s_h) / S and the
+    covariance is sum_h z_h z_h^T / (n (n - 1)).
     """
-    x = panel.expenditures
-    totals = x.sum(axis=1)
-    usable = totals > 0.0
-    dropped = int(np.sum(~usable))
+    with np.errstate(over="ignore"):  # an overflowing total is refused below
+        totals = panel.expenditures.sum(axis=1)
+        usable = totals > 0.0
+        totals = totals[usable]
+        pooled = float(totals.sum())
+    dropped = len(panel) - totals.size
     if dropped:
         warnings.warn(
             f"dropped {dropped} household(s) with zero total expenditure",
             AuditWarning,
             stacklevel=2,
         )
-    x = x[usable]
-    totals = totals[usable]
+    x = panel.expenditures[usable]
     n = x.shape[0]
     if n < 2:
         raise ValidationError(
             f"need at least 2 households with positive expenditure, got {n}"
         )
-    pooled = float(totals.sum())
+    if not np.isfinite(pooled):
+        raise ValidationError(
+            f"the pooled expenditure total of {n} households overflows to {pooled}"
+        )
     point = x.sum(axis=0) / pooled
     mean_total = pooled / n
     influence = (x - np.outer(totals, point)) / mean_total

@@ -13,6 +13,7 @@ from indexaudit.bias_tests import (
 )
 from indexaudit.core import PriceSeries, WeightVector
 from indexaudit.errors import (
+    AuditWarning,
     DegenerateVarianceError,
     DimensionMismatchError,
     UndefinedSlopeError,
@@ -241,8 +242,13 @@ def test_battery_runs_all_cells_in_sorted_order(tiny_prices, tiny_estimate):
         "tilted": WeightVector([0.6, 0.4], label="tilted"),
     }
     subsets = {"all": None, "late": [1, 2]}
-    results = cross_group_battery(tiny_prices, {"survey": tiny_estimate},
-                                  proxies, subsets)
+    with pytest.warns(AuditWarning) as caught:
+        results = cross_group_battery(tiny_prices, {"survey": tiny_estimate},
+                                      proxies, subsets)
+    # one warning for the subset, not one per proxy
+    assert [str(w.message) for w in caught] == [
+        "B-test skipped for period subset 'late': the slope fit needs at least 3 "
+        "periods, the subset has 2"]
     # Z for every (proxy, subset) cell; B only where the subset has >= 3 periods
     labels = [(r.metadata["proxy"], r.metadata["subset"], r.kind.value)
               for r in results]

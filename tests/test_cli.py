@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -189,6 +190,38 @@ def test_report_lists_each_dropped_household_once_per_pool(capsys, fx, tmp_path,
         "warnings"] == [dropped]
 
 
+@pytest.mark.parametrize("command", ["coverage", "mse"])
+def test_coverage_and_mse_estimate_only_their_pool(capsys, fx, tmp_path, food_prices,
+                                                    command):
+    micro = tmp_path / "micro.csv"
+    micro.write_text(Path(fx["micro"]).read_text(encoding="utf-8") + "".join(
+        f"zero,{group},0.0,age_lt26\n" for group in food_prices.group_labels),
+        encoding="utf-8")
+    common = (command, "--prices", fx["prices"], "--weights", fx["weights"],
+              "--survey-micro", str(micro), "--proxy", "age_lt26", "--periods", "0:5")
+    dropped = "dropped 1 household(s) with zero total expenditure"
+    assert run_machine(capsys, *common)["warnings"] == [dropped]
+    assert run_machine(capsys, *common, "--survey-stratum", "age_lt26")[
+        "warnings"] == [dropped]
+    assert run_machine(capsys, *common, "--survey-stratum", "age_68plus")["warnings"] == []
+
+
+@pytest.mark.parametrize("command, calls", [
+    ("ztest", 5), ("btest", 5), ("report", 5), ("coverage", 1), ("mse", 1)])
+def test_each_command_estimates_the_pools_it_reports(capsys, fx, monkeypatch,
+                                                     command, calls):
+    from indexaudit import cli as cli_module
+
+    pooled = []
+    estimate = cli_module.estimate_weights
+    monkeypatch.setattr(cli_module, "estimate_weights",
+                        lambda panel: pooled.append(len(panel)) or estimate(panel))
+    run_machine(capsys, command, "--prices", fx["prices"], "--weights", fx["weights"],
+                "--survey-micro", fx["micro"], "--proxy", "age_lt26")
+    # four strata of 15 households and all 60 for a battery; all 60 otherwise
+    assert pooled == [15, 15, 15, 15, 60][-calls:]
+
+
 def test_ztest_on_nearly_proportional_households(capsys, tmp_path):
     # the estimator's covariance cancels far below its rows' rounding
     micro = tmp_path / "micro.csv"
@@ -202,6 +235,19 @@ def test_ztest_on_nearly_proportional_households(capsys, tmp_path):
     payload = run_machine(capsys, "ztest", "--prices", str(prices),
                           "--weights", str(weights), "--survey-micro", str(micro))
     assert [row["kind"] for row in payload["results"]] == ["Z"]
+
+
+@pytest.mark.parametrize("command", ["btest", "report"])
+def test_skipped_b_tests_are_named_in_a_warning(capsys, fx, command):
+    payload = run_machine(capsys, command, "--prices", fx["prices"],
+                          "--weights", fx["weights"],
+                          "--survey-estimate", fx["estimate"],
+                          "--proxy", "age_lt26", "--periods", "0,1")
+    assert [row["kind"] for row in payload["results"]
+            if row["type"] == "test_result"] == ([] if command == "btest" else ["Z"])
+    assert payload["warnings"] == [
+        "B-test skipped for period subset '0,1': the slope fit needs at least 3 "
+        "periods, the subset has 2"]
 
 
 def test_full_report_combines_sections(capsys, fx):
@@ -542,6 +588,42 @@ def test_data_errors_exit_2(capsys, fx, tmp_path):
 
 
 
+def test_overflowing_weights_are_a_data_error(capsys, fx, tmp_path):
+    lines = Path(fx["weights"]).read_text(encoding="utf-8").splitlines()
+    huge = [i for i, line in enumerate(lines) if line.startswith("age_lt26,")][:2]
+    for i in huge:
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",1e308"
+    weights = tmp_path / "weights.csv"
+    weights.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "ztest", "--prices", fx["prices"],
+                         "--weights", str(weights), "--survey-estimate", fx["estimate"])
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": {
+        "code": "data_error",
+        "message": f"{weights}: weight vector 'age_lt26' overflows: its weights sum to inf",
+    }}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["ztest", "coverage"])
+def test_an_overflowing_expenditure_total_is_a_data_error(capsys, fx, tmp_path, command):
+    lines = Path(fx["micro"]).read_text(encoding="utf-8").splitlines()
+    scaled = [lines[0]]
+    for line in lines[1:]:
+        household, group, amount, stratum = line.split(",")
+        scaled.append(f"{household},{group},{float(amount) * 1e307!r},{stratum}")
+    micro = tmp_path / "micro.csv"
+    micro.write_text("\n".join(scaled) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, command, "--prices", fx["prices"],
+                         "--weights", fx["weights"], "--survey-micro", str(micro),
+                         "--proxy", "age_lt26")
+    assert (code, out) == (2, "")
+    # each stratum's 15 households sum to a finite total; all 60 do not
+    assert err == json.dumps({"error": {
+        "code": "data_error",
+        "message": "the pooled expenditure total of 60 households overflows to inf",
+    }}, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize("body, message", [
     (b"p,a,1.0\np,b,\xff2.0\n", ": not UTF-8 text: invalid start byte"),
@@ -588,3 +670,138 @@ def test_module_entry_point_smoke():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("indexaudit, version ")
+
+
+# --- every configuration error cli.py raises ------------------------------------------
+
+PRICES = ("--prices", "{prices}", "--weights", "{weights}")
+ESTIMATE = (*PRICES, "--survey-estimate", "{estimate}")
+MICRO = (*PRICES, "--survey-micro", "{micro}")
+SIMULATED = ("--groups", "a,b", "--n", "3", "--out", "{tmp}/sim.csv")
+
+# (argv, the exact message of its one-line JSON error); "{name}" stands for
+# an input file, "{tmp}" for a directory that holds a plain file "file"
+CONFIG_ERRORS = [
+    (("coverage", *ESTIMATE, "--proxy", "age_lt26", "--omega=inf"),
+     "--omega must be finite, got inf"),
+    (("coverage", *ESTIMATE, "--proxy", "age_lt26", "--omega=-1"),
+     "--omega must be positive, got -1.0"),
+    (("coverage", *ESTIMATE, "--proxy", "age_lt26", "--alpha=1.5"),
+     "--alpha must lie in (0, 1), got 1.5"),
+    (("coverage", *ESTIMATE, "--proxy", "age_lt26", "--omega=1e-200"),
+     "omega 1e-200 is out of range: sigma^2 = (omega / kappa)^2 = 0.0 and "
+     "sigma^6 = 0.0 must be positive finite floats"),
+    (("report", *ESTIMATE, "--proxy", "age_lt26", "--omega=0.05", "--omega-se-mult=2"),
+     "pass --omega or --omega-se-mult, not both"),
+    (("coverage", *ESTIMATE, "--proxy", "age_lt26", "--var-of-variance=-1"),
+     "--var-of-variance must be non-negative, got -1.0"),
+    (("verify", "--jobs", "0"), "--jobs must be at least 1, got 0"),
+    (("simulate", "--true-weights", "1,2", "--groups", "a,b", "--n", "0",
+      "--out", "{tmp}/sim.csv"), "--n must be positive, got 0"),
+    (("ztest", *PRICES), "pass exactly one of --survey-micro or --survey-estimate"),
+    (("btest", *ESTIMATE, "--survey-stratum", "age_lt26"),
+     "--survey-stratum only applies to --survey-micro input"),
+    (("ztest", *ESTIMATE, "--periods", "2015-13"),
+     "period token '2015-13' is neither a period label nor a position"),
+    (("btest", *ESTIMATE, "--periods", "0:36"), "period position 36 out of range [0, 35]"),
+    (("mse", *ESTIMATE, "--proxy", "age_lt26", "--periods= "), "empty --periods value"),
+    (("ztest", *ESTIMATE, "--periods", "5:2"), "backwards period range '5:2'"),
+    (("report", *MICRO, "--survey-stratum", "age_99plus", "--proxy", "age_lt26"),
+     "unknown survey stratum 'age_99plus'; file has age_26_40, age_41_67, age_68plus, "
+     "age_lt26"),
+    (("ztest", *ESTIMATE, "--proxy", "age_99plus"),
+     "unknown proxy source 'age_99plus'; file has age_26_40, age_41_67, age_68plus, "
+     "age_lt26"),
+    (("coverage", *MICRO, "--survey-stratum", "age_lt26", "--survey-stratum", "age_68plus",
+      "--proxy", "age_lt26"), "this command takes exactly one --survey-stratum"),
+    (("mse", *ESTIMATE), "this command needs exactly one proxy source (pass --proxy)"),
+    (("coverage", *PRICES, "--survey-estimate", "{zero_covariance}", "--proxy", "age_lt26"),
+     "audit standard error is zero; pass --omega explicitly"),
+    (("report", *PRICES, "--survey-estimate", "{no_count}", "--proxy", "age_lt26"),
+     "survey estimate has no household count; pass --var-of-variance"),
+    (("simulate", "--n", "3", "--out", "{tmp}/sim.csv"),
+     "pass exactly one of --true-weights or --weights-file with --source"),
+    (("simulate", "--true-weights", "1,2", "--n", "3", "--out", "{tmp}/sim.csv"),
+     "--true-weights needs --groups labels"),
+    (("simulate", "--true-weights", "1;2", *SIMULATED),
+     "--true-weights must be comma-separated floats, got '1;2'"),
+    (("simulate", "--true-weights", "1,2,3", *SIMULATED), "3 weights for 2 group labels"),
+    (("simulate", "--true-weights", "1,-2", *SIMULATED),
+     "weight vector 'true' has a negative weight at group 'b'"),
+    (("simulate", "--weights-file", "{weights}", "--n", "3", "--out", "{tmp}/sim.csv"),
+     "--weights-file needs --source to pick a vector"),
+    (("simulate", "--weights-file", "{weights}", "--source", "age_99plus", "--n", "3",
+      "--out", "{tmp}/sim.csv"),
+     "unknown source 'age_99plus'; file has age_26_40, age_41_67, age_68plus, age_lt26"),
+    (("simulate", "--true-weights", "1,2", "--dispersion", "1e10", *SIMULATED),
+     "dispersion 10000000000.0 is out of range: household totals or shares drawn with "
+     "it are not finite"),
+    (("simulate", "--true-weights", "1,2", "--groups", "a,b", "--n", "3",
+      "--out", "{tmp}/file/sim.csv"),
+     "cannot write households to {tmp}/file/sim.csv: [Errno 17] File exists: '{tmp}/file'"),
+    (("ztest", *ESTIMATE, "--output", "{tmp}/file/report.json"),
+     "cannot write report to {tmp}/file/report.json: [Errno 17] File exists: "
+     "'{tmp}/file'"),
+]
+
+# raises that click's own checks keep every command line from reaching
+UNREACHABLE = {
+    "f'unknown format {self.fmt!r}'",  # --format is a click.Choice
+    "f'unknown command {config.command!r}'",  # click runs only the commands it has
+}
+
+
+@pytest.fixture(scope="module")
+def error_inputs(tmp_path_factory, fixture_dir):
+    tmp = tmp_path_factory.mktemp("config_errors")
+    (tmp / "file").write_text("")
+    estimate = (fixture_dir / "survey_estimate.csv").read_text(encoding="utf-8")
+    zero_covariance = tmp / "zero_covariance.csv"
+    zero_covariance.write_text("".join(
+        line.rsplit(",", 1)[0] + ",0.0\n" if line.startswith("cov,") else line + "\n"
+        for line in estimate.splitlines()), encoding="utf-8")
+    no_count = tmp / "no_count.csv"
+    no_count.write_text("".join(line + "\n" for line in estimate.splitlines()
+                                if not line.startswith("households,")), encoding="utf-8")
+    return {"prices": fixture_dir / "prices.csv", "weights": fixture_dir / "weights.csv",
+            "estimate": fixture_dir / "survey_estimate.csv",
+            "micro": fixture_dir / "ces_micro.csv", "zero_covariance": zero_covariance,
+            "no_count": no_count, "tmp": tmp}
+
+
+def fill(text, inputs):
+    for name, path in inputs.items():
+        text = text.replace("{" + name + "}", str(path))
+    return text
+
+
+@pytest.mark.parametrize("argv, message", CONFIG_ERRORS)
+def test_config_error_is_one_exact_json_line(capsys, error_inputs, argv, message):
+    code, out, err = run(capsys, *(fill(arg, error_inputs) for arg in argv))
+    expected = {"error": {"code": "config_error", "message": fill(message, error_inputs)}}
+    assert (code, out, err) == (1, "", json.dumps(expected, sort_keys=True) + "\n")
+
+
+def test_every_config_error_raise_has_a_row(capsys, monkeypatch, error_inputs):
+    from indexaudit import cli as cli_module
+    from indexaudit.errors import ConfigError
+
+    raised_at: set[int] = set()
+
+    class Recorded(ConfigError):
+        def __init__(self, message):
+            caller = sys._getframe(1)
+            if caller.f_code.co_filename == cli_module.__file__:
+                raised_at.add(caller.f_lineno)
+            super().__init__(message)
+
+    monkeypatch.setattr(cli_module, "ConfigError", Recorded)
+    for argv, _ in CONFIG_ERRORS:
+        assert run(capsys, *(fill(arg, error_inputs) for arg in argv))[0] == 1
+    tree = ast.parse(Path(cli_module.__file__).read_text(encoding="utf-8"))
+    raises = {node.exc.lineno: ast.unparse(node.exc.args[0]) for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and getattr(node.exc.func, "id", None) == "ConfigError"}
+    assert len(raises) > len(UNREACHABLE)
+    assert {message for line, message in raises.items()
+            if line not in raised_at} == UNREACHABLE

@@ -79,6 +79,10 @@ def test_weight_vector_validation_errors():
         WeightVector([0.0, 0.0])
     with pytest.raises(ValidationError, match="non-finite"):
         WeightVector([0.5, np.inf])
+    # each weight finite, their sum not
+    with pytest.raises(ValidationError, match="^weight vector 'w' overflows: its weights "
+                                              "sum to inf$"):
+        WeightVector([1e308, 1e308, 0.1], label="w")
     with pytest.raises(ValidationError, match="3 group labels for 2"):
         WeightVector([0.5, 0.5], group_labels=("a", "b", "c"))
     with pytest.raises(ValidationError, match="'w' has duplicate group labels"):

@@ -1,4 +1,5 @@
 import filecmp
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -245,3 +246,38 @@ def test_committed_fixtures_match_builder_output(tmp_path, fixture_dir):
                  "ces_micro.csv"):
         assert filecmp.cmp(tmp_path / name, fixture_dir / name, shallow=False), \
             f"{name} drifted from its builder; run tests/build_fixtures.py"
+
+
+# --- byte-order mark ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("name, loader", [
+    ("prices.csv", "load_prices"),
+    ("weights.csv", "load_weights"),
+    ("survey_estimate.csv", "load_weight_estimate"),
+    ("ces_micro.csv", "load_households"),
+])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, fixture_dir, monkeypatch,
+                                              food_prices, name, loader, quoted):
+    def load(path):
+        if loader == "load_prices":
+            return dataio.load_prices(path)
+        return getattr(dataio, loader)(path, food_prices.group_labels)
+
+    text = (fixture_dir / name).read_text(encoding="utf-8")
+    if quoted:
+        # a quoted header cell sends the file through the csv module
+        text = '"' + text.replace(",", '",', 1)
+    plain = write(tmp_path, "plain.csv", text)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    read_columns, fallbacks = dataio._read_columns, []
+
+    def counted(*args, **kwargs):
+        fallbacks.append(args[0])
+        return read_columns(*args, **kwargs)
+
+    monkeypatch.setattr(dataio, "_read_columns", counted)
+    assert pickle.dumps(load(marked)) == pickle.dumps(load(plain))
+    assert fallbacks == ([marked, plain] if quoted else [])

@@ -2,7 +2,8 @@
 replaced (``montecarlo_oracle``): the same draws must give the same bits at
 and across every block and chunk boundary, and each check's traced peak must
 stay within the arrays it holds whole and the arrays of one block. With
-several jobs, no check array lives in the parent process."""
+several jobs, no check array lives in the parent process. The statistics the
+Z/B checks draw agree with the package's own ``z_test`` and ``b_test``."""
 
 from __future__ import annotations
 
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 
 import montecarlo_oracle as oracle
 from indexaudit import gaussian, montecarlo
+from indexaudit.bias_tests import b_test, z_test
+from indexaudit.core import WeightVector
 from indexaudit.coverage import EvalScheme
 from indexaudit.montecarlo import SimulationPlan
+from indexaudit.survey import WeightEstimate
 
 SIGMA2 = EvalScheme(alpha=0.95, omega=0.058).sigma ** 2
 # 1,000,000 is the coverage chunk: below, at, and across its boundary
@@ -114,6 +118,36 @@ def test_draw_statistics_is_bit_identical(replicates, shift):
     want = oracle.draw_statistics(np.random.Generator(np.random.PCG64(3)),
                                   replicates, true_weights)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.004])
+def test_draw_statistics_match_z_test_and_b_test(shift):
+    # the calibration and power checks form both statistics inline from the
+    # design; the package's own tests must give the same values on the same
+    # drawn estimates. They differ by WeightVector's renormalisation: eigh
+    # leaves the covariance root a tiny all-ones component, so each draw sums
+    # to 1 only within ~4e-10, and dividing by that sum moves the statistic
+    # by the gap times (p . w) / stderr, ~1e-6 in z units
+    design = montecarlo._DESIGN
+    replicates = 300
+    true_weights = design.weights + shift * design.trend_direction
+    z_stats, b_stats = montecarlo._draw_statistics(
+        np.random.Generator(np.random.PCG64(11)), replicates, true_weights)
+    draws = (np.random.Generator(np.random.PCG64(11)).standard_normal((replicates, 5))
+             @ design.cov_root.T + true_weights)
+    proxy = WeightVector(design.weights, label="proxy")
+    estimates = [WeightEstimate(point=WeightVector(w, label="survey"),
+                                covariance=design.covariance) for w in draws]
+    z_got = np.array([z_test(design.prices, e, proxy).statistic for e in estimates])
+    b_got = np.array([b_test(design.prices, e, proxy).statistic for e in estimates])
+    gap = np.abs(draws.sum(axis=1) - 1.0)
+    assert gap.max() < 1e-9
+    # the rest is rounding: mean prices and slope coefficients summed in
+    # another order differ from the design's in the last bits
+    z_bound = gap * np.abs(draws @ design.mean_prices) / design.z_stderr + 1e-12
+    b_bound = gap * np.abs(draws @ design.slope_coefficients) / design.b_stderr + 1e-12
+    assert np.all(np.abs(z_got - z_stats) <= z_bound)
+    assert np.all(np.abs(b_got - b_stats) <= b_bound)
 
 
 @pytest.mark.parametrize("sample", [

@@ -136,6 +136,15 @@ def test_estimate_weights_needs_two_usable_households():
                                    ("h2", [0.0, 0.0])))
 
 
+def test_estimate_weights_refuses_an_overflowing_total():
+    # every household's total is finite; the pooled total is not
+    rows = panel(("h1", [1e307, 8e307]), ("h2", [5e307, 4e307]), ("h3", [0.0, 0.0]))
+    with pytest.warns(AuditWarning, match="dropped 1 household"):
+        with pytest.raises(ValidationError, match="^the pooled expenditure total of 2 "
+                                                  "households overflows to inf$"):
+            estimate_weights(rows)
+
+
 def test_household_panel_rejects_mismatched_shapes():
     with pytest.raises(DimensionMismatchError, match="2 household ids"):
         HouseholdPanel(("h1", "h2"), np.ones((3, 2)))
