@@ -104,6 +104,11 @@ def _describe_periods(prices: PriceSeries, periods: Sequence[int] | None) -> str
 def _level_variance(p_bar: np.ndarray, estimate: WeightEstimate) -> float:
     variance = float(p_bar @ estimate.covariance @ p_bar)
     scale = float(np.max(np.abs(p_bar)))
+    if not math.isfinite(variance):
+        raise ValidationError(
+            f"index-level variance overflows: mean_p'V mean_p is {variance} for "
+            f"mean prices up to {scale:.3g}; no Z-test possible"
+        )
     if variance < 1e-20 * scale * scale:
         raise DegenerateVarianceError(
             f"index-level variance {variance:.3e} is numerically zero at "
@@ -171,7 +176,14 @@ def unity_slope_fit(prices: PriceSeries, estimate: WeightEstimate,
     centered -= centered.mean()  # second pass kills the O(eps * level) residue
     denom = float(np.dot(centered, centered))
     scale = float(np.max(np.abs(proxy_series)))
-    if denom <= chosen.size * (1e-12 * scale) ** 2:
+    if not math.isfinite(denom):
+        raise ValidationError(
+            f"proxy-weighted index variation overflows: it is {denom} over the "
+            f"chosen periods for index values up to {scale:.3g}; slope undefined"
+        )
+    # tolerance * tolerance is inf, not an OverflowError, beyond ~1e166
+    tolerance = 1e-12 * scale
+    if denom <= chosen.size * (tolerance * tolerance):
         raise UndefinedSlopeError(
             f"proxy-weighted index is constant over the chosen periods "
             f"(variation {denom:.3e}); slope undefined"
@@ -191,6 +203,10 @@ def b_test(prices: PriceSeries, estimate: WeightEstimate, w_proxy: WeightVector,
     """
     fit = unity_slope_fit(prices, estimate, w_proxy, periods)
     variance = float(fit.coefficients @ estimate.covariance @ fit.coefficients)
+    if not math.isfinite(variance):
+        raise ValidationError(
+            f"slope variance overflows: c'Vc is {variance}; no B-test possible"
+        )
     if variance < 1e-20:
         raise DegenerateVarianceError(
             f"slope variance {variance:.3e} is numerically zero; no B-test possible"

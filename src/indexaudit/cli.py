@@ -7,9 +7,10 @@ default or as an aligned table with --format table, to stdout unless
 
 Exit codes: 0 success, 1 configuration error (bad flags, missing files),
 2 data error (files that parse or validate wrong), 3 verification failure
-(the Monte Carlo suite tripped a gate), 4 a verify worker process died. All
-failures print a one-line JSON error object to stderr; invalid input never
-produces a traceback.
+(the Monte Carlo suite tripped a gate), 4 a worker process failed (a verify
+worker, or one of the processes simulate writes its file with). All failures
+print a one-line JSON error object to stderr; invalid input never produces a
+traceback.
 """
 
 from __future__ import annotations
@@ -191,26 +192,35 @@ def _section_pool(config: RunConfig) -> str:
 
 def _load_survey_estimates(config: RunConfig, prices: PriceSeries,
                            every_pool: bool) -> dict[str, WeightEstimate]:
-    """Survey-side estimates keyed by stratum ('all' pools every household):
-    every pool for a test battery, else only the pool the sections evaluate."""
+    """Survey-side estimates keyed by stratum ('all' pools every household,
+    tagged or not): every pool for a test battery, else only the pool the
+    sections evaluate."""
     if config.survey_estimate_path is not None:
         return {"survey": load_weight_estimate(config.survey_estimate_path,
                                                prices.group_labels)}
     panel = load_households(config.survey_micro_path, prices.group_labels)
     rows_by_stratum: dict[str, list[int]] = {}
     for row, stratum in enumerate(panel.strata):
-        rows_by_stratum.setdefault(stratum or "all", []).append(row)
+        if stratum is not None:
+            rows_by_stratum.setdefault(stratum, []).append(row)
+    if "all" in rows_by_stratum:
+        raise ValidationError(
+            f"{config.survey_micro_path}: stratum 'all' is reserved for the "
+            f"pooled sample of every household"
+        )
     # each pool's household rows; None is every household
+    pools: dict[str, list[int] | None] = {**rows_by_stratum, "all": None}
     if config.survey_strata:
-        unknown = [s for s in config.survey_strata if s not in rows_by_stratum]
+        unknown = [s for s in config.survey_strata if s not in pools]
         if unknown:
             raise ConfigError(
                 f"unknown survey stratum {unknown[0]!r}; file has "
-                f"{', '.join(sorted(rows_by_stratum))}"
+                f"{', '.join(sorted(rows_by_stratum)) or 'no strata'}"
             )
-        pools = {stratum: rows_by_stratum[stratum] for stratum in config.survey_strata}
-    else:
-        pools = {**rows_by_stratum, "all": None} if len(rows_by_stratum) > 1 else {"all": None}
+        pools = {stratum: pools[stratum] for stratum in config.survey_strata}
+    elif len(rows_by_stratum) == 1 and None not in panel.strata:
+        # one stratum that holds every household is the pooled sample
+        pools = {"all": None}
     if not every_pool:
         label = _section_pool(config)
         pools = {label: pools[label]}
@@ -353,7 +363,8 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
 
     digest, target = hashlib.sha256(), Path(config.out_path)
     # --out is treated as --output is: its directories are made, and a path
-    # that cannot be written is a config error
+    # that cannot be written is a config error; a file the writer could not
+    # finish it removes, whatever stopped it
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         write_households(target, panel, groups)

@@ -3,7 +3,7 @@
 Every failure the library raises on purpose derives from :class:`AuditError`,
 and each class carries the process exit code the CLI maps it to. Exit codes:
 0 success, 1 configuration error, 2 data error, 3 verification failure,
-4 a verification worker process died.
+4 a worker process died.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ class VerificationFailure(AuditError):
 
 
 class WorkerFailure(AuditError):
-    """A worker process of the verification suite died (killed, out of memory)
-    before its check finished; no check result is lost silently."""
+    """A worker process died or failed before its part of the work finished:
+    a verification suite worker (killed, out of memory), or a process that
+    writes part of a micro file. No result is lost silently."""
 
     exit_code = 4
     code = "worker_failure"

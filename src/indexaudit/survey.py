@@ -14,6 +14,7 @@ so estimator behavior can be checked end to end.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import InitVar, dataclass
 from typing import Sequence
@@ -245,7 +246,13 @@ def index_variance(prices: PriceSeries, estimate: WeightEstimate,
             )
         price_vec = prices.values[:, t]
     quad = float(price_vec @ estimate.covariance @ price_vec)
-    scale = float(np.max(np.abs(price_vec))) ** 2 * max(float(np.trace(estimate.covariance)), 0.0)
+    peak = float(np.max(np.abs(price_vec)))
+    if not math.isfinite(quad):
+        raise ValidationError(
+            f"index variance overflows: p'Vp is {quad} for prices up to {peak:.3g}"
+        )
+    # peak * peak is inf, not an OverflowError, for prices beyond ~1e154
+    scale = peak * peak * max(float(np.trace(estimate.covariance)), 0.0)
     if quad < -1e-10 * max(scale, 1e-30):
         raise ValidationError(
             f"index variance came out negative ({quad:.3e}); covariance is broken"

@@ -1,10 +1,12 @@
-"""Row-wise reference loader for household micro data.
+"""Row-wise reference loader and writer for household micro data.
 
 This is the loader ``dataio.load_households`` replaced: it reads the file
 into one dict per row, sums repeated cells in a dict of dicts, and checks
 each household's expenditures as the per-household record type did. The
-property tests compare the columnar loader against it, so keep it as it
-is: a change here no longer tests what the old code did.
+writer is the one ``dataio.write_households`` replaced: one ``csv.writer``
+row per household and group. The property tests compare the columnar
+loader and the split writer against them, so keep them as they are: a
+change here no longer tests what the old code did.
 """
 
 from __future__ import annotations
@@ -123,3 +125,20 @@ def load_households(path: str | Path, group_labels: Sequence[str] | None = None
         matrix.append(expenditures)
     return (tuple(household_order), tuple(strata[h] for h in household_order),
             np.stack(matrix))
+
+
+def write_households(path: str | Path, panel, group_labels: Sequence[str]) -> None:
+    with_stratum = any(stratum is not None for stratum in panel.strata)
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        header = ["household_id", "group", "expenditure"]
+        if with_stratum:
+            header.append("stratum")
+        writer.writerow(header)
+        for household, stratum, amounts in zip(panel.household_ids, panel.strata,
+                                               panel.expenditures):
+            for group, amount in zip(group_labels, amounts):
+                row = [household, group, repr(float(amount))]
+                if with_stratum:
+                    row.append(stratum or "")
+                writer.writerow(row)

@@ -1,14 +1,18 @@
 import ast
+import errno
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
 import pytest
 
+import micro_oracle
 from indexaudit import dataio
 from indexaudit.cli import cli, main
 from indexaudit.report import parse_report
@@ -114,6 +118,49 @@ def test_micro_without_stratum_pools_households(capsys, fx):
                           "--proxy", "age_lt26")
     surveys = sorted({row["metadata"]["survey"] for row in payload["results"]})
     assert surveys == ["age_26_40", "age_41_67", "age_68plus", "age_lt26", "all"]
+
+
+@pytest.fixture
+def partly_tagged(tmp_path):
+    """Two groups over three periods, and four households: two untagged and
+    two in stratum 'x'."""
+    prices = tmp_path / "prices.csv"
+    prices.write_text("period,group,index\nt0,a,100\nt0,b,100\nt1,a,101\nt1,b,99\n"
+                      "t2,a,103\nt2,b,98\n", encoding="utf-8")
+    weights = tmp_path / "weights.csv"
+    weights.write_text("source,group,weight\np,a,0.5\np,b,0.5\n", encoding="utf-8")
+    micro = tmp_path / "micro.csv"
+    micro.write_text("household_id,group,expenditure,stratum\n"
+                     "h1,a,3,\nh1,b,1,\nh2,a,1,\nh2,b,2,\n"
+                     "h3,a,2,x\nh3,b,2,x\nh4,a,1,x\nh4,b,4,x\n", encoding="utf-8")
+    return ("--prices", str(prices), "--weights", str(weights),
+            "--survey-micro", str(micro))
+
+
+def test_pool_all_is_every_household_with_or_without_the_flag(capsys, partly_tagged):
+    pooled = run_machine(capsys, "mse", *partly_tagged, "--proxy", "p")
+    flagged = run_machine(capsys, "mse", *partly_tagged, "--proxy", "p",
+                          "--survey-stratum", "all")
+    assert pooled["results"] == flagged["results"]
+    stratum_x = run_machine(capsys, "mse", *partly_tagged, "--proxy", "p",
+                            "--survey-stratum", "x")
+    assert stratum_x["results"] != pooled["results"]
+    # the untagged households are tested only inside the pooled sample
+    payload = run_machine(capsys, "ztest", *partly_tagged)
+    assert [row["metadata"]["survey"] for row in payload["results"]] == ["all", "x"]
+
+
+def test_a_stratum_named_all_is_a_data_error(capsys, partly_tagged):
+    micro = Path(partly_tagged[-1])
+    micro.write_text(micro.read_text(encoding="utf-8").replace(",x", ",all"),
+                     encoding="utf-8")
+    code, out, err = run(capsys, "ztest", *partly_tagged)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": {
+        "code": "data_error",
+        "message": f"{micro}: stratum 'all' is reserved for the pooled sample of "
+                   f"every household",
+    }}, sort_keys=True) + "\n"
 
 
 # --- coverage / mse -----------------------------------------------------------------
@@ -343,6 +390,76 @@ def test_simulate_unwritable_out_is_a_one_line_config_error(capsys, tmp_path, wh
     body = json.loads(err)["error"]
     assert body["code"] == "config_error"
     assert str(target) in body["message"]
+
+
+def force_writer_parts(monkeypatch, parts):
+    monkeypatch.setattr(dataio, "_VALUES_PER_PART", 1)
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(parts)))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
+def test_simulate_split_writer_matches_the_reference_and_reaps(capsys, tmp_path,
+                                                               monkeypatch):
+    force_writer_parts(monkeypatch, 3)
+    out = tmp_path / "sim.csv"
+    payload = run_machine(capsys, "simulate", "--true-weights", "0.2,0.3,0.5",
+                          "--groups", 'a,"b",c d', "--n", "40", "--stratum", "r,1",
+                          "--out", str(out))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    reference = tmp_path / "reference.csv"
+    micro_oracle.write_households(reference, dataio.load_households(out),
+                                  ["a", '"b"', "c d"])
+    assert out.read_bytes() == reference.read_bytes()
+    assert payload["results"][0]["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["reference.csv", "sim.csv"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
+@pytest.mark.parametrize("death, how", [
+    (lambda: os._exit(1), "exited with code 1"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+])
+def test_a_dead_simulate_writer_exits_4_and_leaves_no_file(capsys, tmp_path, monkeypatch,
+                                                            death, how):
+    force_writer_parts(monkeypatch, 2)
+    writer, quote = os.getpid(), dataio._csv_field
+
+    def die_in_a_child(text):
+        if os.getpid() != writer:
+            death()
+        return quote(text)
+
+    monkeypatch.setattr(dataio, "_csv_field", die_in_a_child)
+    out = tmp_path / "sim.csv"
+    code, stdout, err = run(capsys, *SIMULATE, "--out", str(out))
+    assert (code, stdout) == (4, "")
+    assert err == json.dumps({"error": {
+        "code": "worker_failure", "message": f"a writer process for {out} {how}",
+    }}, sort_keys=True) + "\n"
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
+def test_a_failed_simulate_write_is_a_config_error_and_leaves_no_file(capsys, tmp_path,
+                                                                      monkeypatch):
+    force_writer_parts(monkeypatch, 2)
+
+    def full_disk(source, target):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    # the first range is in the file when the second one cannot be appended
+    monkeypatch.setattr(dataio.shutil, "copyfileobj", full_disk)
+    out = tmp_path / "sim.csv"
+    code, stdout, err = run(capsys, *SIMULATE, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == json.dumps({"error": {
+        "code": "config_error",
+        "message": f"cannot write households to {out}: [Errno 28] No space left on device",
+    }}, sort_keys=True) + "\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- verify -------------------------------------------------------------------------
@@ -622,6 +739,38 @@ def test_an_overflowing_expenditure_total_is_a_data_error(capsys, fx, tmp_path, 
         "code": "data_error",
         "message": "the pooled expenditure total of 60 households overflows to inf",
     }}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("report", "index-level variance overflows"),
+    ("ztest", "index-level variance overflows"),
+    ("btest", "proxy-weighted index variation overflows"),
+    ("coverage", "index variance overflows"),
+])
+@pytest.mark.parametrize("price", ["1e308", "1e200"])
+def test_an_overflowing_price_panel_names_the_overflow(capsys, tmp_path, command,
+                                                       message, price):
+    prices = tmp_path / "prices.csv"
+    prices.write_text("period,group,index\n" + "".join(
+        f"t{t},{group},{float(price) * (1.0 + 0.1 * t * (group == 'a'))!r}\n"
+        for t in range(3) for group in "ab"), encoding="utf-8")
+    weights = tmp_path / "weights.csv"
+    weights.write_text("source,group,weight\np,a,0.5\np,b,0.5\n", encoding="utf-8")
+    micro = tmp_path / "micro.csv"
+    micro.write_text("household_id,group,expenditure\nh1,a,1\nh1,b,2\nh2,a,3\n"
+                     "h2,b,1\nh3,a,2\nh3,b,2\n", encoding="utf-8")
+    argv = [command, "--prices", str(prices), "--weights", str(weights),
+            "--survey-micro", str(micro)]
+    if command in ("report", "coverage"):
+        argv += ["--proxy", "p"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    body = json.loads(err)["error"]
+    assert body["code"] == "data_error"
+    assert body["message"].startswith(message), body["message"]
 
 
 @pytest.mark.parametrize("quoted", [False, True])

@@ -1,11 +1,17 @@
 import filecmp
+import os
 import pickle
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import build_fixtures
+import micro_oracle
 from indexaudit import dataio
 from indexaudit.core import PriceSeries, WeightVector
 from indexaudit.errors import ConfigError, ValidationError
@@ -149,6 +155,128 @@ def test_households_without_stratum_column(tmp_path):
     assert path.read_text().splitlines()[0] == "household_id,group,expenditure"
     back = dataio.load_households(path)
     assert back.strata == (None,)
+
+
+# labels csv.writer quotes: a comma, a quote, a line end, an empty id
+SPLIT_IDS = ["h1", "h,2", 'h"3', "h\n4", "", " h5 "]
+SPLIT_GROUPS = ["a", "b,c", 'd"e']
+SPLIT_STRATA = ["r1", None, "r,2", 'r"3']
+
+
+def split_panel(n_households, with_strata):
+    rng = np.random.default_rng(n_households)
+    # amounts from subnormal to near the float maximum, and exact zeros
+    amounts = rng.random((n_households, 3)) * 10.0 ** rng.integers(-320, 300, (n_households, 3))
+    amounts[rng.random((n_households, 3)) < 0.1] = 0.0
+    return HouseholdPanel(
+        tuple(f"{SPLIT_IDS[i % len(SPLIT_IDS)]}{i}" for i in range(n_households)),
+        amounts,
+        tuple(SPLIT_STRATA[i % len(SPLIT_STRATA)] for i in range(n_households))
+        if with_strata else None)
+
+
+def force_parts(monkeypatch, parts):
+    """Make write_households split any panel into ``parts`` ranges, or one
+    per amount where it has fewer amounts."""
+    monkeypatch.setattr(dataio, "_VALUES_PER_PART", 1)
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(parts)))
+
+
+def assert_written_as_reference(tmp_path, panel, parts):
+    assert dataio._part_count(len(panel) * len(SPLIT_GROUPS)) == min(
+        parts, len(panel) * len(SPLIT_GROUPS))
+    got, want = tmp_path / "split.csv", tmp_path / "reference.csv"
+    dataio.write_households(got, panel, SPLIT_GROUPS)
+    micro_oracle.write_households(want, panel, SPLIT_GROUPS)
+    assert got.read_bytes() == want.read_bytes()
+    # no temporary file is left beside the output, and no child unreaped
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["reference.csv",
+                                                                "split.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
+@pytest.mark.parametrize("with_strata", [False, True])
+@pytest.mark.parametrize("n_households", [1, 2, 5, 50])
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_split_writer_writes_the_reference_bytes(tmp_path, monkeypatch, parts,
+                                                 n_households, with_strata):
+    force_parts(monkeypatch, parts)
+    assert_written_as_reference(tmp_path, split_panel(n_households, with_strata), parts)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 4), st.booleans())
+def test_split_writer_matches_reference_for_any_split(tmp_path_factory, n_households,
+                                                      parts, with_strata):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_parts(monkeypatch, parts)
+        assert_written_as_reference(tmp_path_factory.mktemp("split"),
+                                    split_panel(n_households, with_strata), parts)
+
+
+def test_writer_splits_only_large_panels_of_a_single_threaded_linux_process(monkeypatch):
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(4)))
+    linux = sys.platform == "linux"
+    assert [dataio._part_count(values) for values in (1, 65_535, 65_536, 131_072,
+                                                      200_001, 10**9)] == (
+        [1, 1, 1, 2, 3, 4] if linux else [1] * 6)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10,))
+    waiter.start()
+    try:
+        assert dataio._part_count(10**9) == 1
+    finally:
+        release.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+
+
+def fail_on_first_household(monkeypatch, panel):
+    """Make this process, and no forked child, fail on the panel's first
+    household."""
+    writer, quote = os.getpid(), dataio._csv_field
+
+    def field(text):
+        if os.getpid() == writer and text == panel.household_ids[0]:
+            raise RuntimeError("the first range fails")
+        return quote(text)
+
+    monkeypatch.setattr(dataio, "_csv_field", field)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
+def test_a_failure_in_the_writing_process_reaps_every_child(tmp_path, monkeypatch):
+    force_parts(monkeypatch, 3)
+    panel = split_panel(9, True)
+    fail_on_first_household(monkeypatch, panel)
+    with pytest.raises(RuntimeError, match="the first range fails"):
+        dataio.write_households(tmp_path / "split.csv", panel, SPLIT_GROUPS)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_failed_write_to_a_pipe_leaves_the_pipe(tmp_path, monkeypatch):
+    force_parts(monkeypatch, 2)
+    panel = split_panel(4, False)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # an open reader lets the writer open the pipe without blocking
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        dataio.write_households(fifo, panel, SPLIT_GROUPS)
+        micro_oracle.write_households(tmp_path / "reference.csv", panel, SPLIT_GROUPS)
+        assert os.read(reader, 1 << 16) == (tmp_path / "reference.csv").read_bytes()
+        fail_on_first_household(monkeypatch, panel)
+        with pytest.raises(RuntimeError, match="the first range fails"):
+            dataio.write_households(fifo, panel, SPLIT_GROUPS)
+    finally:
+        os.close(reader)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "reference.csv"]
 
 
 def test_households_sum_repeated_cells(tmp_path):

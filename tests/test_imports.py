@@ -124,3 +124,89 @@ def test_every_name_the_benchmark_wraps_is_read_where_it_is_wrapped(monkeypatch)
             reads = _cli_reads(cli_table, attribute)
             assert reads, attribute
             assert all(as_global for _, as_global in reads), (attribute, reads)
+
+
+def _is_call(node: ast.AST, module: str, function: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == function and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == module)
+
+
+def _unsafe_forks(tree: ast.AST) -> list[int]:
+    """The line of every ``os.fork()`` whose child could return into the
+    caller's code: each must be assigned to a name, followed in the same block
+    by ``if <name> == 0:``, and that branch must end in a ``try`` whose
+    ``finally`` ends in ``os._exit(...)``, with only constant assignments
+    before it."""
+    forks = {node.lineno for node in ast.walk(tree) if _is_call(node, "os", "fork")}
+    safe = set()
+    for node in ast.walk(tree):
+        for _, block in ast.iter_fields(node):
+            if not isinstance(block, list):
+                continue
+            for i, statement in enumerate(block):
+                if not (isinstance(statement, ast.Assign) and len(statement.targets) == 1
+                        and isinstance(statement.targets[0], ast.Name)
+                        and _is_call(statement.value, "os", "fork")):
+                    continue
+                pid = statement.targets[0].id
+                child = next((s.body for s in block[i + 1:] if isinstance(s, ast.If)
+                              and ast.dump(s.test) == ast.dump(ast.parse(
+                                  f"{pid} == 0", mode="eval").body)), None)
+                if child is None:
+                    continue
+                *before, last = child
+                if (isinstance(last, ast.Try) and last.finalbody
+                        and isinstance(last.finalbody[-1], ast.Expr)
+                        and _is_call(last.finalbody[-1].value, "os", "_exit")
+                        and all(isinstance(s, ast.Assign) and isinstance(s.value, ast.Constant)
+                                for s in before)):
+                    safe.add(statement.lineno)
+    return sorted(forks - safe)
+
+
+FORKS = """
+import os
+
+def leaves(work):
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            work()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+def returns(work):
+    pid = os.fork()
+    if pid == 0:
+        work()
+        os._exit(0)
+    return pid
+
+def exits_too_late(work):
+    pid = os.fork()
+    if pid == 0:
+        try:
+            work()
+        finally:
+            pass
+        os._exit(0)
+
+def never_checked():
+    return os.fork()
+"""
+
+
+def test_every_forked_child_leaves_through_os_exit_in_a_finally():
+    # a child that returns into the caller's code would run on in the
+    # caller's program (a test runner, or the benchmark harness)
+    examples = {function.name: bool(_unsafe_forks(function))
+                for function in ast.parse(FORKS).body if isinstance(function, ast.FunctionDef)}
+    assert examples == {"leaves": False, "returns": True, "exits_too_late": True,
+                        "never_checked": True}
+    unsafe = {path.name: _unsafe_forks(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in unsafe.items() if lines} == {}
