@@ -23,10 +23,9 @@ from ._version import __version__
 _EXPORTS = {
     "bias_tests": ("TestKind", "TestResult", "UnitySlopeFit", "b_test",
                    "cross_group_battery", "unity_slope_fit", "z_test"),
-    "core": ("PriceSeries", "TrendDecomposition", "WeightAggregates", "WeightVector",
-             "index_series", "mean_price_vector", "mean_source_effect",
-             "relative_weight_diff", "source_effect", "trend_decomposition",
-             "weight_aggregates", "weighted_covariance", "weighted_index"),
+    "core": ("PriceSeries", "WeightVector", "mean_price_vector", "mean_source_effect",
+             "relative_weight_diff", "source_effect", "weighted_covariance",
+             "weighted_index"),
     "coverage": ("BreakEvenResult", "CoverageEstimate", "EvalScheme", "MseEstimate",
                  "break_even_variance", "coverage_kernel", "coverage_of_constant",
                  "coverage_of_unbiased", "default_variance_of_variance",

@@ -127,6 +127,9 @@ class RunConfig:
             raise ConfigError(f"--jobs must be at least 1, got {self.jobs}")
         if self.n_households is not None and self.n_households < 1:
             raise ConfigError(f"--n must be positive, got {self.n_households}")
+        if self.stratum == "all":
+            raise ConfigError("--stratum 'all' is reserved for the pooled sample of every "
+                              "household")
         if self.command in _AUDITS:
             have_micro = self.survey_micro_path is not None
             have_estimate = self.survey_estimate_path is not None
@@ -538,7 +541,9 @@ _COMMANDS = (
         click.Option(["--seed"], type=int, default=42, show_default=True,
                      help="Master seed for the whole suite."),
         click.Option(["--scale"], type=float, default=1.0, show_default=True,
-                     help="Multiplier on every replicate count."),
+                     help="Multiplier on every replicate count. Below 1 a correct "
+                          "build fails by chance far more often: on about 7% of seeds "
+                          "at 1, 19% at 0.5 and 73% at 0.2."),
         click.Option(["--jobs"], type=int, default=1, show_default=True,
                      help="Worker processes (output is identical for any value)."),
     )),

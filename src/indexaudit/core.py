@@ -4,10 +4,7 @@ The central objects are a rectangular price panel (one row per expenditure
 group, one column per period) and normalized weight vectors over the same
 groups. A price index at period t is the weighted average of group prices,
 and the "source effect" of swapping one weight vector for another is the
-difference between the two resulting indices. Decomposing each group's price
-series into level + linear trend + residual (on centered time, so the trend
-regressor sums to zero) is what lets slope-based diagnostics separate trend
-disagreement from level disagreement.
+difference between the two resulting indices.
 
 All types are frozen dataclasses holding read-only arrays; instances are
 immutable and safe to share across threads.
@@ -16,7 +13,7 @@ immutable and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,17 +22,12 @@ from .errors import DimensionMismatchError, ValidationError
 __all__ = [
     "PriceSeries",
     "WeightVector",
-    "TrendDecomposition",
-    "WeightAggregates",
     "weighted_index",
-    "index_series",
     "mean_price_vector",
     "source_effect",
     "mean_source_effect",
     "relative_weight_diff",
     "weighted_covariance",
-    "trend_decomposition",
-    "weight_aggregates",
 ]
 
 
@@ -92,12 +84,6 @@ class PriceSeries:
     def n_periods(self) -> int:
         return self.values.shape[1]
 
-    def period_position(self, label: str) -> int:
-        try:
-            return self.period_labels.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown period label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -105,8 +91,7 @@ class WeightVector:
 
     The raw (pre-normalization) sum must be positive and finite. It is kept
     so callers can tell whether the input deviated from 1 by more than
-    rounding; ``needs_renormalization`` is True when it was off by more than
-    1e-6.
+    rounding.
     """
 
     w: np.ndarray
@@ -160,67 +145,6 @@ class WeightVector:
     def n_groups(self) -> int:
         return self.w.size
 
-    @property
-    def needs_renormalization(self) -> bool:
-        return abs(self.raw_sum - 1.0) > 1e-6
-
-
-class WeightAggregates(NamedTuple):
-    """Index-level summaries of a trend decomposition under one weight vector."""
-
-    mean_index: float
-    trend: float
-    residuals: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrendDecomposition:
-    """Per-group split of a panel into level, linear trend, and residual.
-
-    ``time_centers`` is the centered time regressor (it sums to zero), so for
-    group i the fitted value at column j is
-    ``mean_prices[i] + trends[i] * time_centers[j]`` and ``residuals[i, j]``
-    is what is left. Residuals sum to zero and are orthogonal to the
-    regressor within each group.
-    """
-
-    mean_prices: np.ndarray
-    trends: np.ndarray
-    time_centers: np.ndarray
-    residuals: np.ndarray
-
-    def __post_init__(self):
-        mean_prices = _frozen_array(self.mean_prices)
-        trends = _frozen_array(self.trends)
-        centers = _frozen_array(self.time_centers)
-        residuals = _frozen_array(self.residuals)
-        if residuals.ndim != 2:
-            raise ValidationError("residuals must be 2-dimensional")
-        m, t = residuals.shape
-        if mean_prices.shape != (m,) or trends.shape != (m,) or centers.shape != (t,):
-            raise ValidationError("decomposition fields have inconsistent shapes")
-        scale = max(1.0, float(np.max(np.abs(centers))) if t else 1.0)
-        if abs(float(np.sum(centers))) > 1e-9 * scale * t:
-            raise ValidationError("time centers must sum to zero")
-        object.__setattr__(self, "mean_prices", mean_prices)
-        object.__setattr__(self, "trends", trends)
-        object.__setattr__(self, "time_centers", centers)
-        object.__setattr__(self, "residuals", residuals)
-
-    @property
-    def n_groups(self) -> int:
-        return self.residuals.shape[0]
-
-    @property
-    def n_periods(self) -> int:
-        return self.residuals.shape[1]
-
-    def reconstruct(self) -> np.ndarray:
-        """The panel implied by the decomposition: level + trend + residual."""
-        return (self.mean_prices[:, None]
-                + np.outer(self.trends, self.time_centers)
-                + self.residuals)
-
 
 def _check_groups(prices: PriceSeries, weights: WeightVector) -> None:
     if weights.n_groups != prices.n_groups:
@@ -259,12 +183,6 @@ def weighted_index(prices: PriceSeries, weights: WeightVector, t: int) -> float:
     if not 0 <= t < prices.n_periods:
         raise ValidationError(f"period position {t} out of range [0, {prices.n_periods - 1}]")
     return float(np.dot(weights.w, prices.values[:, t]))
-
-
-def index_series(prices: PriceSeries, weights: WeightVector) -> np.ndarray:
-    """The full index series, one value per period."""
-    _check_groups(prices, weights)
-    return weights.w @ prices.values
 
 
 def mean_price_vector(prices: PriceSeries, periods: Sequence[int] | None = None) -> np.ndarray:
@@ -338,43 +256,3 @@ def weighted_covariance(x, y, w) -> float:
     x_mean = float(np.dot(wv, xv))
     y_mean = float(np.dot(wv, yv))
     return float(np.dot(wv, (xv - x_mean) * (yv - y_mean)))
-
-
-def trend_decomposition(prices: PriceSeries) -> TrendDecomposition:
-    """Per-group OLS of price on centered time.
-
-    The regressor at column j is ``j - (T - 1) / 2``; its values pair off
-    symmetrically so the sum is exactly zero. Each group's slope is the usual
-    least-squares ratio, which makes residuals orthogonal to the regressor.
-    Needs at least 2 periods.
-    """
-    t = prices.n_periods
-    if t < 2:
-        raise ValidationError("trend decomposition needs at least 2 periods")
-    delta = np.arange(t, dtype=float) - (t - 1) / 2.0
-    denom = float(np.dot(delta, delta))
-    means = prices.values.mean(axis=1)
-    slopes = (prices.values @ delta) / denom
-    residuals = prices.values - means[:, None] - np.outer(slopes, delta)
-    return TrendDecomposition(
-        mean_prices=means, trends=slopes, time_centers=delta, residuals=residuals
-    )
-
-
-def weight_aggregates(decomp: TrendDecomposition, weights: WeightVector) -> WeightAggregates:
-    """Aggregate a decomposition to index level under one weight vector.
-
-    Returns the weighted mean level, weighted trend, and the weighted residual
-    series; together with the time centers these reproduce the weighted index
-    series exactly.
-    """
-    if weights.n_groups != decomp.n_groups:
-        raise DimensionMismatchError(
-            f"weight vector {weights.label!r} has {weights.n_groups} groups, "
-            f"decomposition has {decomp.n_groups}"
-        )
-    return WeightAggregates(
-        mean_index=float(np.dot(weights.w, decomp.mean_prices)),
-        trend=float(np.dot(weights.w, decomp.trends)),
-        residuals=weights.w @ decomp.residuals,
-    )

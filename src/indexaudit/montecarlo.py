@@ -36,7 +36,7 @@ from .coverage import (
 )
 from .core import PriceSeries
 from .errors import ValidationError, WorkerFailure
-from .seeding import derive_seed
+from .seeding import derive_seed, generator
 
 __all__ = [
     "SCENARIOS",
@@ -374,9 +374,7 @@ def power_curve(plan: SimulationPlan) -> list[SimulationOutcome]:
     epsilons = [float(e) for e in plan.parameters.get("epsilons", default_eps)]
     outcomes: list[SimulationOutcome] = []
     for position, epsilon in enumerate(epsilons):
-        rng = np.random.Generator(
-            np.random.PCG64(derive_seed(plan.seed, position))
-        )
+        rng = generator(plan.seed, position)
         true_weights = design.weights + epsilon * direction
         z_hits, b_hits = map(_rejections,
                              _draw_statistics(rng, plan.replicates, true_weights))

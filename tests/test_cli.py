@@ -891,6 +891,8 @@ CONFIG_ERRORS = [
     (("ztest", *ESTIMATE, "--output", "{tmp}/file/report.json"),
      "cannot write report to {tmp}/file/report.json: [Errno 17] File exists: "
      "'{tmp}/file'"),
+    (("simulate", "--true-weights", "1,2", "--stratum", "all", *SIMULATED),
+     "--stratum 'all' is reserved for the pooled sample of every household"),
 ]
 
 # raises that click's own checks keep every command line from reaching
@@ -929,6 +931,7 @@ def test_config_error_is_one_exact_json_line(capsys, error_inputs, argv, message
     code, out, err = run(capsys, *(fill(arg, error_inputs) for arg in argv))
     expected = {"error": {"code": "config_error", "message": fill(message, error_inputs)}}
     assert (code, out, err) == (1, "", json.dumps(expected, sort_keys=True) + "\n")
+    assert not (error_inputs["tmp"] / "sim.csv").exists()
 
 
 def test_every_config_error_raise_has_a_row(capsys, monkeypatch, error_inputs):

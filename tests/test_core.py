@@ -6,13 +6,10 @@ import pytest
 from indexaudit.core import (
     PriceSeries,
     WeightVector,
-    index_series,
     mean_price_vector,
     mean_source_effect,
     relative_weight_diff,
     source_effect,
-    trend_decomposition,
-    weight_aggregates,
     weighted_covariance,
     weighted_index,
 )
@@ -56,18 +53,12 @@ def test_price_series_validation_errors():
 def test_price_series_is_immutable(tiny_prices):
     with pytest.raises(ValueError):
         tiny_prices.values[0, 0] = 1.0
-    assert tiny_prices.period_position("t1") == 1
-    with pytest.raises(ValidationError, match="unknown period"):
-        tiny_prices.period_position("t9")
 
 
 def test_weight_vector_normalizes_and_records_raw_sum():
     w = WeightVector([2.0, 3.0, 5.0])
     np.testing.assert_allclose(w.w, [0.2, 0.3, 0.5], rtol=1e-15)
     assert w.raw_sum == pytest.approx(10.0)
-    assert w.needs_renormalization
-    near = WeightVector([0.5 + 1e-9, 0.5])
-    assert not near.needs_renormalization
 
 
 def test_weight_vector_validation_errors():
@@ -109,14 +100,6 @@ def test_weighted_index_matches_fsum_oracle():
         oracle = math.fsum(weights.w[i] * prices.values[i, col] for i in range(m))
         assert weighted_index(prices, weights, col) == pytest.approx(
             oracle, rel=1e-12)
-
-
-def test_index_series_matches_per_period_values(tiny_prices):
-    w = WeightVector([0.5, 0.5])
-    series = index_series(tiny_prices, w)
-    np.testing.assert_allclose(series, [100.0, 100.5, 101.0], rtol=1e-15)
-    for t in range(3):
-        assert series[t] == weighted_index(tiny_prices, w, t)
 
 
 def test_weighted_index_bounds_checks(tiny_prices):
@@ -228,76 +211,6 @@ def test_weighted_covariance_validation():
         weighted_covariance([1.0, 2.0], [1.0, 2.0], [-0.5, 1.5])
     with pytest.raises(ValidationError, match="sum to zero"):
         weighted_covariance([1.0, 2.0], [1.0, 2.0], [0.0, 0.0])
-
-
-# --- trend decomposition --------------------------------------------------------
-
-
-def test_trend_decomposition_exact_on_linear_panel():
-    # prices exactly linear in time: residuals must vanish
-    t = np.arange(5, dtype=float)
-    values = np.vstack([100.0 + 2.0 * t, 90.0 - 1.5 * t])
-    prices = PriceSeries(values, ("a", "b"),
-                         tuple(f"p{j}" for j in range(5)))
-    decomp = trend_decomposition(prices)
-    np.testing.assert_allclose(decomp.trends, [2.0, -1.5], rtol=1e-14)
-    np.testing.assert_allclose(decomp.mean_prices, [104.0, 87.0], rtol=1e-14)
-    np.testing.assert_allclose(decomp.residuals, 0.0, atol=1e-12)
-    assert float(np.sum(decomp.time_centers)) == 0.0
-
-
-def test_trend_decomposition_matches_polyfit():
-    rng = np.random.default_rng(77)
-    prices = random_panel(rng, 6, 14)
-    decomp = trend_decomposition(prices)
-    time = np.arange(14, dtype=float)
-    for i in range(6):
-        slope, intercept = np.polyfit(time, prices.values[i], 1)
-        assert decomp.trends[i] == pytest.approx(slope, rel=1e-10)
-        fitted_mean = intercept + slope * time.mean()
-        assert decomp.mean_prices[i] == pytest.approx(fitted_mean, rel=1e-12)
-
-
-def test_trend_decomposition_invariants():
-    rng = np.random.default_rng(88)
-    for _ in range(10):
-        prices = random_panel(rng, int(rng.integers(2, 7)),
-                              int(rng.integers(2, 30)))
-        decomp = trend_decomposition(prices)
-        # residuals sum to zero and are orthogonal to the regressor, per group
-        scale = float(np.max(np.abs(prices.values)))
-        np.testing.assert_allclose(decomp.residuals.sum(axis=1), 0.0,
-                                   atol=1e-9 * scale)
-        np.testing.assert_allclose(decomp.residuals @ decomp.time_centers, 0.0,
-                                   atol=1e-9 * scale * decomp.n_periods)
-        np.testing.assert_allclose(decomp.reconstruct(), prices.values,
-                                   rtol=1e-13)
-
-
-def test_trend_decomposition_needs_two_periods():
-    prices = PriceSeries(np.array([[1.0], [2.0]]), ("a", "b"), ("only",))
-    with pytest.raises(ValidationError, match="at least 2 periods"):
-        trend_decomposition(prices)
-
-
-def test_weight_aggregates_reproduce_index_series():
-    rng = np.random.default_rng(99)
-    prices = random_panel(rng, 5, 12)
-    weights = random_weights(rng, 5)
-    decomp = trend_decomposition(prices)
-    agg = weight_aggregates(decomp, weights)
-    rebuilt = (agg.mean_index + agg.trend * decomp.time_centers
-               + agg.residuals)
-    np.testing.assert_allclose(rebuilt, index_series(prices, weights),
-                               rtol=1e-13)
-
-
-def test_weight_aggregates_dimension_check():
-    prices = PriceSeries(np.ones((2, 3)) + np.arange(3), ("a", "b"),
-                         ("x", "y", "z"))
-    decomp = trend_decomposition(prices)
-    with pytest.raises(DimensionMismatchError):
-        weight_aggregates(decomp, WeightVector([0.2, 0.3, 0.5]))
 
 
 def test_group_permutation_consistency():

@@ -36,6 +36,35 @@ def test_prices_round_trip(tmp_path, tiny_prices):
     assert back.period_labels == tiny_prices.period_labels
 
 
+# labels the writer quotes (a comma, a quote, a line end), one that
+# str.splitlines would split at (U+0085), and the empty label; cells are
+# read stripped, so no label starts or ends with whitespace
+LABELS = st.text(st.sampled_from(["a", "é", " ", ",", '"', "\x85", "\n"]),
+                 max_size=4).map(str.strip)
+AMOUNTS = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def price_panels(draw):
+    groups = draw(st.lists(LABELS, min_size=2, max_size=4, unique=True))
+    periods = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    cells = len(groups) * len(periods)
+    values = draw(st.lists(AMOUNTS.filter(bool), min_size=cells, max_size=cells))
+    return PriceSeries(np.reshape(values, (len(groups), len(periods))),
+                       tuple(groups), tuple(periods))
+
+
+@settings(max_examples=100, deadline=None)
+@given(price_panels())
+def test_prices_round_trip_bit_for_bit(tmp_path_factory, prices):
+    path = tmp_path_factory.mktemp("prices") / "prices.csv"
+    dataio.write_prices(path, prices)
+    back = dataio.load_prices(path)
+    assert (back.group_labels, back.period_labels) == (prices.group_labels,
+                                                       prices.period_labels)
+    assert back.values.tobytes() == prices.values.tobytes()
+
+
 def test_prices_keep_first_appearance_order(tmp_path):
     path = write(tmp_path, "p.csv",
                  "period,group,index\n"
@@ -155,6 +184,31 @@ def test_households_without_stratum_column(tmp_path):
     assert path.read_text().splitlines()[0] == "household_id,group,expenditure"
     back = dataio.load_households(path)
     assert back.strata == (None,)
+
+
+@st.composite
+def household_panels(draw):
+    groups = draw(st.lists(LABELS, min_size=2, max_size=3, unique=True))
+    ids = draw(st.lists(LABELS, min_size=1, max_size=5, unique=True))
+    cells = len(ids) * len(groups)
+    # zero cells are written and read like any other amount
+    amounts = draw(st.lists(st.just(0.0) | AMOUNTS, min_size=cells, max_size=cells))
+    # no stratum column, or one where an untagged household's cell is empty
+    strata = draw(st.none() | st.lists(st.none() | LABELS.filter(bool),
+                                       min_size=len(ids), max_size=len(ids)))
+    return HouseholdPanel(tuple(ids), np.reshape(amounts, (len(ids), len(groups))),
+                          strata), groups
+
+
+@settings(max_examples=100, deadline=None)
+@given(household_panels())
+def test_households_round_trip_bit_for_bit(tmp_path_factory, case):
+    panel, groups = case
+    path = tmp_path_factory.mktemp("households") / "households.csv"
+    dataio.write_households(path, panel, groups)
+    back = dataio.load_households(path, groups)
+    assert (back.household_ids, back.strata) == (panel.household_ids, panel.strata)
+    assert back.expenditures.tobytes() == panel.expenditures.tobytes()
 
 
 # labels csv.writer quotes: a comma, a quote, a line end, an empty id

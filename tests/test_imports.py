@@ -44,15 +44,24 @@ def test_every_export_resolves():
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:
-    """Every name a module reads, as a name, an attribute or a from-import."""
+    """Every name a module reads, as a name, an attribute or a from-import,
+    except inside a function or class of that name."""
     names: set[str] = set()
-    for node in ast.walk(tree):
+    nodes = [(tree, frozenset())]
+    while nodes:
+        node, owners = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners |= {node.name}
+        nodes.extend((child, owners) for child in ast.iter_child_nodes(node))
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
+            read = {node.id}
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            read = {node.attr}
         elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
+            read = {alias.name for alias in node.names}
+        else:
+            continue
+        names |= read - owners
     return names
 
 
@@ -89,6 +98,30 @@ def test_no_unused_import_or_private_name_in_the_package():
     unused = {module: _unused_names(tree, package_names)
               for module, tree in trees.items() if module != "__init__.py"}
     assert {module: names for module, names in unused.items() if names} == {}
+
+
+# public names that no package code reads: the library API, each documented
+# or pinned where its comment says
+LIBRARY = (
+    "break_even_variance",  # README "Evaluation coverage"; tests/test_coverage.py
+    "mean_source_effect",  # README "Source effects" (averaged); tests/test_core.py
+    "relative_weight_diff",  # README "Source effects"; tests/test_identities.py
+    "source_effect",  # README "Source effects"; tests/test_identities.py
+    "weighted_covariance",  # README "Source effects"; tests/test_identities.py
+    "write_prices",  # acceptance criterion 10; tests/build_fixtures.py
+    "write_weight_estimate",  # acceptance criterion 10; tests/build_fixtures.py
+    "write_weights",  # acceptance criterion 10; tests/build_fixtures.py
+    "z_test",  # README "Library"
+)
+
+
+def test_every_public_name_is_read_by_the_package_or_is_library_api():
+    # an export that only its own unit test reads is dead code to delete
+    read = set().union(*(_loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in PACKAGE.glob("*.py")))
+    assert set(LIBRARY) <= set(indexaudit.__all__)
+    unread = sorted(set(indexaudit.__all__) - read - set(indexaudit._EXPORTS) - set(LIBRARY))
+    assert not unread, f"public names that no package code reads: {unread}"
 
 
 def _cli_reads(tree: symtable.SymbolTable, name: str, owner: str = "") -> list[tuple[str, bool]]:

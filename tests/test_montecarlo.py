@@ -5,6 +5,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from indexaudit import montecarlo
 from indexaudit.coverage import EvalScheme
@@ -289,6 +290,37 @@ def test_verification_depends_on_master_seed():
     a = run_verification(master_seed=1, scale=0.02, jobs=1)
     b = run_verification(master_seed=2, scale=0.02, jobs=1)
     assert any(x.detail != y.detail for x, y in zip(a, b))
+
+
+SWEEP_SEEDS = 150  # K master seeds, derived from one fixed master
+
+
+def test_every_z_outcome_is_standard_normal_over_a_seed_sweep():
+    """The oracles' own calibration: over K master seeds at scale 1, each
+    outcome's z has a mean within 4/sqrt(K) of 0 and a variance inside the
+    chi-square(K - 1) band that a standard normal misses with probability
+    1e-4. The pooled mean lies within 4 of its standard errors, estimated
+    from the per-seed means, since outcomes of one check share their draws.
+    The delta checks' z is off by design (their SD ratio is gated), so they
+    are left out."""
+    z_by_outcome: dict[tuple[str, int], list[float]] = {}
+    for k in range(SWEEP_SEEDS):
+        for name, check_plan, _ in default_verification_suite(derive_seed(2019, k), 1.0):
+            if not name.startswith("delta_"):
+                for position, outcome in enumerate(run_plan(check_plan)):
+                    z_by_outcome.setdefault((name, position), []).append(outcome.z_score)
+    z = np.array(list(z_by_outcome.values()))
+    assert z.shape == (24, SWEEP_SEEDS)
+    means, variances = z.mean(axis=1), z.var(axis=1, ddof=1)
+    bound = 4.0 / math.sqrt(SWEEP_SEEDS)
+    low, high = scipy.stats.chi2.ppf([0.5e-4, 1.0 - 0.5e-4],
+                                     SWEEP_SEEDS - 1) / (SWEEP_SEEDS - 1)
+    off = {key: (round(float(mean), 3), round(float(variance), 3))
+           for key, mean, variance in zip(z_by_outcome, means, variances)
+           if not (abs(mean) < bound and low < variance < high)}
+    assert not off, (bound, (low, high), off)
+    per_seed = z.mean(axis=0)
+    assert abs(per_seed.mean()) < 4.0 * per_seed.std(ddof=1) / math.sqrt(SWEEP_SEEDS)
 
 
 def test_run_verification_validates_jobs():
