@@ -102,6 +102,16 @@ def test_weighted_index_matches_fsum_oracle():
             oracle, rel=1e-12)
 
 
+def test_index_series_matches_per_period_values(tiny_prices):
+    # the B slope fit and the Monte Carlo design take the whole index series
+    # as one product, w @ values; it must equal weighted_index period by period
+    w = WeightVector([0.5, 0.5])
+    series = w.w @ tiny_prices.values
+    np.testing.assert_allclose(series, [100.0, 100.5, 101.0], rtol=1e-15)
+    for t in range(3):
+        assert series[t] == weighted_index(tiny_prices, w, t)
+
+
 def test_weighted_index_bounds_checks(tiny_prices):
     w = WeightVector([0.5, 0.5])
     with pytest.raises(ValidationError, match="out of range"):

@@ -33,3 +33,13 @@ def test_generator_streams_are_reproducible_and_independent():
     other = generator(99, 1).standard_normal(8)
     np.testing.assert_array_equal(first, again)
     assert not np.array_equal(first, other)
+
+
+def test_generator_is_pcg64_on_the_derived_seed():
+    # power_curve draws each grid point from generator(seed, position); the
+    # stream must stay the PCG64 one seeded from derive_seed, bit for bit
+    for master, path in ((7, (0,)), (2019, (3, 1)), (0, ())):
+        ours = generator(master, *path).random(16)
+        spelled_out = np.random.Generator(
+            np.random.PCG64(derive_seed(master, *path))).random(16)
+        np.testing.assert_array_equal(ours, spelled_out)
