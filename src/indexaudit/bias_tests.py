@@ -45,16 +45,6 @@ from .errors import (
 )
 from .survey import WeightEstimate
 
-__all__ = [
-    "TestKind",
-    "TestResult",
-    "UnitySlopeFit",
-    "z_test",
-    "unity_slope_fit",
-    "b_test",
-    "cross_group_battery",
-]
-
 
 class TestKind(str, Enum):
     __test__ = False  # not a test class, despite the name

@@ -362,6 +362,9 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
     except ValidationError as exc:
         # every input of the draw is a flag or an already validated vector
         raise ConfigError(str(exc)) from exc
+    except MemoryError:
+        raise ConfigError(
+            f"--n {config.n_households} households do not fit in memory") from None
     import hashlib
 
     digest, target = hashlib.sha256(), Path(config.out_path)

@@ -19,17 +19,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 
-__all__ = [
-    "PriceSeries",
-    "WeightVector",
-    "weighted_index",
-    "mean_price_vector",
-    "source_effect",
-    "mean_source_effect",
-    "relative_weight_diff",
-    "weighted_covariance",
-]
-
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)

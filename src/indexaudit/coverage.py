@@ -30,22 +30,6 @@ import numpy as np
 from . import gaussian
 from .errors import ValidationError
 
-__all__ = [
-    "EvalScheme",
-    "CoverageEstimate",
-    "MseEstimate",
-    "BreakEvenResult",
-    "kappa_quantile",
-    "coverage_kernel",
-    "coverage_of_constant",
-    "coverage_of_unbiased",
-    "estimate_coverage",
-    "estimate_unbiased_coverage",
-    "default_variance_of_variance",
-    "mse_estimate",
-    "break_even_variance",
-]
-
 
 def kappa_quantile(alpha: float) -> float:
     """Half-width of the central alpha-interval in SD units: Phi^-1((1+alpha)/2)."""

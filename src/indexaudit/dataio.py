@@ -48,17 +48,6 @@ from .survey import HouseholdPanel, WeightEstimate
 
 import numpy as np
 
-__all__ = [
-    "load_prices",
-    "load_weights",
-    "load_households",
-    "load_weight_estimate",
-    "write_prices",
-    "write_weights",
-    "write_households",
-    "write_weight_estimate",
-]
-
 # Characters of text the direct reader reads at a time, then up to the end of
 # a line: about 7.7k lines of micro data. Larger chunks read no faster and
 # hold more cells at once.
@@ -69,8 +58,6 @@ _CHUNK_CHARS = 1 << 18
 _VALUES_PER_PART = 65_536
 # the ASCII characters besides line ends that str.strip removes
 _ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
-# a line of only these the csv module reads as a blank row
-_BLANK_LINE = "," + _ASCII_SPACE
 
 # the line number of every data row of a chunk, and each column's stripped cells
 _Chunk = tuple[Sequence[int], dict[str, list[str]]]
@@ -147,8 +134,8 @@ def _plain_cells(text: str, width: int) -> tuple[list[str], list[int] | None]:
     where it might not be. ``str.splitlines`` would also split at characters
     such as ``\\x1c`` and ``\\x85`` that the csv module keeps in a cell.
 
-    Where a line has another width, lines of only commas and ASCII
-    whitespace, which the csv module reads as blank rows, are dropped first
+    Where a line has another width, lines of only commas and whitespace,
+    which the csv module reads as blank rows, are dropped first
     unless over-long, and the offsets of the lines kept come second; else
     that is None."""
     if '"' in text or "\0" in text:
@@ -164,7 +151,7 @@ def _plain_cells(text: str, width: int) -> tuple[list[str], list[int] | None]:
             lines.pop()
         limit = csv.field_size_limit()
         kept = [i for i, line in enumerate(lines)
-                if line.strip(_BLANK_LINE) or len(line) > limit]
+                if line.replace(",", "").strip() or len(line) > limit]
         if not kept:
             return [], kept
         text = "".join([lines[i] + "\n" for i in kept])
@@ -538,6 +525,8 @@ def _weight_estimate(path: Path, chunks: Iterable[_Chunk],
                     )
                 cov_entries[key] = _parse_float(path, line_no, "value", value)
             elif kind == "households":
+                if n_households is not None:
+                    raise ValidationError(f"{path}:{line_no}: duplicate households row")
                 try:
                     n_households = int(value)
                 except ValueError:

@@ -18,7 +18,6 @@ import functools
 import math
 import multiprocessing
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -37,21 +36,6 @@ from .coverage import (
 from .core import PriceSeries
 from .errors import ValidationError, WorkerFailure
 from .seeding import derive_seed, generator
-
-__all__ = [
-    "SCENARIOS",
-    "SimulationPlan",
-    "SimulationOutcome",
-    "VerificationCheck",
-    "run_plan",
-    "empirical_coverage",
-    "test_calibration",
-    "power_curve",
-    "mse_unbiasedness",
-    "delta_method_check",
-    "default_verification_suite",
-    "run_verification",
-]
 
 _REJECTION_CUTOFF = 1.959963984540054  # two-sided 5%: quantile(0.975)
 # Replicates drawn and transformed at a time: one gaussian.cdf slice. Numpy
@@ -167,14 +151,6 @@ def _mean_and_sd(n: int, first_pass: Callable[[int, int], np.ndarray],
     return float(mean), math.sqrt(_tree_sum(squared_deviations, n) / (n - 1))
 
 
-def _require(plan: SimulationPlan, key: str, default=None):
-    if key in plan.parameters:
-        return plan.parameters[key]
-    if default is not None:
-        return default
-    raise ValidationError(f"scenario {plan.scenario!r} needs parameter {key!r}")
-
-
 def empirical_coverage(plan: SimulationPlan) -> SimulationOutcome:
     """Simulate interval containment and compare to the coverage kernel.
 
@@ -185,8 +161,8 @@ def empirical_coverage(plan: SimulationPlan) -> SimulationOutcome:
     estimate at N(bias, extra_variance) and the evaluation reference at
     N(0, sigma^2), and counts |estimate - reference| <= omega.
     """
-    scheme = EvalScheme(alpha=float(_require(plan, "alpha", 0.95)),
-                        omega=float(_require(plan, "omega", 0.058)))
+    scheme = EvalScheme(alpha=float(plan.parameters.get("alpha", 0.95)),
+                        omega=float(plan.parameters.get("omega", 0.058)))
     bias = float(plan.parameters.get("bias", 0.0))
     extra_variance = float(plan.parameters.get("extra_variance", 0.0))
     if plan.scenario == "coverage_constant" and extra_variance != 0.0:
@@ -362,7 +338,7 @@ def power_curve(plan: SimulationPlan) -> list[SimulationOutcome]:
     every grid point to both tests. ``replicates`` applies per grid point.
     """
     design = _DESIGN
-    direction_name = str(_require(plan, "direction", "trend_aligned"))
+    direction_name = str(plan.parameters.get("direction", "trend_aligned"))
     if direction_name == "trend_aligned":
         direction = design.trend_direction
     elif direction_name == "trend_orthogonal":
@@ -447,12 +423,12 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
     200, driving a chi-square law for the variance estimate). The target is
     the closed-form delta-method SD at the true parameter.
     """
-    scheme = EvalScheme(alpha=float(_require(plan, "alpha", 0.95)),
-                        omega=float(_require(plan, "omega", 0.058)))
-    quantity = str(_require(plan, "quantity", "plug_in"))
+    scheme = EvalScheme(alpha=float(plan.parameters.get("alpha", 0.95)),
+                        omega=float(plan.parameters.get("omega", 0.058)))
+    quantity = str(plan.parameters.get("quantity", "plug_in"))
     rng = np.random.Generator(np.random.PCG64(plan.seed))
     if quantity == "plug_in":
-        u = float(_require(plan, "bias_in_sigma", 0.9))
+        u = float(plan.parameters.get("bias_in_sigma", 0.9))
         sd_ratio = float(plan.parameters.get("audit_sd_ratio", 0.15))
         bias = u * scheme.sigma
         audit_variance = (sd_ratio * scheme.sigma) ** 2
@@ -529,16 +505,6 @@ def run_plan(plan: SimulationPlan,
 def _simulate(plan: SimulationPlan) -> list[SimulationOutcome]:
     result = SCENARIOS[plan.scenario](plan)
     return result if isinstance(result, list) else [result]
-
-
-def _simulate_recorded(plan: SimulationPlan
-                       ) -> tuple[list[SimulationOutcome], list[tuple[Warning, type[Warning]]]]:
-    """The outcomes of one plan in a worker process, and the warnings it
-    raised, which the caller's filters cannot see from there."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outcomes = _simulate(plan)
-    return outcomes, [(w.message, w.category) for w in caught]
 
 
 # --- the verification suite ------------------------------------------------
@@ -652,21 +618,13 @@ def _apply_gate(name: str, plan: SimulationPlan, gate: str,
 
 
 def _execute(entry: tuple[str, SimulationPlan, str], pool: ProcessPoolExecutor | None = None
-             ) -> tuple[VerificationCheck, list[tuple[Warning, type[Warning]]]]:
-    """Run and gate one suite entry; returns the check and the warnings its
-    plan raised in a worker process. Without a ``pool`` the plan runs here
-    and its warnings reach the caller directly. With one, the plan runs in a
-    worker process while this thread waits in :func:`run_plan`."""
+             ) -> VerificationCheck:
+    """Run and gate one suite entry. Without a ``pool`` the plan runs here.
+    With one, the plan runs in a worker process while this thread waits in
+    :func:`run_plan`."""
     name, plan, gate = entry
-    caught: list[tuple[Warning, type[Warning]]] = []
-
-    def in_worker(plan: SimulationPlan) -> list[SimulationOutcome]:
-        outcomes, raised = pool.submit(_simulate_recorded, plan).result()
-        caught.extend(raised)
-        return outcomes
-
-    outcomes = run_plan(plan, in_worker if pool is not None else None)
-    return _apply_gate(name, plan, gate, outcomes), caught
+    runner = (lambda plan: pool.submit(_simulate, plan).result()) if pool is not None else None
+    return _apply_gate(name, plan, gate, run_plan(plan, runner))
 
 
 def run_verification(master_seed: int = 42, scale: float = 1.0,
@@ -678,30 +636,25 @@ def run_verification(master_seed: int = 42, scale: float = 1.0,
     the checks run in at most ``min(jobs, 14)`` worker processes (forked on
     Linux), so each holds only its own check's arrays. As many threads of this
     process wait for them, one check at a time each, and run no simulation.
-    The warnings each check raised in a worker are re-issued here in suite
-    order. A worker that dies raises :class:`WorkerFailure`.
+    No check raises a warning, so a worker has none to pass back. A worker
+    that dies raises :class:`WorkerFailure`.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     suite = default_verification_suite(master_seed, scale)
     if jobs == 1:
-        results = [_execute(entry) for entry in suite]
-    else:
-        workers = min(jobs, len(suite))
-        # Elsewhere, fork is unsafe once system frameworks have run (macOS)
-        # or absent; the platform's default start method is used there.
-        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        try:
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool, \
-                    ThreadPoolExecutor(max_workers=workers) as waiters:
-                # the first task starts every worker, before a waiting thread exists
-                pool.submit(int).result()
-                results = list(waiters.map(functools.partial(_execute, pool=pool), suite))
-        except BrokenProcessPool as exc:
-            raise WorkerFailure(
-                f"a verify worker process died before its check finished: {exc}"
-            ) from exc
-    for _, caught in results:
-        for message, category in caught:
-            warnings.warn(message, category, stacklevel=2)
-    return [check for check, _ in results]
+        return [_execute(entry) for entry in suite]
+    workers = min(jobs, len(suite))
+    # Elsewhere, fork is unsafe once system frameworks have run (macOS)
+    # or absent; the platform's default start method is used there.
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool, \
+                ThreadPoolExecutor(max_workers=workers) as waiters:
+            # the first task starts every worker, before a waiting thread exists
+            pool.submit(int).result()
+            return list(waiters.map(functools.partial(_execute, pool=pool), suite))
+    except BrokenProcessPool as exc:
+        raise WorkerFailure(
+            f"a verify worker process died before its check finished: {exc}"
+        ) from exc

@@ -24,14 +24,6 @@ import numpy as np
 from .core import PriceSeries, WeightVector, _frozen_array, _resolve_periods
 from .errors import AuditWarning, DimensionMismatchError, ValidationError
 
-__all__ = [
-    "HouseholdPanel",
-    "WeightEstimate",
-    "estimate_weights",
-    "simulate_households",
-    "index_variance",
-]
-
 
 @dataclass(frozen=True)
 class HouseholdPanel:

@@ -17,7 +17,15 @@ from indexaudit.coverage import (EvalScheme, coverage_kernel, default_variance_o
                                  estimate_coverage, estimate_unbiased_coverage)
 from indexaudit.errors import ValidationError
 from indexaudit.montecarlo import (_DESIGN, SimulationOutcome, SimulationPlan, _rate_outcome,
-                                   _require, _z_score)
+                                   _z_score)
+
+
+def _require(plan: SimulationPlan, key: str, default=None):
+    if key in plan.parameters:
+        return plan.parameters[key]
+    if default is not None:
+        return default
+    raise ValidationError(f"scenario {plan.scenario!r} needs parameter {key!r}")
 
 
 def empirical_coverage(plan: SimulationPlan) -> SimulationOutcome:

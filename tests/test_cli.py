@@ -148,6 +148,12 @@ def test_pool_all_is_every_household_with_or_without_the_flag(capsys, partly_tag
     # the untagged households are tested only inside the pooled sample
     payload = run_machine(capsys, "ztest", *partly_tagged)
     assert [row["metadata"]["survey"] for row in payload["results"]] == ["all", "x"]
+    # one stratum that holds every household is tested once, as the pool
+    micro = Path(partly_tagged[-1])
+    micro.write_text(micro.read_text(encoding="utf-8").replace(",\n", ",x\n"),
+                     encoding="utf-8")
+    payload = run_machine(capsys, "ztest", *partly_tagged)
+    assert [row["metadata"]["survey"] for row in payload["results"]] == ["all"]
 
 
 def test_a_stratum_named_all_is_a_data_error(capsys, partly_tagged):
@@ -893,6 +899,10 @@ CONFIG_ERRORS = [
      "'{tmp}/file'"),
     (("simulate", "--true-weights", "1,2", "--stratum", "all", *SIMULATED),
      "--stratum 'all' is reserved for the pooled sample of every household"),
+    # 8e17 bytes exceed any address space, so the draw fails before it
+    # allocates, whatever the host's overcommit setting
+    (("simulate", "--true-weights", "0.5,0.5", "--groups", "a,b", "--n", str(10 ** 17),
+      "--out", "{tmp}/sim.csv"), f"--n {10 ** 17} households do not fit in memory"),
 ]
 
 # raises that click's own checks keep every command line from reaching

@@ -66,16 +66,18 @@ def test_prices_round_trip_bit_for_bit(tmp_path_factory, prices):
 
 
 def test_prices_keep_first_appearance_order(tmp_path):
-    path = write(tmp_path, "p.csv",
-                 "period,group,index\n"
-                 "arch,zebra,1.5\n"
-                 "arch,apple,2.5\n"
-                 "base,zebra,1.25\n"
-                 "base,apple,2.75\n")
-    prices = dataio.load_prices(path)
-    assert prices.group_labels == ("zebra", "apple")
-    assert prices.period_labels == ("arch", "base")
-    np.testing.assert_array_equal(prices.values, [[1.5, 1.25], [2.5, 2.75]])
+    # the last line needs no line end
+    for end in ("\n", ""):
+        path = write(tmp_path, "p.csv",
+                     "period,group,index\n"
+                     "arch,zebra,1.5\n"
+                     "arch,apple,2.5\n"
+                     "base,zebra,1.25\n"
+                     "base,apple,2.75" + end)
+        prices = dataio.load_prices(path)
+        assert prices.group_labels == ("zebra", "apple")
+        assert prices.period_labels == ("arch", "base")
+        np.testing.assert_array_equal(prices.values, [[1.5, 1.25], [2.5, 2.75]])
 
 
 def test_prices_missing_file_is_config_error(tmp_path):
@@ -93,6 +95,8 @@ def test_prices_header_and_cell_errors(tmp_path):
         dataio.load_prices(write(tmp_path, "b1.csv", "period group index\nx,y,1\n"))
     with pytest.raises(ValidationError, match="; got $"):
         dataio.load_prices(write(tmp_path, "b2.csv", "\nperiod,group,index\nx,y,1\n"))
+    with pytest.raises(ValidationError, match=r"b3\.csv: duplicated header column"):
+        dataio.load_prices(write(tmp_path, "b3.csv", "period,group,index,index\nx,y,1,1\n"))
     with pytest.raises(ValidationError, match="no data rows"):
         dataio.load_prices(write(tmp_path, "c.csv", "period,group,index\n"))
     with pytest.raises(ValidationError, match=r"d\.csv:3: expected 3 fields"):
@@ -160,6 +164,11 @@ def test_weights_errors(tmp_path):
     with pytest.raises(ValidationError, match=r"d\.csv: .*negative"):
         dataio.load_weights(write(tmp_path, "d.csv",
                                   "source,group,weight\ns,a,0.5\ns,b,-0.1\n"),
+                            ["a", "b"])
+    with pytest.raises(ValidationError,
+                       match=r"e\.csv:3: column 'weight' is not a number: 'abc'"):
+        dataio.load_weights(write(tmp_path, "e.csv",
+                                  "source,group,weight\ns,a,0.5\ns,b,abc\n"),
                             ["a", "b"])
 
 
@@ -417,6 +426,22 @@ def test_weight_estimate_errors(tmp_path):
             tmp_path, "f.csv",
             base + "cov,a,a,-0.25\ncov,a,b,0.25\ncov,b,b,-0.25\n"),
             ["a", "b"])
+    # a row's own error names its line
+    cov = "cov,a,a,0.25\ncov,a,b,-0.25\ncov,b,b,0.25\n"
+    for name, rows, message in [
+        ("g", "weight,c,,0.5\n", ":4: unknown group 'c'"),
+        ("h", "cov,a,c,0.5\n", ":4: unknown group 'c'"),
+        ("i", "weight,b,,0.5\n", ":4: duplicate weight for 'b'"),
+        ("j", cov + "cov,a,b,-0.25\n", r":7: duplicate covariance entry \('a', 'b'\)"),
+        ("k", cov + "households,,,1000\nhouseholds,,,5\n", ":8: duplicate households row"),
+        ("l", "cov,a,a,x\n", ":4: column 'value' is not a number: 'x'"),
+    ]:
+        with pytest.raises(ValidationError, match=rf"{name}\.csv{message}$"):
+            dataio.load_weight_estimate(write(tmp_path, f"{name}.csv", base + rows),
+                                        ["a", "b"])
+    with pytest.raises(ValidationError, match=r"m\.csv:2: column 'value' is not a number"):
+        dataio.load_weight_estimate(write(
+            tmp_path, "m.csv", "kind,row_group,col_group,value\nweight,a,,abc\n"), ["a"])
 
 
 # --- committed fixtures stay in sync with their builder ------------------------------

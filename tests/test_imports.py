@@ -43,6 +43,16 @@ def test_every_export_resolves():
     assert set(indexaudit.__all__) <= set(namespace)
 
 
+def test_the_package_lists_its_public_names_once():
+    # indexaudit._EXPORTS is the one list; a submodule's own __all__ would
+    # repeat its entry and drift from it
+    second = sorted(module for module in indexaudit._EXPORTS
+                    if any(isinstance(node, ast.Name) and node.id == "__all__"
+                           for node in ast.walk(ast.parse(
+                               (PACKAGE / f"{module}.py").read_text(encoding="utf-8")))))
+    assert not second, f"modules that define __all__ beside _EXPORTS: {second}"
+
+
 def _loaded_names(tree: ast.AST) -> set[str]:
     """Every name a module reads, as a name, an attribute or a from-import,
     except inside a function or class of that name."""

@@ -41,9 +41,10 @@ CHUNKS = [1, 24, 1 << 21]
 OVERSIZED = "y" * (csv.field_size_limit() + 1)
 
 
-# lines the csv module reads as blank rows: empty, commas only, and ASCII
-# whitespace with or without commas
-BLANK_LINES = ["", ",", ",,", ",,,,,", " ", "\t, ,\x0b", "\x1c,\x0c"]
+# lines the csv module reads as blank rows: empty, commas only, and ASCII or
+# other whitespace with or without commas
+BLANK_LINES = ["", ",", ",,", ",,,,,", " ", "\t, ,\x0b", "\x1c,\x0c", "\u3000",
+               "\xa0,\x85"]
 
 
 def plain(cells):

@@ -9,7 +9,7 @@ import scipy.stats
 
 from indexaudit import montecarlo
 from indexaudit.coverage import EvalScheme
-from indexaudit.errors import AuditWarning, ValidationError
+from indexaudit.errors import ValidationError
 from indexaudit.montecarlo import (
     SCENARIOS,
     SimulationPlan,
@@ -386,27 +386,10 @@ def test_each_check_passes_through_run_plan_in_the_calling_process(monkeypatch):
         assert sorted(seen) == sorted((c.plan.seed, len(c.outcomes)) for c in checks)
 
 
-fork_only = pytest.mark.skipif(
-    sys.platform != "linux", reason="a patch reaches the workers only through fork")
-
-
-@fork_only
-def test_worker_warnings_are_reissued_in_suite_order(monkeypatch):
-    def warning(simulate):
-        def simulate_and_warn(plan):
-            warnings.warn(f"seed {plan.seed}", AuditWarning)
-            return simulate(plan)
-        return simulate_and_warn
-
-    # the forked workers inherit the patched table
-    for scenario, simulate in list(montecarlo.SCENARIOS.items()):
-        monkeypatch.setitem(montecarlo.SCENARIOS, scenario, warning(simulate))
-    seen = []
-    for jobs in (1, 2, 3):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_verification(master_seed=3, scale=1e-9, jobs=jobs)
-        seen.append([(w.category, str(w.message)) for w in caught])
-    expected = [(AuditWarning, f"seed {plan.seed}")
-                for _, plan, _ in default_verification_suite(3, 1e-9)]
-    assert seen == [expected] * 3
+def test_no_check_raises_a_warning():
+    # a worker process passes no warning back, so the suite must raise none
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (1, 7, 42):
+            for scale in (1e-9, 0.05, 1):
+                run_verification(seed, scale, 1)
