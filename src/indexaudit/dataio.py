@@ -13,15 +13,13 @@ is skipped. Long (tidy) layouts throughout:
   given and mirrored values must agree), or ``households`` (an integer count,
   group columns empty).
 
-A file with no double quote is split at commas and line ends directly, a
-chunk of lines at a time, so memory is bounded by one chunk of cells and the
-per-row codes and amounts. Blank rows are skipped there as the csv module
-skips them: empty lines, lines of only commas and ASCII whitespace, and rows
-whose cells all strip to empty. A file the direct split cannot read exactly
-as the csv module does (quotes, a NUL, a lone carriage return, an over-long
-line, another blank line of the wrong width, a ragged row, bytes that are not
-UTF-8) is read again, whole, by the csv module. Both give the same result and
-the same errors.
+A file is split at commas and line ends directly, a chunk of lines at a
+time. From the header or first chunk that the direct split cannot read
+exactly as the csv module does (a quote, a NUL, a lone carriage return, an
+over-long line, a ragged row), the csv module takes over and reads the rest
+of the file one chunk of rows at a time, so memory stays bounded for every
+file, and each file is read once. Blank rows are skipped as the csv module
+skips them. Both give the same result and the same errors.
 
 Loaders raise ValidationError naming the file and line of the offense; text
 that is not UTF-8 and a field longer than ``csv.field_size_limit()`` are
@@ -33,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import os
 import shutil
 import stat
@@ -50,7 +49,8 @@ import numpy as np
 
 # Characters of text the direct reader reads at a time, then up to the end of
 # a line: about 7.7k lines of micro data. Larger chunks read no faster and
-# hold more cells at once.
+# hold more cells at once. Where the csv module reads, it reads a 32nd as
+# many rows at a time (8,192), about as many as a chunk of micro data holds.
 _CHUNK_CHARS = 1 << 18
 # Amounts each writer process formats at least, so that its fork and the copy
 # of its part stay small beside the formatting (65,536 float reprs take about
@@ -62,10 +62,6 @@ _ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 # the line number of every data row of a chunk, and each column's stripped cells
 _Chunk = tuple[Sequence[int], dict[str, list[str]]]
 _Result = TypeVar("_Result")
-
-
-class _NotPlain(Exception):
-    """The direct reader cannot split the file exactly as the csv module does."""
 
 
 def _open(path: Path) -> io.TextIOWrapper:
@@ -92,58 +88,20 @@ def _check_header(path: Path, header: list[str], columns: Sequence[str],
     return header
 
 
-def _read_columns(path: Path, columns: Sequence[str],
-                  optional: Sequence[str] = ()) -> _Chunk:
-    """Read a headered CSV with the csv module in one pass: the line number
-    of every data row, and each header column's stripped cells. Blank rows
-    are skipped; a row with the wrong field count is an error."""
-    with _open(path) as handle:
-        reader = csv.reader(handle)
-        try:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError(f"{path}: empty file") from None
-            header = _check_header(path, header, columns, optional)
-            rows = list(reader)
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
-        except csv.Error as exc:
-            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-    # a row is blank when every cell is whitespace, i.e. when their
-    # concatenation is
-    lines = [line_no for line_no, row in enumerate(rows, start=2) if "".join(row).strip()]
-    if len(lines) < len(rows):
-        rows = [rows[line_no - 2] for line_no in lines]
-    width = len(header)
-    if set(map(len, rows)) - {width}:
-        line_no, row = next((line_no, row) for line_no, row in zip(lines, rows)
-                            if len(row) != width)
-        raise ValidationError(
-            f"{path}:{line_no}: expected {width} fields, got {len(row)}"
-        )
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return lines, {key: list(map(str.strip, cells))
-                   for key, cells in zip(header, zip(*rows))}
-
-
-def _plain_cells(text: str, width: int) -> tuple[list[str], list[int] | None]:
+def _plain_cells(text: str, width: int) -> tuple[list[str], list[int] | None] | None:
     """The stripped cells of ``text``, rows of ``width`` cells split at commas
-    and line ends, where that is what the csv module reads; raises _NotPlain
-    where it might not be. ``str.splitlines`` would also split at characters
-    such as ``\\x1c`` and ``\\x85`` that the csv module keeps in a cell.
-
-    Where a line has another width, lines of only commas and whitespace,
-    which the csv module reads as blank rows, are dropped first
-    unless over-long, and the offsets of the lines kept come second; else
-    that is None."""
+    and line ends, where that is what the csv module reads, else None
+    (``str.splitlines`` would also split at characters such as ``\\x1c`` and
+    ``\\x85`` that the csv module keeps in a cell). Where a line has another
+    width, blank lines (only commas and whitespace, and not over-long) are
+    dropped first, and the offsets of the lines kept come second; else that
+    is None."""
     if '"' in text or "\0" in text:
-        raise _NotPlain
+        return None
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         if "\r" in text:
-            raise _NotPlain
+            return None
     kept = None
     if not _rows_have_width(text, width):
         lines = text.split("\n")
@@ -156,7 +114,7 @@ def _plain_cells(text: str, width: int) -> tuple[list[str], list[int] | None]:
             return [], kept
         text = "".join([lines[i] + "\n" for i in kept])
         if not _rows_have_width(text, width):
-            raise _NotPlain
+            return None
     cells = text.replace("\n", ",").split(",")
     if text.endswith("\n"):
         cells.pop()
@@ -185,60 +143,100 @@ def _rows_have_width(text: str, width: int) -> bool:
     return bool((rows[:, 0] > ends - lengths).all() and (rows[:, -1] < ends).all())
 
 
-def _plain_chunks(path: Path, columns: Sequence[str],
-                  optional: Sequence[str] = ()) -> Iterator[_Chunk]:
-    """The file's data rows as chunks, split directly; raises _NotPlain at
-    the first chunk the csv module might read otherwise, and ValidationError
-    where ``_read_columns`` would for the header or an empty file."""
+def _chunks(path: Path, columns: Sequence[str],
+            optional: Sequence[str]) -> Iterator[_Chunk]:
+    """The file's data rows, a chunk at a time: split directly while the text
+    is plain, and from the header or chunk that is not, read by the csv
+    module, ``_CHUNK_CHARS // 32`` rows at a time. A read error is raised
+    where it is met; a ragged row, and then a file without data rows, once
+    the whole file has been read."""
+    header, start, rows_read, source = None, 1, 0, ()
     with _open(path) as handle:
         try:
-            first = handle.readline()
-            if not first:
-                raise ValidationError(f"{path}: empty file")
-            header = _check_header(path, _plain_cells(first, first.count(",") + 1)[0],
-                                   columns, optional)
-            width, start, rows_read = len(header), 2, 0
-            while text := handle.read(_CHUNK_CHARS):
-                # up to the end of the line the read stopped in
-                text += handle.readline()
-                cells, kept = _plain_cells(text, width)
-                split = [cells[i::width] for i in range(width)]
-                lines = (range(start, start + len(split[0])) if kept is None
-                         else [start + offset for offset in kept])
-                # a row of cells that strip to empty is blank: the csv module
-                # skips it
-                if "" in split[0] and not all(map(any, zip(*split))):
-                    rows = [i for i, row in enumerate(zip(*split)) if any(row)]
-                    split = [[column[i] for i in rows] for column in split]
-                    lines = [lines[i] for i in rows]
-                if lines:
-                    yield lines, dict(zip(header, split))
-                    rows_read += len(lines)
-                start += text.count("\n")
-        except UnicodeDecodeError:
-            raise _NotPlain from None
+            try:
+                text = handle.readline()
+                if not text:
+                    raise ValidationError(f"{path}: empty file")
+                if cut := _plain_cells(text, text.count(",") + 1):
+                    header = _check_header(path, cut[0], columns, optional)
+                    width, start = len(header), 2
+                    while text := handle.read(_CHUNK_CHARS):
+                        # up to the end of the line the read stopped in
+                        text += handle.readline()
+                        if not (cut := _plain_cells(text, width)):
+                            break
+                        cells, kept = cut
+                        split = [cells[i::width] for i in range(width)]
+                        lines = (range(start, start + len(split[0])) if kept is None
+                                 else [start + offset for offset in kept])
+                        # a row of cells that strip to empty is blank: the csv
+                        # module skips it
+                        if "" in split[0] and not all(map(any, zip(*split))):
+                            rows = [i for i, row in enumerate(zip(*split)) if any(row)]
+                            split = [[column[i] for i in rows] for column in split]
+                            lines = [lines[i] for i in rows]
+                        if lines:
+                            yield lines, dict(zip(header, split))
+                            rows_read += len(lines)
+                        start += text.count("\n")
+                if text:
+                    # the csv module reads on from the header or chunk that
+                    # is not plain
+                    source = itertools.chain(io.StringIO(text, newline=""), handle)
+            except UnicodeDecodeError:
+                if not handle.seekable():
+                    raise
+                # from the start of the file, so that a csv error before the
+                # bytes is named first, where the csv module meets it
+                handle.seek(0)
+                source = itertools.islice(handle, start - 1, None)
+            if source:
+                reader, ragged, line_no = csv.reader(source), None, start + (not header)
+                header = header or _check_header(path, next(reader), columns,
+                                                 optional)
+                width, size = len(header), max(1, _CHUNK_CHARS >> 5)
+                while True:
+                    lines, rows, read = [], [], reader.line_num
+                    for row in itertools.islice(reader, size):
+                        # a row is blank when every cell is whitespace, i.e.
+                        # when their concatenation is
+                        if "".join(row).strip():
+                            if len(row) == width:
+                                lines.append(line_no)
+                                rows.append(row)
+                            elif ragged is None:
+                                ragged = ValidationError(f"{path}:{line_no}: expected "
+                                                         f"{width} fields, got {len(row)}")
+                        line_no += 1
+                    if reader.line_num == read:
+                        break
+                    if rows:
+                        yield lines, {key: list(map(str.strip, cells))
+                                      for key, cells in zip(header, zip(*rows))}
+                        rows_read += len(rows)
+                if ragged:
+                    raise ragged
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}:{start - 1 + reader.line_num}: {exc}") from None
     if not rows_read:
         raise ValidationError(f"{path}: no data rows")
 
 
 def _load(path: Path, columns: Sequence[str], optional: Sequence[str],
           consume: Callable[[Iterable[_Chunk]], _Result]) -> _Result:
-    """``consume`` run over the file's chunks as the direct reader splits
-    them or, where it cannot, over the csv module's one chunk of the file."""
-    chunks = _plain_chunks(path, columns, optional)
+    """``consume`` run once over the file's chunks (see ``_chunks``)."""
+    chunks = _chunks(path, columns, optional)
     try:
-        try:
-            return consume(chunks)
-        except ValidationError:
-            # the csv path reads the whole file before it checks a cell, so
-            # a read error or a ragged row later in the file comes first
-            for _ in chunks:
-                pass
-            raise
-        finally:
-            chunks.close()
-    except _NotPlain:
-        return consume([_read_columns(path, columns, optional)])
+        return consume(chunks)
+    except ValidationError:
+        # a read error or a ragged row later in the file comes first
+        for _ in chunks:
+            pass
+        raise
+    finally:
+        chunks.close()
 
 
 def _not_a_number(path: Path, line_no: int, column: str, text: str) -> ValidationError:
@@ -314,11 +312,11 @@ def _prices(path: Path, chunks: Iterable[_Chunk]) -> PriceSeries:
         row = int(np.argmax(repeated))
         if bad is None or row <= bad[0]:
             raise ValidationError(
-                f"{path}:{_line_of(lines, row)}: duplicate cell for group "
+                f"{path}:{np.concatenate(lines)[row]}: duplicate cell for group "
                 f"{group_labels[group[row]]!r}, period {period_labels[period[row]]!r}"
             )
     if bad is not None:
-        raise _not_a_number(path, _line_of(lines, bad[0]), "index", bad[1])
+        raise _not_a_number(path, np.concatenate(lines)[bad[0]], "index", bad[1])
     filled = np.zeros((len(group_labels), n_periods), dtype=bool)
     filled[group, period] = True
     if not filled.all():
@@ -335,15 +333,6 @@ def _prices(path: Path, chunks: Iterable[_Chunk]) -> PriceSeries:
                            period_labels=tuple(period_labels))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _line_of(lines: list[Sequence[int]], row: int) -> int:
-    """The line number of the row at position ``row`` over all chunks."""
-    for chunk_lines in lines:
-        if row < len(chunk_lines):
-            return chunk_lines[row]
-        row -= len(chunk_lines)
-    raise IndexError(row)
 
 
 def load_weights(path: str | Path,

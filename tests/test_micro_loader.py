@@ -153,9 +153,9 @@ def test_blank_lines_stay_on_the_direct_split(tmp_path, micro, blanks, last, lab
     path = tmp_path / "micro.csv"
     write_with_blank_lines(path, header, rows, blanks, last, line_end)
     with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), mock.patch.object(
-            dataio, "_read_columns", wraps=dataio._read_columns) as fallback:
+            csv, "reader", wraps=csv.reader) as reader:
         got = outcome(load_panel, path, labels)
-    assert not fallback.called
+    assert not reader.called
     assert got == outcome(micro_oracle.load_households, path, labels)
 
 
@@ -169,6 +169,8 @@ def test_blank_lines_stay_on_the_direct_split(tmp_path, micro, blanks, last, lab
     ("h1,zz,1\nh1,a,\udcff\n", ": not UTF-8 text: invalid start byte"),
     # a blank line is a blank row only where the csv module can read it
     (f"h1,a,1\n\n{' ' * len(OVERSIZED)}\n", ":4: field larger than field limit"),
+    # a read error comes before a ragged row on an earlier line
+    (f"h1,a\nh1,a,1\n{OVERSIZED},a,1\n", ":4: field larger than field limit"),
 ])
 def test_read_errors_are_data_errors_on_both_paths(tmp_path, text, message, quoted,
                                                    chunk):
@@ -181,6 +183,45 @@ def test_read_errors_are_data_errors_on_both_paths(tmp_path, text, message, quot
             dataio.load_households(path, ["a", "b"])
     assert str(caught.value).startswith(str(path))
     assert message in str(caught.value)
+
+
+@pytest.mark.parametrize("rows_before, line", [(1, 3), (40_000, 40_002)])
+def test_a_csv_error_before_bytes_that_are_not_utf8_is_named_first(tmp_path, rows_before,
+                                                                  line):
+    # the bytes are in the over-long field's chunk, so the direct split cannot
+    # decode it; the csv module, reading by line, meets the field first
+    path = tmp_path / "micro.csv"
+    text = ("household_id,group,expenditure\n" + "h1,a,1\n" * rows_before
+            + f"{OVERSIZED},a,1\n" + "h1,a,1\n" * 3000 + "h1,a,\udcff\n")
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ValidationError) as caught:
+        dataio.load_households(path, ["a", "b"])
+    assert str(caught.value) == f"{path}:{line}: field larger than field limit (131072)"
+
+
+def test_each_row_of_a_file_is_read_once(tmp_path, monkeypatch):
+    # the one quote is in the last chunk: every chunk before it is split
+    # directly, and the csv module reads on from the last one
+    rows = [f"h{i},{'ab'[i % 2]},{i}\n" for i in range(40)]
+    rows[-1] = '"h39",b,39\n'
+    path = tmp_path / "micro.csv"
+    path.write_text("household_id,group,expenditure\n" + "".join(rows), encoding="utf-8")
+    households, consumed = dataio._households, []
+
+    def recorded(path, chunks, labels):
+        def passed_on():
+            for lines, cols in chunks:
+                consumed.extend(lines)
+                yield lines, cols
+        return households(path, passed_on(), labels)
+
+    monkeypatch.setattr(dataio, "_households", recorded)
+    monkeypatch.setattr(dataio, "_CHUNK_CHARS", 24)
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+        panel = dataio.load_households(path, ["a", "b"])
+    assert list(consumed) == list(range(2, 42))
+    assert reader.call_count == 1
+    assert panel.household_ids == tuple(f"h{i}" for i in range(40))
 
 
 @pytest.mark.parametrize("text, message", [

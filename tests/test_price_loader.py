@@ -7,6 +7,7 @@ the same ValidationError message. Quote-free panels with blank lines of
 commas and ASCII whitespace must stay on the direct reader.
 """
 
+import csv
 from unittest import mock
 
 import pytest
@@ -80,9 +81,9 @@ def test_blank_lines_stay_on_the_direct_split(tmp_path, prices, blanks, last, li
     path = tmp_path / "prices.csv"
     write_with_blank_lines(path, header, rows, blanks, last, line_end)
     with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), mock.patch.object(
-            dataio, "_read_columns", wraps=dataio._read_columns) as fallback:
+            csv, "reader", wraps=csv.reader) as reader:
         got = outcome(dataio.load_prices, path)
-    assert not fallback.called
+    assert not reader.called
     assert got == outcome(price_oracle.load_prices, path)
 
 
