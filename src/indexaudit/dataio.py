@@ -191,12 +191,14 @@ def _chunks(path: Path, columns: Sequence[str],
                 handle.seek(0)
                 source = itertools.islice(handle, start - 1, None)
             if source:
-                reader, ragged, line_no = csv.reader(source), None, start + (not header)
+                reader, ragged = csv.reader(source), None
                 header = header or _check_header(path, next(reader), columns,
                                                  optional)
                 width, size = len(header), max(1, _CHUNK_CHARS >> 5)
                 while True:
                     lines, rows, read = [], [], reader.line_num
+                    # each row is numbered by the line it starts on
+                    line_no = start + read
                     for row in itertools.islice(reader, size):
                         # a row is blank when every cell is whitespace, i.e.
                         # when their concatenation is
@@ -207,7 +209,7 @@ def _chunks(path: Path, columns: Sequence[str],
                             elif ragged is None:
                                 ragged = ValidationError(f"{path}:{line_no}: expected "
                                                          f"{width} fields, got {len(row)}")
-                        line_no += 1
+                        line_no = start + reader.line_num
                     if reader.line_num == read:
                         break
                     if rows:

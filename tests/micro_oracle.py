@@ -45,7 +45,10 @@ def read_rows(path: str | Path, columns: Sequence[str],
         if len(set(header)) != len(header):
             raise ValidationError(f"{path}: duplicated header column")
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        # each row is numbered by the line it starts on
+        next_line = reader.line_num + 1
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):

@@ -245,6 +245,9 @@ def test_each_row_of_a_file_is_read_once(tmp_path, monkeypatch):
     ("\n\n,,,,\n", "micro.csv: no data rows"),
     ("h1,zz,1\n\nh1,a,x\n", ":2: unknown group 'zz'"),
     ("\n\nh1,a,x\n", ":4: column 'expenditure' is not a number: 'x'"),
+    # a row is numbered by the line it starts on, after a quoted line break too
+    ('"h\n1",a,1\nh2,zz,1\n', ":4: unknown group 'zz'"),
+    ('"h\r\n1",a,1\nh2,a\n', ":4: expected 3 fields, got 2"),
 ])
 def test_loader_error_precedence(tmp_path, text, message):
     path = tmp_path / "micro.csv"
