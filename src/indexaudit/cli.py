@@ -197,7 +197,7 @@ def _load_survey_estimates(config: RunConfig, prices: PriceSeries,
                            every_pool: bool) -> dict[str, WeightEstimate]:
     """Survey-side estimates keyed by stratum ('all' pools every household,
     tagged or not): every pool for a test battery, else only the pool the
-    sections evaluate."""
+    sections evaluate. A pool's warning and error name it, the error the file."""
     if config.survey_estimate_path is not None:
         return {"survey": load_weight_estimate(config.survey_estimate_path,
                                                prices.group_labels)}
@@ -227,9 +227,17 @@ def _load_survey_estimates(config: RunConfig, prices: PriceSeries,
     if not every_pool:
         label = _section_pool(config)
         pools = {label: pools[label]}
-    return {stratum: estimate_weights(panel if pools[stratum] is None
-                                      else panel.select(pools[stratum]))
-            for stratum in sorted(pools)}
+    estimates = {}
+    for stratum, rows in sorted(pools.items()):
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                estimates[stratum] = estimate_weights(panel if rows is None else panel.select(rows))
+            except ValidationError as exc:
+                raise ValidationError(f"{config.survey_micro_path}: survey pool {stratum!r}: "
+                                      f"{exc}") from exc
+        for w in caught:
+            warnings.warn(f"survey pool {stratum!r}: {w.message}", w.category)
+    return estimates
 
 
 def _select_proxies(config: RunConfig, prices: PriceSeries) -> dict[str, WeightVector]:

@@ -237,10 +237,27 @@ def test_report_lists_each_dropped_household_once_per_pool(capsys, fx, tmp_path,
     common = ("report", "--prices", fx["prices"], "--weights", fx["weights"],
               "--survey-micro", str(micro), "--proxy", "age_lt26", "--periods", "0:5")
     dropped = "dropped 1 household(s) with zero total expenditure"
-    # the household sits in two pools: its stratum and 'all'
-    assert run_machine(capsys, *common)["warnings"] == [dropped] * 2
+    # the household sits in two pools, its stratum and 'all', and each
+    # warning names its pool
+    assert run_machine(capsys, *common)["warnings"] == [
+        f"survey pool 'age_lt26': {dropped}", f"survey pool 'all': {dropped}"]
     assert run_machine(capsys, *common, "--survey-stratum", "age_lt26")[
-        "warnings"] == [dropped]
+        "warnings"] == [f"survey pool 'age_lt26': {dropped}"]
+
+
+def test_a_pool_too_small_to_estimate_is_named_with_its_file(capsys, fx, tmp_path,
+                                                             food_prices):
+    micro = tmp_path / "micro.csv"
+    micro.write_text(Path(fx["micro"]).read_text(encoding="utf-8") + "".join(
+        f"h_solo,{group},1.0,solo\n" for group in food_prices.group_labels),
+        encoding="utf-8")
+    code, out, err = run(capsys, "ztest", "--prices", fx["prices"],
+                         "--weights", fx["weights"], "--survey-micro", str(micro))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "code": "data_error",
+        "message": f"{micro}: survey pool 'solo': need at least 2 households with "
+                   f"positive expenditure, got 1"}
 
 
 @pytest.mark.parametrize("command", ["coverage", "mse"])
@@ -253,9 +270,9 @@ def test_coverage_and_mse_estimate_only_their_pool(capsys, fx, tmp_path, food_pr
     common = (command, "--prices", fx["prices"], "--weights", fx["weights"],
               "--survey-micro", str(micro), "--proxy", "age_lt26", "--periods", "0:5")
     dropped = "dropped 1 household(s) with zero total expenditure"
-    assert run_machine(capsys, *common)["warnings"] == [dropped]
+    assert run_machine(capsys, *common)["warnings"] == [f"survey pool 'all': {dropped}"]
     assert run_machine(capsys, *common, "--survey-stratum", "age_lt26")[
-        "warnings"] == [dropped]
+        "warnings"] == [f"survey pool 'age_lt26': {dropped}"]
     assert run_machine(capsys, *common, "--survey-stratum", "age_68plus")["warnings"] == []
 
 
@@ -743,7 +760,8 @@ def test_an_overflowing_expenditure_total_is_a_data_error(capsys, fx, tmp_path, 
     # each stratum's 15 households sum to a finite total; all 60 do not
     assert err == json.dumps({"error": {
         "code": "data_error",
-        "message": "the pooled expenditure total of 60 households overflows to inf",
+        "message": f"{micro}: survey pool 'all': the pooled expenditure total of 60 "
+                   f"households overflows to inf",
     }}, sort_keys=True) + "\n"
 
 
