@@ -1,0 +1,138 @@
+"""Mutation checks: each mutant must fail the tests it names.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py          # every mutant in the table
+    python tests/mutants.py 0 4      # the mutants at those positions
+
+Each row of ``MUTANTS`` names a module of ``src/indexaudit/``, an exact
+snippet of its source, the snippet's replacement and the test files that
+must fail. For each mutant the script copies ``src/`` to a temporary
+directory, applies that one replacement there and runs only those test
+files against the copy. A mutant is killed when pytest reports a failed
+test. The script exits 1 if a mutant not marked equivalent survives, if
+its tests cannot even be collected, or if a snippet is not found exactly
+once (the table no longer matches the source). An equivalent mutant
+changes the code but no behaviour a test can observe; it is run and
+reported, and may survive.
+
+pytest does not collect this file and tier-1 does not run it: each mutant
+costs a run of its test files, from one to some ten seconds. It uses the
+standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    module: str  # file name in src/indexaudit/
+    what: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # paths from the repository root
+    equivalent: bool = False
+
+
+MUTANTS = [
+    Mutant("dataio.py", "a ragged csv row is raised at once, before a later read error",
+           'ragged = ValidationError(f"{path}:{line_no}: expected "',
+           'raise ValidationError(f"{path}:{line_no}: expected "',
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "_load no longer drains the chunks after an error",
+           "        for _ in chunks:\n            pass\n        raise\n",
+           "        raise\n",
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "the csv continuation numbers its rows from one line late",
+           "line_no = start + read\n",
+           "line_no = start + read + 1\n",
+           ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
+    Mutant("dataio.py", "after bytes that are not UTF-8, the csv module starts one "
+                        "line late",
+           "itertools.islice(handle, start - 1, None)",
+           "itertools.islice(handle, start, None)",
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "the csv continuation keeps blank rows",
+           'if "".join(row).strip():',
+           "if True:",
+           ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
+    Mutant("dataio.py", "the csv continuation starts at the next chunk, not the current one",
+           'source = itertools.chain(io.StringIO(text, newline=""), handle)',
+           "source = handle",
+           ("tests/test_micro_loader.py", "tests/test_price_loader.py",
+            "tests/test_dataio.py")),
+    Mutant("dataio.py", "write_households appends the ranges in reverse",
+           "for (_, spool), status in zip(children, statuses):",
+           "for (_, spool), status in reversed(list(zip(children, statuses))):",
+           ("tests/test_dataio.py",)),
+    Mutant("dataio.py", "write_households reaps its children outside the finally",
+           "            finally:\n"
+           "                statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]\n",
+           "            finally:\n"
+           "                pass\n"
+           "            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]\n",
+           ("tests/test_dataio.py",)),
+    Mutant("montecarlo.py", "_blocks no longer folds a 1-row tail into the block before it",
+           "if total - stop <= 1:",
+           "if total - stop <= 0:",
+           ("tests/test_montecarlo_kernels.py",)),
+    # no child flushes the buffer it inherits: each writes to its own spool
+    # and leaves through os._exit, which flushes nothing
+    Mutant("dataio.py", "write_households forks before it flushes the header",
+           "            # a child inherits unwritten buffers, so none may be left\n"
+           "            handle.flush()\n",
+           "",
+           ("tests/test_dataio.py",), equivalent=True),
+]
+
+
+def outcome(mutant: Mutant, scratch: Path) -> str:
+    """'killed', 'survived', 'stale' (the snippet is not there exactly once)
+    or 'broken' (the tests did not run)."""
+    src = scratch / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "indexaudit" / mutant.module
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.snippet) != 1:
+        return "stale"
+    path.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    # the working directory is the scratch one, so that hypothesis writes its
+    # files there
+    code = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *(str(ROOT / test) for test in mutant.tests)],
+        cwd=scratch, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+    # pytest exits 1 when a test failed, 0 when all passed, other codes when
+    # it could not run them
+    return {0: "survived", 1: "killed"}.get(code, "broken")
+
+
+def main(argv: list[str]) -> int:
+    chosen = [int(arg) for arg in argv] or range(len(MUTANTS))
+    failures = 0
+    for position in chosen:
+        mutant = MUTANTS[position]
+        with tempfile.TemporaryDirectory() as scratch:
+            result = outcome(mutant, Path(scratch))
+        failures += result not in (("killed", "survived") if mutant.equivalent
+                                   else ("killed",))
+        label = "equivalent, " + result if mutant.equivalent else result
+        print(f"{position:2d} {label:<20} {mutant.module}: {mutant.what} "
+              f"[{', '.join(mutant.tests)}]", flush=True)
+    print(f"{failures} of {len(chosen)} mutants not as expected")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
