@@ -192,9 +192,9 @@ def _chunks(path: Path, columns: Sequence[str],
                 source = itertools.islice(handle, start - 1, None)
             if source:
                 reader, ragged = csv.reader(source), None
-                header = header or _check_header(path, next(reader), columns,
-                                                 optional)
-                width, size = len(header), max(1, _CHUNK_CHARS >> 5)
+                if header is None:
+                    header = _check_header(path, next(reader), columns, optional)
+                width, size = len(header), max(1, _CHUNK_CHARS // 32)
                 while True:
                     lines, rows, read = [], [], reader.line_num
                     # each row is numbered by the line it starts on

@@ -324,6 +324,33 @@ def test_a_failure_in_the_writing_process_reaps_every_child(tmp_path, monkeypatc
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("text, result", [
+    ('"household_id",group,expenditure\nh1,a,1\nh1,b,2\n', [[1.0, 2.0]]),
+    ("household_id,group,expenditure\nh1,a,\udcff\n", "not UTF-8 text: invalid start byte"),
+])
+def test_a_pipe_the_direct_split_cannot_read_is_read_once(tmp_path, text, result):
+    # the csv module reads on from the pipe; one that cannot seek names the
+    # bytes that are not UTF-8 where it meets them
+    fifo = tmp_path / "micro.csv"
+    os.mkfifo(fifo)
+    loaded = {}
+
+    def load():
+        try:
+            loaded["result"] = dataio.load_households(fifo, ["a", "b"]).expenditures.tolist()
+        except ValidationError as exc:
+            loaded["result"] = str(exc)
+
+    loader = threading.Thread(target=load, daemon=True)
+    loader.start()
+    with fifo.open("wb") as pipe:
+        pipe.write(text.encode("utf-8", "surrogateescape"))
+    loader.join(timeout=30)
+    assert not loader.is_alive()
+    assert loaded["result"] == (result if isinstance(result, list) else f"{fifo}: {result}")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_failed_write_to_a_pipe_leaves_the_pipe(tmp_path, monkeypatch):
     force_parts(monkeypatch, 2)
     panel = split_panel(4, False)
