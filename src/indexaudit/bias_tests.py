@@ -53,7 +53,7 @@ class TestKind(str, Enum):
     B = "B"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestResult:
     """Outcome of one standardized bias test.
 

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass
@@ -457,7 +458,16 @@ def emit_report(doc: reporting.ReportDocument, fmt: str,
         else:
             target = Path(output)
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(payload)
+            handle = target.open("wb")
+            # a report it could not finish is removed; a device or a pipe never is
+            regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+            try:
+                with handle:
+                    handle.write(payload)
+            except BaseException:
+                if regular:
+                    target.unlink(missing_ok=True)
+                raise
     except OSError as exc:
         raise ConfigError(f"cannot write report to {output}: {exc}") from exc
 

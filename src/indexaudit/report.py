@@ -14,6 +14,7 @@ statistics with enough digits to re-derive the p-values.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -153,9 +154,15 @@ def _render_dicts(dicts: list[dict], keys: tuple, depth: int) -> list[str]:
     return [template % row for row in zip(*columns)]
 
 
+# result rows rendered, encoded and written at a time: emission holds the
+# report's bytes and one block's text, never the text of the whole report
+_ROWS = 1024
+
+
 def emit_machine(doc: ReportDocument) -> bytes:
     """Canonical JSON bytes: ``json.dumps(_json_safe(payload), sort_keys=True,
-    indent=2, ensure_ascii=False, allow_nan=False)`` plus a newline."""
+    indent=2, ensure_ascii=False, allow_nan=False)`` plus a newline, written
+    key by key into one buffer."""
     payload = {
         "command": doc.command,
         "config": doc.config,
@@ -163,14 +170,28 @@ def emit_machine(doc: ReportDocument) -> bytes:
         "results": doc.results,
         "warnings": list(doc.warnings),
     }
+    out = io.BytesIO()
     try:
-        text = _render([payload], 0)[0]
+        for name, value in payload.items():  # in sorted order
+            out.write(b'%s\n  "%s": ' % (b"," if out.tell() else b"{", name.encode()))
+            if name != "results":
+                out.write(_render([value], 1)[0].encode("utf-8"))
+                continue
+            separator = "[\n    "
+            for start in range(0, len(value), _ROWS):
+                out.write((separator + ",\n    ".join(_render(value[start:start + _ROWS], 2)))
+                          .encode("utf-8"))
+                separator = ",\n    "
+            out.write(b"\n  ]" if value else b"[]")
+        out.write(b"\n}\n")
     except (TypeError, ValueError):
         # columns are not visited in document order; let the encoder raise
         # for the first value it cannot serialise, as it meets them in order
         json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False)
+        # a string UTF-8 cannot encode is named at its place in the whole text
+        (_render([payload], 0)[0] + "\n").encode("utf-8")
         raise
-    return (text + "\n").encode("utf-8")
+    return out.getvalue()
 
 
 def parse_report(data: bytes | str) -> ReportDocument:
@@ -210,7 +231,8 @@ def test_result_row(result: TestResult) -> dict:
         "variance": result.variance,
         "statistic": result.statistic,
         "p_value": result.p_value,
-        "metadata": dict(result.metadata),
+        # the result's own copy, made on construction
+        "metadata": result.metadata,
     }
 
 

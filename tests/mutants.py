@@ -17,7 +17,7 @@ changes the code but no behaviour a test can observe; it is run and
 reported, and may survive.
 
 pytest does not collect this file and tier-1 does not run it: each mutant
-costs a run of its test files, from one to some ten seconds. It uses the
+costs a run of its test files, from one to some thirty seconds. It uses the
 standard library only.
 """
 
@@ -92,6 +92,57 @@ MUTANTS = [
            "            handle.flush()\n",
            "",
            ("tests/test_dataio.py",), equivalent=True),
+    Mutant("report.py", "a % in a key is not escaped in the row template",
+           "f\"{inner}{name.replace('%', '%%')}: %s\"",
+           "f\"{inner}{name}: %s\"",
+           ("tests/test_report_emitter.py",)),
+    Mutant("report.py", "a non-finite float is not spelled as a string",
+           "if kind not in _PLAIN or (kind is float and not math.isfinite(value)):",
+           "if kind not in _PLAIN:",
+           ("tests/test_report_emitter.py",)),
+    Mutant("report.py", "dict keys are rendered in insertion order",
+           "keys = sorted(keys)",
+           "keys = list(keys)",
+           ("tests/test_report_emitter.py",)),
+    Mutant("report.py", "keys that are not str are not passed through str()",
+           "if not all(type(key) is str for key in keys):",
+           "if False:",
+           ("tests/test_report_emitter.py",)),
+    Mutant("report.py", "an error is named in column order, not document order",
+           "        json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False)\n",
+           "",
+           ("tests/test_report_emitter.py",)),
+    Mutant("report.py", "an unencodable string is named at its place in a block, not "
+                        "in the whole text",
+           '        (_render([payload], 0)[0] + "\\n").encode("utf-8")\n',
+           "",
+           ("tests/test_report_emitter.py",)),
+    Mutant("report.py", "a tuple is not rendered as a list",
+           "else list if kind in (list, tuple) else None",
+           "else list if kind is list else None",
+           ("tests/test_report_emitter.py",)),
+    Mutant("report.py", "the first of two keys equal after str() wins",
+           "{str(key): item for key, item in d.items()}",
+           "{str(key): item for key, item in reversed(d.items())}",
+           ("tests/test_report_emitter.py",)),
+    Mutant("report.py", "list items are separated without a comma",
+           'f",\\n{inner}".join',
+           'f"\\n{inner}".join',
+           ("tests/test_report_emitter.py",)),
+    Mutant("report.py", "a block of result rows after the first has no leading comma",
+           'separator = ",\\n    "',
+           'separator = "\\n    "',
+           ("tests/test_report_emitter.py",)),
+    Mutant("report.py", "each block of result rows takes one row of the next",
+           "value[start:start + _ROWS]",
+           "value[start:start + _ROWS + 1]",
+           ("tests/test_report_emitter.py",)),
+    # the C encoder prints a finite np.float64 as the float it is, and a
+    # non-finite one still raises and falls back to the slow path
+    Mutant("report.py", "finite np.float64 scalars take the fast path",
+           "if set(map(type, values)) <= _SCALARS:",
+           "if set(map(type, values)) <= _SCALARS | {np.float64}:",
+           ("tests/test_report_emitter.py",), equivalent=True),
 ]
 
 

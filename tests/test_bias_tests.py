@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -57,6 +60,17 @@ def test_result_derives_statistic_and_p_value():
         TestResult(TestKind.Z, 1.0, math.inf)
     with pytest.raises(ValidationError, match=r"p_value out of \[0, 1\]: nan"):
         TestResult(TestKind.Z, math.nan, 1.0)
+
+
+def test_result_is_slotted_frozen_and_round_trips():
+    result = TestResult(TestKind.B, -0.25, 0.5, {"survey": "s", "proxy": "p"})
+    assert not hasattr(result, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.effect = 0.0
+    for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+        assert twin == result and twin is not result
+        assert twin.statistic.hex() == result.statistic.hex()
+        assert twin.metadata == result.metadata and twin.metadata is not result.metadata
 
 
 # --- Z-test -----------------------------------------------------------------------

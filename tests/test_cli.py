@@ -624,6 +624,30 @@ def test_explicit_output_beats_environment(capsys, fx, tmp_path, monkeypatch):
     assert not (tmp_path / "env").exists()
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE as Linux enforces it")
+def test_a_report_that_cannot_be_finished_leaves_no_file(fx, tmp_path):
+    # past a 16 KiB file size limit a write fails with EFBIG, and SIGXFSZ is
+    # ignored so that the process lives to report it; the report is ~52 KB
+    limited = ("import resource, signal, sys\n"
+               "from indexaudit.cli import main\n"
+               "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+               "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+               "resource.setrlimit(resource.RLIMIT_FSIZE, (16384, hard))\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+    out = tmp_path / "ztest.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", limited, "ztest", "--each-period", "--prices", fx["prices"],
+         "--weights", fx["weights"], "--survey-estimate", fx["estimate"],
+         "--output", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == json.dumps({"error": {
+        "code": "config_error",
+        "message": f"cannot write report to {out}: [Errno 27] File too large",
+    }}, sort_keys=True) + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_errors_exit_1(capsys, fx, tmp_path):
     code, _, err = run(capsys, "ztest", "--prices", str(tmp_path / "nope.csv"),
                        "--weights", fx["weights"],

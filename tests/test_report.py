@@ -127,6 +127,8 @@ def test_rows_from_real_results_validate_against_schema(
 
     assert rows[0]["kind"] == "Z"
     assert rows[0]["p_value"] == result.p_value
+    # the row holds the result's own metadata, not a second copy of it
+    assert rows[0]["metadata"] is result.metadata
     assert rows[1]["role"] == "published_constant"
     assert rows[4]["is_negative"] == mse.is_negative
 

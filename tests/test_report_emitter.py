@@ -1,9 +1,12 @@
 """The column-wise machine-report renderer against the encoder it replaced
-(``report_oracle``): identical bytes, or the same exception and message."""
+(``report_oracle``): identical bytes, or the same exception and message.
+The result rows are rendered a block at a time; the generated documents
+hold at most four rows, so blocks of one and two rows cross block seams."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,39 +48,54 @@ values = st.recursive(scalars, containers, max_leaves=12)
 odd_values = st.recursive(scalars | unserialisable, containers, max_leaves=8)
 
 
-def same_outcome(doc):
+def same_outcome(doc, rows):
     try:
         want = report_oracle.emit_machine(doc)
     except Exception as exc:  # the renderer must raise the same
         with pytest.raises(type(exc)) as caught:
-            report.emit_machine(doc)
+            emit_in_blocks(doc, rows)
         assert str(caught.value) == str(exc)
         return
-    assert report.emit_machine(doc) == want
+    assert emit_in_blocks(doc, rows) == want
 
 
+def emit_in_blocks(doc, rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "_ROWS", rows)
+        return report.emit_machine(doc)
+
+
+BLOCKS = pytest.mark.parametrize("rows", [report._ROWS, 1, 2])
+
+
+@BLOCKS
 @settings(max_examples=200, deadline=None)
 @given(command=text, config=st.dictionaries(keys, values, max_size=4),
        results=st.lists(values, max_size=4), warnings=st.lists(text, max_size=2),
        meta=st.dictionaries(keys, values, max_size=2))
-def test_renderer_matches_reference_encoder(command, config, results, warnings, meta):
+# UTF-8 cannot encode a lone surrogate; the error names its position in the
+# whole text, not in the block that holds it
+@example(command="", config={}, results=[{"a": "é"}, {"a": "\ud800"}], warnings=[], meta={})
+def test_renderer_matches_reference_encoder(rows, command, config, results, warnings, meta):
     same_outcome(report.ReportDocument(command=command, config=config, results=results,
-                                       warnings=warnings, meta=meta))
+                                       warnings=warnings, meta=meta), rows)
 
 
+@BLOCKS
 @settings(max_examples=150, deadline=None)
 @given(results=st.lists(odd_values, max_size=4),
        config=st.dictionaries(keys, odd_values, max_size=3))
 # column "a" is rendered first, but row 0's "b" comes first in the document
 @example(results=[{"a": 1, "b": 1j}, {"a": b"x", "b": 2}], config={})
-def test_unserialisable_values_raise_the_reference_error(results, config):
+def test_unserialisable_values_raise_the_reference_error(rows, results, config):
     # the first value the reference meets in document order names the error
-    same_outcome(report.build_document("x", config, results))
+    same_outcome(report.build_document("x", config, results), rows)
 
 
-def test_empty_and_degenerate_documents():
+@BLOCKS
+def test_empty_and_degenerate_documents(rows):
     for results in ([], [{}], [[]], [()], [[[]], {"": {}}], [{"a": 1}, {"a": {}}, {"a": []}]):
-        same_outcome(report.build_document("", {}, results))
+        same_outcome(report.build_document("", {}, results), rows)
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -98,3 +116,26 @@ def test_real_report_shapes_match(fixture_dir, command, extra):
     doc, _ = run_command(config)
     assert doc.results
     assert report.emit_machine(doc) == report_oracle.emit_machine(doc)
+
+
+def test_emission_holds_the_report_and_one_block():
+    # 20,000 rows shaped as ztest --each-period's, ~7 MB of report: the
+    # traced peak is the report's bytes (the buffer grows by up to an
+    # eighth) and one block's text, not several copies of the report
+    rng = np.random.default_rng(20)
+    effects, variances = rng.normal(size=20_000).tolist(), rng.uniform(0.1, 2.0, 20_000).tolist()
+    results = [{
+        "type": "test_result", "kind": "Z", "effect": effect, "variance": variance,
+        "statistic": effect / math.sqrt(variance), "p_value": variance / 2.0,
+        "metadata": {"survey": "survey", "proxy": f"proxy_{i % 16}",
+                     "periods": f"2019-{i % 12 + 1:02d}", "subset": f"p{i // 16}"},
+    } for i, (effect, variance) in enumerate(zip(effects, variances))]
+    doc = report.build_document("ztest", {"each_period": True}, results)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        payload = report.emit_machine(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.25 * len(payload) + 2 * 2 ** 20
