@@ -21,7 +21,7 @@ from ._version import __version__
 # every public name, by the submodule that defines it; a submodule is imported
 # when one of its names is first used, so a command loads only what it runs
 _EXPORTS = {
-    "bias_tests": ("TestKind", "TestResult", "UnitySlopeFit", "b_test",
+    "bias_tests": ("TestKind", "TestResult", "TestResults", "UnitySlopeFit", "b_test",
                    "cross_group_battery", "unity_slope_fit", "z_test"),
     "core": ("PriceSeries", "WeightVector", "mean_price_vector", "mean_source_effect",
              "relative_weight_diff", "source_effect", "weighted_covariance",

@@ -21,11 +21,13 @@ run both.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -34,10 +36,12 @@ from .core import (
     PriceSeries,
     WeightVector,
     _check_groups,
+    _dots,
     _resolve_periods,
     mean_price_vector,
 )
 from .errors import (
+    AuditError,
     AuditWarning,
     DegenerateVarianceError,
     UndefinedSlopeError,
@@ -212,12 +216,42 @@ def b_test(prices: PriceSeries, estimate: WeightEstimate, w_proxy: WeightVector,
     )
 
 
+class TestResults(Sequence):
+    """A battery's tests as columns, one row per test in battery order.
+
+    ``effect``, ``statistic`` and ``p_value`` are arrays. ``kind``,
+    ``variance`` and each ``metadata`` key are a pair: the distinct values,
+    and per row a code into them, negative where the row has no such key.
+    The Z-tests of one survey and subset share their variance. Indexing
+    gives a row as the :class:`TestResult` it is.
+    """
+
+    __test__ = False  # not a test class, despite the name
+
+    def __init__(self, kind: tuple[list, np.ndarray], effect: np.ndarray,
+                 variance: tuple[np.ndarray, np.ndarray],
+                 metadata: dict[str, tuple[list, np.ndarray]]):
+        self.kind, self.effect, self.variance, self.metadata = kind, effect, variance, metadata
+        self.statistic = effect / np.sqrt(variance[0][variance[1]])
+        self.p_value = gaussian.two_sided_p(self.statistic)
+
+    def __len__(self) -> int:
+        return self.effect.size
+
+    def __getitem__(self, row: int) -> TestResult:
+        (kinds, kind), (variances, variance) = self.kind, self.variance
+        return TestResult(kinds[kind[row]], float(self.effect[row]),
+                          float(variances[variance[row]]),
+                          {key: values[codes[row]] for key, (values, codes)
+                           in self.metadata.items() if codes[row] >= 0})
+
+
 def cross_group_battery(prices: PriceSeries,
                         estimates: Mapping[str, WeightEstimate],
                         proxies: Mapping[str, WeightVector],
                         period_subsets: Mapping[str, Sequence[int] | None] | None = None,
                         include: Sequence[TestKind] = (TestKind.Z, TestKind.B),
-                        ) -> list[TestResult]:
+                        ) -> TestResults:
     """Run every requested test for every (survey, proxy, period-subset) cell.
 
     Iteration order is sorted by survey label, proxy label, then subset name,
@@ -226,58 +260,86 @@ def cross_group_battery(prices: PriceSeries,
     each subset skipped is named in an :class:`AuditWarning`; other component
     errors propagate.
 
-    Every Z-test result, and the first error any input raises, is the one
-    :func:`z_test` gives on that cell. Only the effect depends on the proxy,
-    so a subset's mean prices are resolved once and its level variance once
-    per survey. The effects stay one ``np.dot`` per cell: a matrix product
-    sums in another order and changes the last bits.
+    Each result is the one :func:`z_test` or :func:`b_test` gives on its
+    cell, and an error is the first one they raise in cell order. The
+    Z-tests are arrays: one mean-price row per subset (a single period's is
+    its price column), one level variance per survey and subset, and the
+    effects of each survey as proxies by subsets, one ``np.dot`` per cell (a
+    matrix product sums in another order and changes the last bits).
     """
     if period_subsets is None:
         period_subsets = {"all": None}
-    subsets = [(name, period_subsets[name]) for name in sorted(period_subsets)]
-    levels: dict[str, tuple[np.ndarray, str]] = {}  # subset -> mean prices, label
-    results: list[TestResult] = []
-    skipped: set[str] = set()  # subsets whose B-tests were skipped
-    for survey_label in sorted(estimates):
-        estimate = estimates[survey_label]
-        level_variances: dict[str, float] = {}
-        for proxy_label in sorted(proxies):
-            proxy = proxies[proxy_label]
-            weight_diff = None
-            for subset_name, periods in subsets:
-                for kind in include:
-                    if kind == TestKind.Z:
-                        if weight_diff is None:
-                            _check_groups(prices, estimate.point)
-                            _check_groups(prices, proxy)
-                            weight_diff = estimate.point.w - proxy.w
-                        if subset_name not in levels:
-                            levels[subset_name] = (mean_price_vector(prices, periods),
-                                                   _describe_periods(prices, periods))
-                        p_bar, described = levels[subset_name]
-                        effect = float(np.dot(p_bar, weight_diff))
-                        if subset_name not in level_variances:
-                            level_variances[subset_name] = _level_variance(p_bar, estimate)
-                        results.append(TestResult(
-                            TestKind.Z, effect, level_variances[subset_name],
-                            metadata={"survey": survey_label, "proxy": proxy_label,
-                                      "periods": described, "subset": subset_name},
-                        ))
-                    elif kind == TestKind.B:
-                        size = prices.n_periods if periods is None else len(list(periods))
-                        if size < 3:
-                            if subset_name not in skipped:
-                                skipped.add(subset_name)
-                                warnings.warn(
-                                    f"B-test skipped for period subset {subset_name!r}: "
-                                    f"the slope fit needs at least 3 periods, the subset "
-                                    f"has {size}", AuditWarning, stacklevel=2)
-                            continue
-                        result = b_test(prices, estimate, proxy, periods)
-                        labeled = dict(result.metadata)
-                        labeled.update(survey=survey_label, proxy=proxy_label,
-                                       subset=subset_name)
-                        results.append(replace(result, metadata=labeled))
-                    else:
-                        raise ValidationError(f"unknown test kind {kind!r}")
-    return results
+    surveys, labels, names = sorted(estimates), sorted(proxies), sorted(period_subsets)
+    subsets = [period_subsets[name] for name in names]
+    if not (surveys and labels and names):
+        include = ()
+    sizes = [prices.n_periods if periods is None else len(list(periods))
+             for periods in subsets] if TestKind.B in include else []
+    for name, size in zip(names, sizes):
+        if size < 3:
+            warnings.warn(f"B-test skipped for period subset {name!r}: the slope fit needs "
+                          f"at least 3 periods, the subset has {size}", AuditWarning,
+                          stacklevel=2)
+    try:
+        codes = [list(TestKind).index(kind) for kind in include]
+        level = np.empty((len(surveys), len(names)) if 0 in codes else (0, 0))
+        if 0 in codes:
+            for weights in [estimates[s].point for s in surveys] + [proxies[q] for q in labels]:
+                _check_groups(prices, weights)
+            single = {k: periods[0] for k, periods in enumerate(subsets)
+                      if isinstance(periods, (list, tuple)) and len(periods) == 1
+                      and type(periods[0]) is int and 0 <= periods[0] < prices.n_periods}
+            p_bar = np.empty((len(names), prices.n_groups))
+            p_bar[list(single)] = prices.values[:, list(single.values())].T
+            for k, periods in enumerate(subsets):
+                if k not in single:
+                    p_bar[k] = mean_price_vector(prices, periods)
+            for i, label in enumerate(surveys):
+                level[i] = _dots([row @ estimates[label].covariance for row in p_bar], p_bar)
+            scale = np.abs(p_bar).max(axis=1)
+            with np.errstate(over="ignore"):
+                if not (np.isfinite(level) & (level >= 1e-20 * scale * scale)).all():
+                    raise DegenerateVarianceError("a level variance is degenerate")
+        b_results = [b_test(prices, estimates[s], proxies[q], subsets[k])
+                     for s, q, k, _ in itertools.product(
+                         surveys, labels, [k for k, size in enumerate(sizes) if size >= 3],
+                         [code for code in codes if code == 1])]
+    except (AuditError, TypeError, ValueError):
+        # the first cell in order that fails names the error
+        for s, q, k in itertools.product(surveys, labels, range(len(names))):
+            for kind in include:
+                if kind == TestKind.Z:
+                    z_test(prices, estimates[s], proxies[q], subsets[k])
+                elif kind == TestKind.B:
+                    if sizes[k] >= 3:
+                        b_test(prices, estimates[s], proxies[q], subsets[k])
+                else:
+                    raise ValidationError(f"unknown test kind {kind!r}") from None
+        raise
+    # every (survey, proxy) block holds each subset's tests in include order
+    pattern = [(k, code) for k in range(len(names)) for code in codes
+               if code == 0 or sizes[k] >= 3]
+    blocks = len(surveys) * len(labels)
+    subset = np.tile(np.array([k for k, _ in pattern], dtype=int), blocks)
+    kind = np.tile(np.array([code for _, code in pattern], dtype=int), blocks)
+    survey, proxy = np.divmod(np.repeat(np.arange(blocks), len(pattern)), len(labels))
+    z, b = kind == 0, kind == 1
+    effect = np.empty(kind.size)
+    effect[b] = [result.effect for result in b_results]
+    if 0 in codes:
+        diffs = [estimates[s].point.w - proxies[q].w for s in surveys for q in labels]
+        effects = np.array([_dots(p_bar, itertools.repeat(diff)) for diff in diffs])
+        effect[z] = effects[survey[z] * len(labels) + proxy[z], subset[z]]
+    variance_code = survey * len(names) + subset
+    variance_code[b] = level.size + np.arange(len(b_results))
+    tested = set(subset.tolist())
+    described = [_describe_periods(prices, periods) if k in tested else ""
+                 for k, periods in enumerate(subsets)]
+    metadata = {"survey": (surveys, survey), "proxy": (labels, proxy),
+                "periods": (described, subset)}
+    if b_results:
+        metadata["beta_hat"] = ([result.metadata["beta_hat"] for result in b_results],
+                                np.where(b, np.cumsum(b) - 1, -1))
+    metadata["subset"] = (names, subset)
+    variances = np.concatenate([level.ravel(), [result.variance for result in b_results]])
+    return TestResults((list(TestKind), kind), effect, (variances, variance_code), metadata)

@@ -22,10 +22,12 @@ import os
 import stat
 import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import click
+import numpy as np
 
 from ._version import __version__
 from . import report as reporting
@@ -46,6 +48,7 @@ from .dataio import (
     write_households,
 )
 from .errors import AuditError, AuditWarning, ConfigError, ValidationError, VerificationFailure
+from .gaussian import power
 from .survey import WeightEstimate, estimate_weights, index_variance, simulate_households
 
 
@@ -253,53 +256,56 @@ def _select_proxies(config: RunConfig, prices: PriceSeries) -> dict[str, WeightV
     return {source: proxies[source] for source in config.proxy_sources}
 
 
-def _audit_rows(config: RunConfig) -> tuple[list[dict], dict]:
+def _audit_rows(config: RunConfig) -> tuple[reporting.Rows, dict]:
     """Result rows and derived config of an audit command. Prices, survey,
     proxies and periods are read once each, in that order; the battery then
     tests every survey pool, and the per-period sections evaluate one proxy
-    against one pool, the only pool estimated when there is no battery."""
+    against one pool, the only pool estimated when there is no battery. Each
+    estimator runs once, on the arrays of every period."""
     kinds, sections = _AUDITS[config.command]
     prices = load_prices(config.prices_path)
     estimates = _load_survey_estimates(config, prices, every_pool=bool(kinds))
     proxies = _select_proxies(config, prices)
     chosen = _parse_periods(config.periods_spec, prices)
     targets = chosen if chosen is not None else range(prices.n_periods)
-    rows: list[dict] = []
+    tests: Sequence[dict] = []
     if kinds:
         subsets = ({prices.period_labels[t]: [t] for t in targets} if config.each_period
                    else {config.periods_spec: chosen})
-        rows = [reporting.test_result_row(result) for result in cross_group_battery(
-            prices, estimates, proxies, period_subsets=subsets, include=kinds)]
+        tests = reporting.test_result_rows(cross_group_battery(
+            prices, estimates, proxies, period_subsets=subsets, include=kinds))
     if not sections:
-        return rows, {}
+        return reporting.Rows(tests), {}
     if len(proxies) != 1:
         raise ConfigError("this command needs exactly one proxy source (pass --proxy)")
     (proxy_label, proxy), = proxies.items()
     survey_label = _section_pool(config)
     estimate = estimates[survey_label]
-    # (period label, proxy index, audit index, audit variance) per period
-    period_values = [(prices.period_labels[t], weighted_index(prices, proxy, t),
-                      weighted_index(prices, estimate.point, t),
-                      index_variance(prices, estimate, t)) for t in targets]
-    derived: dict = {}
+    periods = [prices.period_labels[t] for t in targets]
+    theta_star = weighted_index(prices, proxy, targets)
+    theta_audit = weighted_index(prices, estimate.point, targets)
+    variance = index_variance(prices, estimate, targets)
+    parts, derived = [tests], {}
     if "coverage" in sections:
-        coverage_rows, omega = _coverage_rows(config, period_values, estimate)
-        rows += coverage_rows
+        coverage, omega = _coverage_rows(config, periods, theta_star, theta_audit, variance,
+                                         estimate)
+        parts += coverage
         derived = {"resolved_omega": omega, "survey": survey_label, "proxy": proxy_label}
     if "mse" in sections:
-        rows += [reporting.mse_row(period, mse_estimate(theta_star, theta_audit, variance),
-                                   theta_star, theta_audit, variance)
-                 for period, theta_star, theta_audit, variance in period_values]
-    return rows, derived
+        parts.append(reporting.mse_rows(periods, mse_estimate(theta_star, theta_audit, variance),
+                                        theta_star, theta_audit, variance))
+    return reporting.Rows(*parts), derived
 
 
-def _coverage_rows(config: RunConfig, period_values: list[tuple[str, float, float, float]],
-                   estimate: WeightEstimate) -> tuple[list[dict], float]:
+def _coverage_rows(config: RunConfig, periods: list[str], theta_star: np.ndarray,
+                   theta_audit: np.ndarray, variance: np.ndarray,
+                   estimate: WeightEstimate) -> tuple[list[Sequence[dict]], float]:
     """Per-period coverage rows and their summaries, with the resolved omega:
     --omega, else --omega-se-mult (default 2) times the mean audit SE."""
     omega = config.omega
     if omega is None:
-        mean_se = sum(variance ** 0.5 for *_, variance in period_values) / len(period_values)
+        # Python's sum, in period order, of Python's float ** 0.5
+        mean_se = sum(power(variance, 0.5).tolist()) / len(periods)
         if mean_se <= 0.0:
             raise ConfigError(
                 "audit standard error is zero; pass --omega explicitly"
@@ -307,27 +313,20 @@ def _coverage_rows(config: RunConfig, period_values: list[tuple[str, float, floa
         multiple = config.omega_se_multiple if config.omega_se_multiple is not None else 2.0
         omega = multiple * mean_se
     scheme = EvalScheme(alpha=config.alpha, omega=omega)
-    rows: list[dict] = []
-    plug_in_values: list[float] = []
-    benchmark_values: list[float] = []
-    for period, theta_star, theta_audit, variance in period_values:
-        plug_in = estimate_coverage(theta_star, theta_audit, variance, scheme)
-        rows.append(reporting.coverage_row(period, "published_constant", plug_in))
-        plug_in_values.append(plug_in.value)
-        if config.var_of_variance is not None:
-            var_of_var = config.var_of_variance
-        elif estimate.n_households is not None:
-            var_of_var = default_variance_of_variance(variance, estimate.n_households)
-        else:
-            raise ConfigError(
-                "survey estimate has no household count; pass --var-of-variance"
-            )
-        benchmark = estimate_unbiased_coverage(variance, var_of_var, scheme)
-        rows.append(reporting.coverage_row(period, "unbiased_benchmark", benchmark))
-        benchmark_values.append(benchmark.value)
-    rows.append(reporting.quantile_summary_row("published_constant", plug_in_values))
-    rows.append(reporting.quantile_summary_row("unbiased_benchmark", benchmark_values))
-    return rows, scheme.omega
+    plug_in = estimate_coverage(theta_star, theta_audit, variance, scheme)
+    if config.var_of_variance is not None:
+        var_of_var = config.var_of_variance
+    elif estimate.n_households is not None:
+        var_of_var = default_variance_of_variance(variance, estimate.n_households)
+    else:
+        raise ConfigError(
+            "survey estimate has no household count; pass --var-of-variance"
+        )
+    benchmark = estimate_unbiased_coverage(variance, var_of_var, scheme)
+    return [reporting.coverage_rows(periods, plug_in, benchmark), [
+        reporting.quantile_summary_row("published_constant", plug_in.value),
+        reporting.quantile_summary_row("unbiased_benchmark", benchmark.value),
+    ]], scheme.omega
 
 
 def _simulate_rows(config: RunConfig) -> list[dict]:
@@ -390,10 +389,16 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
         raise ConfigError(f"cannot write households to {config.out_path}: {exc}") from exc
     return [{
         "type": "file_output",
-        "path": config.out_path,
+        "path": _spelled(config.out_path),
         "rows": len(panel) * len(groups),
         "sha256": digest.hexdigest(),
     }]
+
+
+def _spelled(path: str) -> str:
+    """A path as report text: bytes that are not UTF-8 (which the command
+    line carries as lone surrogates) are spelled as ``\\xNN`` escapes."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 def run_verification(master_seed: int, scale: float, jobs: int) -> list:
@@ -424,7 +429,8 @@ def run_command(config: RunConfig) -> tuple[reporting.ReportDocument, int]:
     # fmt/output/jobs shape the run, not the result; echoing jobs would break
     # the promise that --jobs never changes the report bytes
     config_echo = {
-        key: value for key, value in dataclasses.asdict(config).items()
+        key: _spelled(value) if key.endswith("_path") else value
+        for key, value in dataclasses.asdict(config).items()
         if value not in (None, (), {}, "")
         and key not in ("fmt", "output", "jobs")
     }

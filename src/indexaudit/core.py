@@ -12,6 +12,7 @@ immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -162,16 +163,32 @@ def _resolve_periods(prices: PriceSeries, periods: Sequence[int] | None) -> np.n
     return chosen
 
 
-def weighted_index(prices: PriceSeries, weights: WeightVector, t: int) -> float:
-    """The weighted index at period position ``t`` (dot product, float64).
+def _dots(left, right) -> np.ndarray:
+    """``np.dot(a, b)`` for each pair of arrays of ``left`` and ``right``.
+
+    One BLAS dot product per pair, each summed in that kernel's order: a
+    matrix product sums in another order and changes the last bits. This is
+    the one place the package's per-cell summation order is set.
+    """
+    return np.fromiter(map(np.ndarray.dot, left, right), float)
+
+
+def weighted_index(prices: PriceSeries, weights: WeightVector, t):
+    """The weighted index at period position ``t`` (dot product, float64);
+    an array of positions gives the array of their indices.
 
     Summation uses numpy's dot product; tests pin it against ``math.fsum``
     to 1e-12 relative.
     """
     _check_groups(prices, weights)
-    if not 0 <= t < prices.n_periods:
-        raise ValidationError(f"period position {t} out of range [0, {prices.n_periods - 1}]")
-    return float(np.dot(weights.w, prices.values[:, t]))
+    positions = np.ravel(t)
+    outside = (positions < 0) | (positions >= prices.n_periods)
+    if outside.any():
+        raise ValidationError(f"period position {positions[outside][0]} out of range "
+                              f"[0, {prices.n_periods - 1}]")
+    values = _dots(itertools.repeat(weights.w),
+                   (prices.values[:, position] for position in positions.tolist()))
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 def mean_price_vector(prices: PriceSeries, periods: Sequence[int] | None = None) -> np.ndarray:

@@ -60,12 +60,8 @@ class EvalScheme:
         kappa = kappa_quantile(self.alpha)
         sigma = self.omega / kappa
         # the coverage formulas take sigma ** 2 and tau ** 6 with tau >= sigma,
-        # which underflow to 0 or overflow (float ** raises) for some positive
-        # finite omegas
-        try:
-            sigma6 = sigma ** 6
-        except OverflowError:
-            sigma6 = math.inf
+        # which underflow to 0 or overflow for some positive finite omegas
+        sigma6 = gaussian.power(sigma, 6)
         if not 0.0 < sigma6 < math.inf:
             raise ValidationError(
                 f"omega {self.omega!r} is out of range: sigma^2 = (omega / kappa)^2 "
@@ -115,9 +111,15 @@ def coverage_of_unbiased(extra_variance: float, scheme: EvalScheme) -> float:
     return coverage_kernel(0.0, extra_variance, scheme)
 
 
-def _check_non_negative(what: str, value: float) -> None:
-    if value < 0.0 or not math.isfinite(value):
-        raise ValidationError(f"{what} must be non-negative, got {value}")
+def _first(values, mask):
+    """The first of ``values`` (a float or an array) where ``mask`` holds."""
+    return np.ravel(values)[np.argmax(np.ravel(mask))].item()
+
+
+def _check_non_negative(what: str, value) -> None:
+    bad = ~(np.asarray(value) >= 0.0) | ~np.isfinite(value)
+    if bad.any():
+        raise ValidationError(f"{what} must be non-negative, got {_first(value, bad)}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,8 @@ class CoverageEstimate:
 
     The 95% CI is derived on construction and clipped to [0, 1];
     ``ci_clipped`` records whether the nominal interval leaked outside it.
-    ``inputs`` echoes the numbers that produced the estimate.
+    ``inputs`` echoes the numbers that produced the estimate. Every field is
+    an array, one value per period, when the estimate was made from arrays.
     """
 
     value: float
@@ -137,20 +140,24 @@ class CoverageEstimate:
     ci_clipped: bool = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ValidationError(f"coverage estimate out of [0, 1]: {self.value}")
+        outside = ~((np.asarray(self.value) >= 0.0) & (np.asarray(self.value) <= 1.0))
+        if outside.any():
+            raise ValidationError(
+                f"coverage estimate out of [0, 1]: {_first(self.value, outside)}")
         _check_non_negative("coverage variance", self.variance)
-        half = gaussian.quantile(0.975) * math.sqrt(self.variance)
+        half = gaussian.quantile(0.975) * np.sqrt(self.variance)
         low, high = self.value - half, self.value + half
-        object.__setattr__(self, "ci_low", max(low, 0.0))
-        object.__setattr__(self, "ci_high", min(high, 1.0))
-        object.__setattr__(self, "ci_clipped", low < 0.0 or high > 1.0)
+        for name, value in (("ci_low", np.where(low < 0.0, 0.0, low)),
+                            ("ci_high", np.where(high > 1.0, 1.0, high)),
+                            ("ci_clipped", (low < 0.0) | (high > 1.0))):
+            object.__setattr__(self, name, value if np.ndim(self.value) else value.item())
         object.__setattr__(self, "inputs", dict(self.inputs))
 
 
-def estimate_coverage(theta_star: float, theta_audit: float, audit_variance: float,
+def estimate_coverage(theta_star, theta_audit, audit_variance,
                       scheme: EvalScheme) -> CoverageEstimate:
-    """Plug-in coverage of a published constant, judged by a noisy audit.
+    """Plug-in coverage of a published constant, judged by a noisy audit;
+    floats, or arrays with one value per period.
 
     The audit estimate replaces the unknown target in the constant-coverage
     formula. Its own variance v propagates by the delta method:
@@ -163,7 +170,7 @@ def estimate_coverage(theta_star: float, theta_audit: float, audit_variance: flo
     value = coverage_kernel(bias_hat, 0.0, scheme)
     u = bias_hat / scheme.sigma
     slope = gaussian.pdf(u + scheme.kappa) - gaussian.pdf(u - scheme.kappa)
-    variance = (audit_variance / scheme.sigma ** 2) * slope ** 2
+    variance = (audit_variance / scheme.sigma ** 2) * gaussian.power(slope, 2)
     return CoverageEstimate(
         value=value, variance=variance,
         inputs={
@@ -176,9 +183,10 @@ def estimate_coverage(theta_star: float, theta_audit: float, audit_variance: flo
     )
 
 
-def estimate_unbiased_coverage(variance_estimate: float, var_of_variance: float,
+def estimate_unbiased_coverage(variance_estimate, var_of_variance,
                                scheme: EvalScheme) -> CoverageEstimate:
-    """Coverage an unbiased estimator with the audit's variance would achieve.
+    """Coverage an unbiased estimator with the audit's variance would achieve;
+    floats, or arrays with one value per period.
 
     The benchmark that answers "how accurate would the audit itself be, read
     as a published number with the same +/- omega convention". Point value is
@@ -190,16 +198,15 @@ def estimate_unbiased_coverage(variance_estimate: float, var_of_variance: float,
     _check_non_negative("variance estimate", variance_estimate)
     _check_non_negative("variance of the variance", var_of_variance)
     value = coverage_kernel(0.0, variance_estimate, scheme)
-    tau = math.sqrt(scheme.sigma ** 2 + variance_estimate)
+    tau = np.sqrt(scheme.sigma ** 2 + variance_estimate)
     ratio = scheme.omega / tau
-    slope_sq = (gaussian.pdf(ratio) + gaussian.pdf(-ratio)) ** 2
-    try:
-        tau6 = tau ** 6
-    except OverflowError:
+    slope_sq = gaussian.power(gaussian.pdf(ratio) + gaussian.pdf(-ratio), 2)
+    tau6 = gaussian.power(tau, 6)
+    if np.isinf(tau6).any():
         raise ValidationError(
-            f"variance estimate {variance_estimate!r} is too large: "
-            f"tau^6 = (sigma^2 + variance estimate)^3 overflows"
-        ) from None
+            f"variance estimate {_first(variance_estimate, np.isinf(tau6))!r} is too "
+            f"large: tau^6 = (sigma^2 + variance estimate)^3 overflows"
+        )
     variance = slope_sq * scheme.omega ** 2 / (4.0 * tau6) * var_of_variance
     return CoverageEstimate(
         value=value, variance=variance,
@@ -212,12 +219,18 @@ def estimate_unbiased_coverage(variance_estimate: float, var_of_variance: float,
     )
 
 
-def default_variance_of_variance(variance_estimate: float, n_households: int) -> float:
-    """Normal-theory variance of a sample variance: 2 v^2 / (n - 1)."""
+def default_variance_of_variance(variance_estimate, n_households: int):
+    """Normal-theory variance of a sample variance: 2 v^2 / (n - 1), of a
+    float or of each value of an array."""
     _check_non_negative("variance estimate", variance_estimate)
     if n_households < 2:
         raise ValidationError(f"need at least 2 households, got {n_households}")
-    return 2.0 * variance_estimate ** 2 / (n_households - 1)
+    square = gaussian.power(variance_estimate, 2)
+    if np.isinf(square).any():
+        raise ValidationError(
+            f"variance estimate {_first(variance_estimate, np.isinf(square))!r} is too "
+            f"large: its square overflows")
+    return 2.0 * square / (n_households - 1)
 
 
 class MseEstimate(NamedTuple):
@@ -227,16 +240,17 @@ class MseEstimate(NamedTuple):
     is_negative: bool
 
 
-def mse_estimate(theta_star: float, theta_audit: float, audit_variance: float) -> MseEstimate:
+def mse_estimate(theta_star, theta_audit, audit_variance) -> MseEstimate:
     """Unbiased MSE estimate for a published constant:
-    (theta_star - theta_audit)^2 - audit_variance.
+    (theta_star - theta_audit)^2 - audit_variance, of floats or of arrays
+    with one value per period.
 
     Subtracting the audit variance removes the noise the squared difference
     picks up from the audit itself; the price is that small true biases often
     produce negative estimates, which are flagged rather than clamped.
     """
     _check_non_negative("audit variance", audit_variance)
-    value = (theta_star - theta_audit) ** 2 - audit_variance
+    value = gaussian.power(theta_star - theta_audit, 2) - audit_variance
     return MseEstimate(value=value, is_negative=value < 0.0)
 
 

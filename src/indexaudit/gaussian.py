@@ -22,7 +22,21 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_CDF_SLICE = 65_536
+_SLICE = 65_536
+
+
+def _per_value(function, x: np.ndarray, argument) -> np.ndarray:
+    """``function(v)`` for each value ``v`` of ``argument(x)``, through Python
+    floats: libm's functions and Python's float ``**`` round differently from
+    numpy's vectorised forms. Fixed slices of ``x`` bound the arguments and
+    the list of Python floats mapped over."""
+    flat = np.ravel(x)
+    values = np.empty(flat.size)
+    for start in range(0, flat.size, _SLICE):
+        part = argument(flat[start:start + _SLICE])
+        values[start:start + part.size] = np.fromiter(
+            map(function, part.tolist()), float, count=part.size)
+    return values.reshape(np.shape(x))
 
 
 def cdf(x):
@@ -33,24 +47,31 @@ def cdf(x):
     same libm ``erfc`` element by element, so both paths give the same bits.
     """
     if isinstance(x, np.ndarray):
-        flat = np.ravel(x)
-        values = np.empty(flat.size)
-        # fixed slices bound the arguments and the list of Python floats that
-        # erfc maps over
-        for start in range(0, flat.size, _CDF_SLICE):
-            part = -flat[start:start + _CDF_SLICE] / _SQRT2
-            values[start:start + part.size] = np.fromiter(
-                map(math.erfc, part.tolist()), float, count=part.size)
+        values = _per_value(math.erfc, x, lambda part: -part / _SQRT2)
         values *= 0.5
-        return values.reshape(x.shape) if x.ndim else values[0]
+        return values if x.ndim else values[()]
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def pdf(x):
-    """Standard normal density; accepts a float or an ndarray."""
+    """Standard normal density; accepts a float or an ndarray. Arrays go
+    through libm's ``exp`` element by element, as :func:`cdf` does."""
     if isinstance(x, np.ndarray):
-        return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        values = _per_value(math.exp, x, lambda part: -0.5 * part * part)
+        values *= _INV_SQRT_2PI
+        return values if x.ndim else values[()]
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+
+
+def power(x, exponent: float):
+    """``x ** exponent`` as Python's float computes it, element by element
+    for an ndarray, with inf where that overflows (Python raises there)."""
+    if isinstance(x, np.ndarray):
+        return _per_value(lambda value: power(value, exponent), x, np.asarray)
+    try:
+        return float(x) ** exponent
+    except OverflowError:
+        return math.inf
 
 
 # Rational approximation for the initial quantile guess (relative error

@@ -15,10 +15,12 @@ statistics with enough digits to re-derive the p-values.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from ._version import __version__
 from .errors import ValidationError
 
 if TYPE_CHECKING:
-    from .bias_tests import TestResult
+    from .bias_tests import TestResult, TestResults
     from .coverage import CoverageEstimate, MseEstimate
     from .montecarlo import SimulationOutcome, VerificationCheck
 
@@ -34,32 +36,92 @@ SCHEMA_VERSION = "1"
 
 __all__ = [
     "SCHEMA_VERSION",
+    "Coded",
+    "Columns",
+    "Rows",
     "ReportDocument",
     "build_document",
     "emit_machine",
     "emit_table",
     "parse_report",
     "test_result_row",
+    "test_result_rows",
     "coverage_row",
+    "coverage_rows",
     "mse_row",
+    "mse_rows",
     "outcome_row",
     "verification_row",
     "quantile_summary_row",
 ]
 
 
+class Coded(NamedTuple):
+    """A column whose row i is ``values[codes[i]]``, or has no such key where
+    the code is negative. Each value is rendered once per report."""
+
+    values: Sequence
+    codes: np.ndarray
+
+
+class Columns:
+    """Result rows held key by key: row i is ``{key: column[i]}``. A column
+    is a list or array of one value per row, a :class:`Coded` column, or
+    Columns (a dict-valued key). Iteration gives the rows as dicts."""
+
+    def __init__(self, columns: dict[str, Sequence]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        column = next(iter(self.columns.values()))
+        return len(column.codes if isinstance(column, Coded) else column)
+
+    def __iter__(self):
+        for values in zip(*map(_row_values, self.columns.values())):
+            yield {key: value for key, value in zip(self.columns, values)
+                   if value is not _ABSENT}
+
+
+class Rows:
+    """Result rows in parts, each a list of dict rows or :class:`Columns`."""
+
+    def __init__(self, *parts: Sequence):
+        self.parts = parts
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.parts)
+
+
+_ABSENT = object()  # the value of a key a row does not have
+
+
+def _plain(values) -> list:
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+def _row_values(column) -> list:
+    if isinstance(column, Coded):
+        values = _plain(column.values) + [_ABSENT]
+        return [values[code] for code in column.codes.tolist()]
+    return _plain(column)
+
+
 @dataclass
 class ReportDocument:
-    """A finished report: command, echoed config, warnings, typed result rows."""
+    """A finished report: command, echoed config, warnings, typed result
+    rows (a list of dicts, or :class:`Rows`)."""
 
     command: str
     config: dict
-    results: list[dict]
+    results: Sequence[dict]
     warnings: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
 
-def build_document(command: str, config: dict, results: list[dict],
+def build_document(command: str, config: dict, results: Sequence[dict],
                    warnings: list[str] | None = None) -> ReportDocument:
     return ReportDocument(
         command=command,
@@ -82,7 +144,7 @@ def _json_safe(value):
         return _json_safe(value.item())
     if isinstance(value, dict):
         return {str(key): _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, Columns, Rows)):
         return [_json_safe(item) for item in value]
     return value
 
@@ -140,18 +202,61 @@ def _render_lists(lists: list, depth: int) -> list[str]:
 
 
 def _render_dicts(dicts: list[dict], keys: tuple, depth: int) -> list[str]:
-    """Dicts that share the key tuple ``keys``, one template per key set."""
+    """Dicts that share the key tuple ``keys``, rendered key by key."""
     if not all(type(key) is str for key in keys):
         return _render([{str(key): item for key, item in d.items()} for d in dicts], depth)
     if not keys:
         return ["{}"] * len(dicts)
-    inner = _INDENT * (depth + 1)
     keys = sorted(keys)
-    template = "{\n" + ",\n".join(
-        f"{inner}{name.replace('%', '%%')}: %s" for name in _encode_scalars(keys)
-    ) + f"\n{_INDENT * depth}}}"
-    columns = [_render([d[key] for d in dicts], depth + 1) for key in keys]
-    return [template % row for row in zip(*columns)]
+    return _fill(keys, [_render([d[key] for d in dicts], depth + 1) for key in keys], depth)
+
+
+def _render_columns(table: Columns, start: int, stop: int, depth: int,
+                    encoded: dict[tuple[int, int], np.ndarray]) -> list[str]:
+    """Rows ``start:stop`` of ``table``, as :func:`_render_dicts` renders
+    dicts. ``encoded`` keeps each Coded column's rendered values."""
+    keys = sorted(table.columns)
+    texts = []
+    present = np.ones((len(keys), min(stop, len(table)) - start), dtype=bool)
+    for k, key in enumerate(keys):
+        column = table.columns[key]
+        if isinstance(column, Columns):
+            texts.append(_render_columns(column, start, stop, depth + 1, encoded))
+        elif isinstance(column, Coded):
+            if (id(column), depth) not in encoded:
+                encoded[id(column), depth] = np.array(
+                    _render(_plain(column.values), depth + 1) + [""], dtype=object)
+            codes = column.codes[start:stop]
+            present[k] = codes >= 0
+            texts.append(encoded[id(column), depth][codes].tolist())  # -1 picks the ""
+        else:
+            texts.append(_render(_plain(column[start:stop]), depth + 1))
+    return _fill(keys, texts, depth, present)
+
+
+def _fill(keys: list[str], columns: list[list], depth: int,
+          present: np.ndarray | None = None) -> list[str]:
+    """Each row's dict text from the texts of its values under the sorted
+    ``keys``, one template per key set: ``present[k, i]``, where given,
+    says whether row i has key k."""
+    inner = _INDENT * (depth + 1)
+    names = [f"{inner}{name.replace('%', '%%')}: %s" for name in _encode_scalars(keys)]
+    close = f"\n{_INDENT * depth}}}"
+    if present is None or present.all():
+        template = "{\n" + ",\n".join(names) + close
+        return [template % row for row in zip(*columns)]
+    out = np.empty(present.shape[1], dtype=object)
+    patterns, which = np.unique(present.T, axis=0, return_inverse=True)
+    for pattern, kept in enumerate(patterns):
+        rows = np.flatnonzero(which.ravel() == pattern)
+        if not kept.any():
+            out[rows] = "{}"
+            continue
+        template = "{\n" + ",\n".join(itertools.compress(names, kept)) + close
+        picked = [np.array(column, dtype=object)[rows]
+                  for column in itertools.compress(columns, kept)]
+        out[rows] = [template % row for row in zip(*picked)]
+    return out.tolist()
 
 
 # result rows rendered, encoded and written at a time: emission holds the
@@ -178,10 +283,13 @@ def emit_machine(doc: ReportDocument) -> bytes:
                 out.write(_render([value], 1)[0].encode("utf-8"))
                 continue
             separator = "[\n    "
-            for start in range(0, len(value), _ROWS):
-                out.write((separator + ",\n    ".join(_render(value[start:start + _ROWS], 2)))
-                          .encode("utf-8"))
-                separator = ",\n    "
+            for part in value.parts if isinstance(value, Rows) else [value]:
+                encoded: dict[tuple[int, int], np.ndarray] = {}
+                for start in range(0, len(part), _ROWS):
+                    texts = (_render(part[start:start + _ROWS], 2) if isinstance(part, list)
+                             else _render_columns(part, start, start + _ROWS, 2, encoded))
+                    out.write((separator + ",\n    ".join(texts)).encode("utf-8"))
+                    separator = ",\n    "
             out.write(b"\n  ]" if value else b"[]")
         out.write(b"\n}\n")
     except (TypeError, ValueError):
@@ -234,6 +342,59 @@ def test_result_row(result: TestResult) -> dict:
         # the result's own copy, made on construction
         "metadata": result.metadata,
     }
+
+
+def test_result_rows(results: TestResults) -> Columns:
+    """:func:`test_result_row` of each of a battery's results, as columns."""
+    kinds, codes = results.kind
+    return Columns({
+        "type": Coded(["test_result"], np.zeros_like(codes)),
+        "kind": Coded([kind.value for kind in kinds], codes),
+        "effect": results.effect,
+        "variance": Coded(*results.variance),
+        "statistic": results.statistic,
+        "p_value": results.p_value,
+        "metadata": Columns({key: Coded(*column) for key, column in results.metadata.items()}),
+    })
+
+
+def _alternating(tables: list[dict], rows: int) -> Columns:
+    """Columns whose rows take turns: row ``len(tables) * i + j`` holds the
+    values at ``i`` of ``tables[j]``. A table's value is a list or array of
+    ``rows`` values, one value for all of them, or a dict of such."""
+    turn = np.tile(np.arange(len(tables)), rows)
+    index = np.repeat(np.arange(rows), len(tables))
+    columns: dict[str, Sequence] = {}
+    for key in dict.fromkeys(key for table in tables for key in table):
+        if any(isinstance(table.get(key), dict) for table in tables):
+            columns[key] = _alternating([table.get(key, {}) for table in tables], rows)
+            continue
+        values: list = []
+        start, step = np.full(len(tables), -1), np.zeros(len(tables), dtype=int)
+        for j, table in enumerate(tables):
+            if key in table:
+                start[j], value = len(values), table[key]
+                step[j] = isinstance(value, (list, np.ndarray))
+                values += _plain(value) if step[j] else [value]
+        columns[key] = Coded(values, np.where(start[turn] < 0, -1,
+                                              start[turn] + step[turn] * index))
+    return Columns(columns)
+
+
+def coverage_rows(periods: list[str], plug_in: CoverageEstimate,
+                  benchmark: CoverageEstimate) -> Columns:
+    """Per period, the :func:`coverage_row` of the published constant's
+    coverage and then its benchmark's, from estimates of period arrays."""
+    return _alternating([coverage_row(periods, "published_constant", plug_in),
+                         coverage_row(periods, "unbiased_benchmark", benchmark)],
+                        len(periods))
+
+
+def mse_rows(periods: list[str], estimate: MseEstimate, theta_star, theta_audit,
+             audit_variance) -> Columns:
+    """The :func:`mse_row` of each period, from period arrays."""
+    return _alternating([mse_row(periods, estimate, theta_star, theta_audit,
+                                 audit_variance)], len(periods))
 
 
 def coverage_row(period: str, role: str, estimate: CoverageEstimate) -> dict:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PriceSeries, WeightVector, _frozen_array, _resolve_periods
+from .core import PriceSeries, WeightVector, _dots, _frozen_array, _resolve_periods
 from .errors import AuditWarning, DimensionMismatchError, ValidationError
 
 
@@ -211,15 +211,15 @@ def simulate_households(true_weights: WeightVector, n: int, dispersion: float,
 
 
 def index_variance(prices: PriceSeries, estimate: WeightEstimate,
-                   t: int | None = None,
-                   periods: Sequence[int] | None = None) -> float:
+                   t=None, periods: Sequence[int] | None = None):
     """Sampling variance of the weighted index from weight uncertainty.
 
-    Evaluates the quadratic form p^T V p at period position ``t``, or at the
-    mean price vector over ``periods`` when that is given instead (exactly one
-    of the two must be supplied). Tiny negative results from rounding clamp to
-    zero; a negative value beyond -1e-10 on the problem's own scale means the
-    covariance is broken and raises.
+    Evaluates the quadratic form p^T V p at period position ``t`` (an array
+    of positions gives one value each), or at the mean price vector over
+    ``periods`` when that is given instead (exactly one of the two must be
+    supplied). Tiny negative results from rounding clamp to zero; a negative
+    value beyond -1e-10 on the problem's own scale means the covariance is
+    broken and raises.
     """
     if estimate.point.n_groups != prices.n_groups:
         raise DimensionMismatchError(
@@ -230,23 +230,30 @@ def index_variance(prices: PriceSeries, estimate: WeightEstimate,
         raise ValidationError("index_variance takes exactly one of t or periods")
     if periods is not None:
         chosen = _resolve_periods(prices, periods)
-        price_vec = prices.values[:, chosen].mean(axis=1)
+        vectors = [prices.values[:, chosen].mean(axis=1)]
     else:
-        if not 0 <= t < prices.n_periods:
-            raise ValidationError(
-                f"period position {t} out of range [0, {prices.n_periods - 1}]"
-            )
-        price_vec = prices.values[:, t]
-    quad = float(price_vec @ estimate.covariance @ price_vec)
-    peak = float(np.max(np.abs(price_vec)))
-    if not math.isfinite(quad):
-        raise ValidationError(
-            f"index variance overflows: p'Vp is {quad} for prices up to {peak:.3g}"
-        )
+        positions = np.ravel(t)
+        outside = (positions < 0) | (positions >= prices.n_periods)
+        if outside.any():
+            raise ValidationError(f"period position {positions[outside][0]} out of range "
+                                  f"[0, {prices.n_periods - 1}]")
+        vectors = [prices.values[:, position] for position in positions.tolist()]
+    quad = _dots([vector @ estimate.covariance for vector in vectors], vectors)
+    peak = np.abs(np.array(vectors)).max(axis=-1, initial=0.0)
     # peak * peak is inf, not an OverflowError, for prices beyond ~1e154
-    scale = peak * peak * max(float(np.trace(estimate.covariance)), 0.0)
-    if quad < -1e-10 * max(scale, 1e-30):
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = peak * peak * max(float(np.trace(estimate.covariance)), 0.0)
+        broken = ~np.isfinite(quad) | (quad < -1e-10 * np.maximum(scale, 1e-30))
+    if broken.any():
+        first = int(np.argmax(broken))
+        if not math.isfinite(quad[first]):
+            raise ValidationError(
+                f"index variance overflows: p'Vp is {float(quad[first])} for prices "
+                f"up to {float(peak[first]):.3g}"
+            )
         raise ValidationError(
-            f"index variance came out negative ({quad:.3e}); covariance is broken"
+            f"index variance came out negative ({float(quad[first]):.3e}); "
+            f"covariance is broken"
         )
-    return max(quad, 0.0)
+    quad[quad < 0.0] = 0.0
+    return float(quad[0]) if t is None or np.ndim(t) == 0 else quad

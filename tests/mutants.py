@@ -134,8 +134,34 @@ MUTANTS = [
            'separator = "\\n    "',
            ("tests/test_report_emitter.py",)),
     Mutant("report.py", "each block of result rows takes one row of the next",
-           "value[start:start + _ROWS]",
-           "value[start:start + _ROWS + 1]",
+           "part[start:start + _ROWS]",
+           "part[start:start + _ROWS + 1]",
+           ("tests/test_report_emitter.py",)),
+    Mutant("dataio.py", "repeated micro cells are summed in reverse file order",
+           "spend = np.bincount(cells, weights=np.concatenate(amounts),",
+           "spend = np.bincount(cells[::-1], weights=np.concatenate(amounts)[::-1],",
+           ("tests/test_micro_loader.py",)),
+    Mutant("bias_tests.py", "the Z effects are one matrix product",
+           "effects = np.array([_dots(p_bar, itertools.repeat(diff)) for diff in diffs])",
+           "effects = np.array(diffs) @ p_bar.T",
+           ("tests/test_battery.py",)),
+    Mutant("bias_tests.py", "a subset's level variance is repeated in subset order, not "
+                            "across the proxies",
+           "variance_code = survey * len(names) + subset",
+           "variance_code = survey * len(names) + np.sort(subset)",
+           ("tests/test_battery.py",)),
+    Mutant("gaussian.py", "pdf's array branch takes numpy's exp",
+           "        values = _per_value(math.exp, x, lambda part: -0.5 * part * part)\n"
+           "        values *= _INV_SQRT_2PI\n",
+           "        values = _INV_SQRT_2PI * np.exp(-0.5 * x * x)\n",
+           ("tests/test_gaussian.py",)),
+    Mutant("coverage.py", "the coverage pass takes numpy's ** for tau^6",
+           "tau6 = gaussian.power(tau, 6)",
+           "tau6 = tau ** 6",
+           ("tests/test_determinism.py",)),
+    Mutant("report.py", "a Coded column's negative code keeps the key",
+           "present[k] = codes >= 0",
+           "present[k] = codes >= -1",
            ("tests/test_report_emitter.py",)),
     # the C encoder prints a finite np.float64 as the float it is, and a
     # non-finite one still raises and falls back to the slow path

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import battery_oracle
 from indexaudit import report
-from indexaudit.bias_tests import TestKind, cross_group_battery
+from indexaudit.bias_tests import TestKind, TestResults, cross_group_battery
 from indexaudit.core import PriceSeries, WeightVector
 from indexaudit.errors import AuditWarning
 from indexaudit.survey import WeightEstimate
@@ -99,7 +99,10 @@ def outcome(battery, prices, estimates, proxies, subsets, include):
     except Exception as exc:  # any exception must match, type and message
         return "error", type(exc), str(exc)
     # repr keeps every float's bits, the sign of zero and the key order
-    return "ok", repr([report.test_result_row(result) for result in results])
+    rows = repr([report.test_result_row(result) for result in results])
+    if isinstance(results, TestResults):  # the battery's rows, and the view of each
+        assert repr(list(report.test_result_rows(results))) == rows
+    return "ok", rows
 
 
 def assert_matches_reference(prices, estimates, proxies, subsets, include):
@@ -138,8 +141,8 @@ def test_battery_with_nothing_to_run_checks_nothing(subsets, include):
     misfit = WeightVector([0.5, 0.3, 0.2], label="misfit")
     estimates = {"s": WeightEstimate(point=misfit, covariance=np.zeros((3, 3)))}
     for battery in (cross_group_battery, battery_oracle.cross_group_battery):
-        assert battery(prices, estimates, {"p": misfit}, period_subsets=subsets,
-                       include=include) == []
+        assert list(battery(prices, estimates, {"p": misfit}, period_subsets=subsets,
+                            include=include)) == []
 
 
 def test_battery_matches_reference_on_a_wide_panel():

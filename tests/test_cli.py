@@ -568,6 +568,31 @@ def test_verify_seed_changes_report_bytes(capsys, tmp_path):
 # --- plumbing -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("fmt", ["machine", "table"])
+def test_paths_that_are_not_utf8_are_echoed_with_escapes(capsys, fx, tmp_path, fmt):
+    # the command line carries the byte 0xff of a file name as a lone surrogate
+    prices = tmp_path / os.fsdecode(b"prices_\xff.csv")
+    prices.write_bytes(Path(fx["prices"]).read_bytes())
+    out_path = tmp_path / os.fsdecode(b"micro_\xfe.csv")
+    code, out, err = run(capsys, "ztest", "--format", fmt, "--prices", str(prices),
+                         "--weights", fx["weights"], "--survey-estimate", fx["estimate"])
+    assert code == 0, err
+    if fmt == "machine":
+        assert json.loads(out)["config"]["prices_path"] == str(tmp_path / "prices_\\xff.csv")
+    else:
+        assert f"  prices_path = {tmp_path}/prices_\\xff.csv\n" in out
+    code, out, err = run(capsys, "simulate", "--format", fmt, "--true-weights", "0.5,0.5",
+                         "--groups", "a,b", "--n", "3", "--out", str(out_path))
+    assert code == 0, err
+    assert out_path.exists()
+    if fmt == "machine":
+        payload = json.loads(out)
+        assert payload["config"]["out_path"] == str(tmp_path / "micro_\\xfe.csv")
+        assert payload["results"][0]["path"] == str(tmp_path / "micro_\\xfe.csv")
+    else:
+        assert f"wrote {tmp_path}/micro_\\xfe.csv (6 rows" in out
+
+
 AUDIT_INPUTS = [("--prices", "prices_path"), ("--weights", "weights_path"),
                 ("--survey-micro", "survey_micro_path"),
                 ("--survey-estimate", "survey_estimate_path"),
@@ -819,6 +844,28 @@ def test_an_overflowing_price_panel_names_the_overflow(capsys, tmp_path, command
     body = json.loads(err)["error"]
     assert body["code"] == "data_error"
     assert body["message"].startswith(message), body["message"]
+
+
+def test_an_audit_variance_whose_square_overflows_is_a_data_error(capsys, tmp_path):
+    # prices near 1e80 give a finite audit variance near 1e157, whose square
+    # the default variance of the variance needs; --omega keeps sigma small
+    prices = tmp_path / "prices.csv"
+    prices.write_text("period,group,index\n" + "".join(
+        f"t{t},{group},{1e80 * (1.0 + 0.1 * t * (group == 'a'))!r}\n"
+        for t in range(3) for group in "ab"), encoding="utf-8")
+    weights = tmp_path / "weights.csv"
+    weights.write_text("source,group,weight\np,a,0.5\np,b,0.5\n", encoding="utf-8")
+    micro = tmp_path / "micro.csv"
+    micro.write_text("household_id,group,expenditure\nh1,a,1\nh1,b,2\nh2,a,3\n"
+                     "h2,b,1\nh3,a,2\nh3,b,2\n", encoding="utf-8")
+    code, out, err = run(capsys, "coverage", "--prices", str(prices), "--weights",
+                         str(weights), "--survey-micro", str(micro), "--proxy", "p",
+                         "--omega", "1")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    body = json.loads(err)["error"]
+    assert body["code"] == "data_error"
+    assert body["message"].startswith("variance estimate "), body["message"]
+    assert body["message"].endswith(" is too large: its square overflows")
 
 
 @pytest.mark.parametrize("quoted", [False, True])

@@ -241,6 +241,9 @@ def test_default_variance_of_variance():
         default_variance_of_variance(0.001, 1)
     with pytest.raises(ValidationError):
         default_variance_of_variance(-0.001, 100)
+    # the square overflows: the first such value is named
+    with pytest.raises(ValidationError, match=r"variance estimate 1e\+200 is too large"):
+        default_variance_of_variance(np.array([0.001, 1e200, 1e300]), 100)
 
 
 def test_coverage_estimate_validation():
@@ -281,6 +284,32 @@ def test_mse_estimate_arithmetic():
     assert small.is_negative
     with pytest.raises(ValidationError):
         mse_estimate(1.0, 1.0, -1.0)
+    # a squared difference that overflows is inf, as numpy's would be
+    assert mse_estimate(1e200, 0.0, 1.0) == (math.inf, False)
+
+
+def test_period_arrays_give_each_period_the_scalar_bits(scheme):
+    rng = np.random.default_rng(8)
+    theta_star = 100.0 + rng.normal(0.0, 0.05, 500)
+    theta_audit = 100.0 + rng.normal(0.0, 0.05, 500)
+    variance = rng.uniform(0.0, 0.004, 500)
+    variance[:3] = [0.0, 1e-12, 0.5]  # the last clips its CI
+    var_of_var = default_variance_of_variance(variance, 40)
+    arrays = [estimate_coverage(theta_star, theta_audit, variance, scheme),
+              estimate_unbiased_coverage(variance, var_of_var, scheme),
+              mse_estimate(theta_star, theta_audit, variance)]
+    for t in range(500):
+        args = theta_star[t].item(), theta_audit[t].item(), variance[t].item()
+        scalars = [estimate_coverage(*args, scheme),
+                   estimate_unbiased_coverage(args[2], var_of_var[t].item(), scheme),
+                   mse_estimate(*args)]
+        assert var_of_var[t] == default_variance_of_variance(args[2], 40)
+        for array, scalar in zip(arrays, scalars):
+            fields = (["value", "variance", "ci_low", "ci_high", "ci_clipped"]
+                      if isinstance(scalar, CoverageEstimate) else ["value", "is_negative"])
+            for name in fields:
+                assert repr(getattr(array, name)[t].item()) == repr(getattr(scalar, name))
+                assert type(getattr(scalar, name)) in (float, bool)
 
 
 # --- break-even variance -----------------------------------------------------------------

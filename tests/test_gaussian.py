@@ -68,6 +68,34 @@ def test_cdf_scalar_and_array_agree():
     assert gaussian.cdf(np.array([-40.0]))[0] == 0.0
 
 
+def test_pdf_scalar_and_array_agree():
+    # bit for bit, into both tails where exp underflows to 0, and across a
+    # slice boundary: arrays go through libm's exp value by value
+    grid = np.concatenate([np.linspace(-40.0, 40.0, 8001), [math.inf, -math.inf, -0.0],
+                           np.random.default_rng(5).normal(0.0, 3.0, 70_000)])
+    for values in (grid, grid[:8000].reshape(80, 100), np.array(-38.5)):
+        vector = gaussian.pdf(values)
+        assert np.shape(vector) == values.shape and vector.dtype == np.float64
+        scalars = np.array([gaussian.pdf(x) for x in values.ravel().tolist()])
+        assert (np.ravel(vector) == scalars).all()
+    assert gaussian.pdf(np.array([40.0, -40.0])).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("exponent", [2, 3, 6, 0.5])
+def test_power_is_pythons_float_power_value_by_value(exponent):
+    # numpy's ** rounds other values differently for each of these exponents
+    values = np.abs(np.random.default_rng(6).normal(0.0, 1e3, 20_000))
+    values[:3] = [0.0, 1e200, 2e-300]
+    want = []
+    for value in values.tolist():
+        try:
+            want.append(value ** exponent)
+        except OverflowError:
+            want.append(math.inf)
+    assert gaussian.power(values, exponent).tolist() == want
+    assert [gaussian.power(value, exponent) for value in values[:50].tolist()] == want[:50]
+
+
 def test_cdf_deep_lower_tail_keeps_relative_precision():
     # 2 * cdf(-x) is how p-values are formed; it must not underflow to zero
     # until the true value does.
