@@ -19,7 +19,6 @@ import dataclasses
 import json
 import math
 import os
-import stat
 import sys
 import warnings
 from collections.abc import Sequence
@@ -38,6 +37,7 @@ from .coverage import (
     default_variance_of_variance,
     estimate_coverage,
     estimate_unbiased_coverage,
+    kappa_quantile,
     mse_estimate,
 )
 from .dataio import (
@@ -45,6 +45,7 @@ from .dataio import (
     load_prices,
     load_weight_estimate,
     load_weights,
+    output_file,
     write_households,
 )
 from .errors import AuditError, AuditWarning, ConfigError, ValidationError, VerificationFailure
@@ -107,8 +108,10 @@ class RunConfig:
     def __post_init__(self):
         if self.fmt not in ("machine", "table"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"--alpha must lie in (0, 1), got {self.alpha}")
+        try:
+            kappa_quantile(self.alpha)
+        except ValidationError as exc:
+            raise ConfigError(f"--{exc}") from exc  # its message starts "alpha"
         if self.omega is not None:
             _check_positive("--omega", self.omega)
             try:
@@ -134,6 +137,11 @@ class RunConfig:
         if self.stratum == "all":
             raise ConfigError("--stratum 'all' is reserved for the pooled sample of every "
                               "household")
+        # labels simulate writes as data: the command line carries bytes that
+        # are not UTF-8 as lone surrogates, which no UTF-8 file can hold
+        for flag, label in (("--groups", self.group_names), ("--stratum", self.stratum)):
+            if label is not None and _spelled(label) != label:
+                raise ConfigError(f"{flag} must be UTF-8 text, got {_spelled(label)}")
         if self.command in _AUDITS:
             have_micro = self.survey_micro_path is not None
             have_estimate = self.survey_estimate_path is not None
@@ -462,18 +470,9 @@ def emit_report(doc: reporting.ReportDocument, fmt: str,
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()
         else:
-            target = Path(output)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            handle = target.open("wb")
-            # a report it could not finish is removed; a device or a pipe never is
-            regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-            try:
-                with handle:
-                    handle.write(payload)
-            except BaseException:
-                if regular:
-                    target.unlink(missing_ok=True)
-                raise
+            Path(output).parent.mkdir(parents=True, exist_ok=True)
+            with output_file(output, binary=True) as handle:
+                handle.write(payload)
     except OSError as exc:
         raise ConfigError(f"cannot write report to {output}: {exc}") from exc
 

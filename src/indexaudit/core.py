@@ -163,6 +163,17 @@ def _resolve_periods(prices: PriceSeries, periods: Sequence[int] | None) -> np.n
     return chosen
 
 
+def _period_columns(prices: PriceSeries, t) -> list[np.ndarray]:
+    """The price column of period position ``t``, or of each of an array of
+    positions."""
+    positions = np.ravel(t)
+    outside = (positions < 0) | (positions >= prices.n_periods)
+    if outside.any():
+        raise ValidationError(f"period position {positions[outside][0]} out of range "
+                              f"[0, {prices.n_periods - 1}]")
+    return [prices.values[:, position] for position in positions.tolist()]
+
+
 def _dots(left, right) -> np.ndarray:
     """``np.dot(a, b)`` for each pair of arrays of ``left`` and ``right``.
 
@@ -181,13 +192,7 @@ def weighted_index(prices: PriceSeries, weights: WeightVector, t):
     to 1e-12 relative.
     """
     _check_groups(prices, weights)
-    positions = np.ravel(t)
-    outside = (positions < 0) | (positions >= prices.n_periods)
-    if outside.any():
-        raise ValidationError(f"period position {positions[outside][0]} out of range "
-                              f"[0, {prices.n_periods - 1}]")
-    values = _dots(itertools.repeat(weights.w),
-                   (prices.values[:, position] for position in positions.tolist()))
+    values = _dots(itertools.repeat(weights.w), _period_columns(prices, t))
     return float(values[0]) if np.ndim(t) == 0 else values
 
 

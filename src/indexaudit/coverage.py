@@ -35,7 +35,13 @@ def kappa_quantile(alpha: float) -> float:
     """Half-width of the central alpha-interval in SD units: Phi^-1((1+alpha)/2)."""
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    return gaussian.quantile((1.0 + alpha) / 2.0)
+    level = (1.0 + alpha) / 2.0
+    # an alpha within a rounding of 0 or 1 gives kappa 0, or a level of 1,
+    # which has no quantile
+    if not 0.5 < level < 1.0:
+        raise ValidationError(f"alpha {alpha} is too close to 0 or 1: (1 + alpha) / 2 "
+                              f"rounds to {level}")
+    return gaussian.quantile(level)
 
 
 @dataclass(frozen=True)
@@ -53,11 +59,9 @@ class EvalScheme:
     sigma: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        kappa = kappa_quantile(self.alpha)
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValidationError(f"omega must be a positive float, got {self.omega}")
-        kappa = kappa_quantile(self.alpha)
         sigma = self.omega / kappa
         # the coverage formulas take sigma ** 2 and tau ** 6 with tau >= sigma,
         # which underflow to 0 or overflow for some positive finite omegas

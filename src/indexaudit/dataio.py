@@ -563,8 +563,25 @@ def _weight_estimate(path: Path, chunks: Iterable[_Chunk],
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def output_file(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """``path`` opened for writing, as text CSV writers take it or as bytes.
+    A regular file the body could not finish is removed, whatever stopped
+    it; a device or a pipe never is."""
+    target = Path(path)
+    handle = target.open("wb") if binary else target.open("w", newline="", encoding="utf-8")
+    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if regular:
+            target.unlink(missing_ok=True)
+        raise
+
+
 def write_prices(path: str | Path, prices: PriceSeries) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with output_file(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["period", "group", "index"])
         for j, period in enumerate(prices.period_labels):
@@ -573,7 +590,7 @@ def write_prices(path: str | Path, prices: PriceSeries) -> None:
 
 
 def write_weights(path: str | Path, vectors: Mapping[str, WeightVector]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with output_file(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["source", "group", "weight"])
         for source, vector in vectors.items():
@@ -611,50 +628,44 @@ def write_households(path: str | Path, panel: HouseholdPanel,
             handle.write("".join([f"{start}{middle}{amount!r}{end}"
                                   for middle, amount in zip(middles, amounts)]))
 
-    handle = target.open("w", newline="", encoding="utf-8")
-    # a device or a pipe is written by this process alone and never removed
-    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-    parts = _part_count(len(panel) * len(group_labels)) if regular else 1
-    bounds = [len(panel) * part // parts for part in range(parts + 1)]
-    try:
-        with handle, contextlib.ExitStack() as spools:
-            header = ["household_id", "group", "expenditure"]
-            if with_stratum:
-                header.append("stratum")
-            csv.writer(handle).writerow(header)
-            # a child inherits unwritten buffers, so none may be left
-            handle.flush()
-            children: list[tuple[int, IO[str]]] = []
-            try:
-                for first, last in zip(bounds[1:-1], bounds[2:]):
-                    spool = spools.enter_context(tempfile.TemporaryFile(
-                        "w+", newline="", encoding="utf-8", dir=target.parent))
-                    pid = os.fork()
-                    if pid == 0:
-                        # the child never returns into the caller's code
-                        status = 1
-                        try:
-                            write_range(spool, first, last)
-                            spool.flush()
-                            status = 0
-                        finally:
-                            os._exit(status)
-                    children.append((pid, spool))
-                write_range(handle, bounds[0], bounds[1])
-            finally:
-                statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-            for (_, spool), status in zip(children, statuses):
-                if status:
-                    code = os.waitstatus_to_exitcode(status)
-                    raise WorkerFailure(f"a writer process for {target} " + (
-                        f"was killed by signal {-code}" if code < 0
-                        else f"exited with code {code}"))
-                spool.seek(0)
-                shutil.copyfileobj(spool, handle)
-    except BaseException:
-        if regular:
-            target.unlink(missing_ok=True)
-        raise
+    with output_file(target) as handle, contextlib.ExitStack() as spools:
+        # a device or a pipe is written by this process alone
+        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        parts = _part_count(len(panel) * len(group_labels)) if regular else 1
+        bounds = [len(panel) * part // parts for part in range(parts + 1)]
+        header = ["household_id", "group", "expenditure"]
+        if with_stratum:
+            header.append("stratum")
+        csv.writer(handle).writerow(header)
+        # a child inherits unwritten buffers, so none may be left
+        handle.flush()
+        children: list[tuple[int, IO[str]]] = []
+        try:
+            for first, last in zip(bounds[1:-1], bounds[2:]):
+                spool = spools.enter_context(tempfile.TemporaryFile(
+                    "w+", newline="", encoding="utf-8", dir=target.parent))
+                pid = os.fork()
+                if pid == 0:
+                    # the child never returns into the caller's code
+                    status = 1
+                    try:
+                        write_range(spool, first, last)
+                        spool.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children.append((pid, spool))
+            write_range(handle, bounds[0], bounds[1])
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        for (_, spool), status in zip(children, statuses):
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise WorkerFailure(f"a writer process for {target} " + (
+                    f"was killed by signal {-code}" if code < 0
+                    else f"exited with code {code}"))
+            spool.seek(0)
+            shutil.copyfileobj(spool, handle)
 
 
 def _part_count(values: int) -> int:
@@ -679,7 +690,7 @@ def _csv_field(text: str) -> str:
 def write_weight_estimate(path: str | Path, estimate: WeightEstimate,
                           group_labels: Sequence[str]) -> None:
     order = list(group_labels)
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+    with output_file(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["kind", "row_group", "col_group", "value"])
         for group, weight in zip(order, estimate.point.w):

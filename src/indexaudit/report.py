@@ -3,7 +3,9 @@
 Every command produces a ReportDocument. The machine format is canonical
 JSON - sorted keys, two-space indent, UTF-8, no NaN/Infinity literals,
 trailing newline - so equal documents serialize to equal bytes, which is what
-makes determinism checkable with a byte compare. The schema (versioned,
+makes determinism checkable with a byte compare. The json module renders every
+value but the result rows held as :class:`Columns`, which a key-by-key template
+renders to the same bytes, a block of rows at a time. The schema (versioned,
 currently "1") is documented in docs/report_schema.json; parse_report rejects
 documents from a different major version.
 
@@ -151,70 +153,36 @@ def _json_safe(value):
 
 _INDENT = "  "
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_PLAIN = _SCALARS | {dict, list, tuple}
 # The C encoder of the json module, one value per line: strings escape every
 # newline, so splitting the encoded list on "\n" gives back its items.
 _ENCODE_LINES = json.JSONEncoder(ensure_ascii=False, allow_nan=False,
                                  separators=("\n", ": ")).encode
 
 
-def _encode_scalars(values: list) -> list[str]:
-    return _ENCODE_LINES(values)[1:-1].split("\n") if values else []
+def _dump(value, depth: int) -> str:
+    """Canonical JSON text of ``value``, as ``json.dumps(_json_safe(value),
+    sort_keys=True, indent=2)`` nests it at ``depth``: strings escape every
+    newline, so each line after the first takes the indent of ``depth``."""
+    text = json.dumps(_json_safe(value), sort_keys=True, indent=2,
+                      ensure_ascii=False, allow_nan=False)
+    return text.replace("\n", "\n" + _INDENT * depth)
 
 
 def _render(values: list, depth: int) -> list[str]:
-    """Canonical JSON text of each value, as ``json.dumps(_json_safe(value),
-    sort_keys=True, indent=2)`` nests it at ``depth``. Dicts with equal keys
-    are rendered key by key, so a column of scalars is one encoder call.
-    Items of ``values`` may be replaced by their ``_json_safe`` form."""
-    if set(map(type, values)) <= _SCALARS:
+    """:func:`_dump` of each value; a list of finite scalars, as a column of
+    them is, takes one encoder call."""
+    if values and set(map(type, values)) <= _SCALARS:
         try:
-            return _encode_scalars(values)
+            return _ENCODE_LINES(values)[1:-1].split("\n")
         except ValueError:  # a non-finite float, spelled as a string below
             pass
-    groups: dict[object, list[int]] = {}  # None, list, or a dict's keys
-    for i, value in enumerate(values):
-        kind = type(value)
-        if kind not in _PLAIN or (kind is float and not math.isfinite(value)):
-            value = values[i] = _json_safe(value)
-            kind = type(value)
-        group = tuple(value) if kind is dict else list if kind in (list, tuple) else None
-        groups.setdefault(group, []).append(i)
-    out: list[str] = [""] * len(values)
-    for group, members in groups.items():
-        chosen = [values[i] for i in members]
-        if group is None:
-            texts = _encode_scalars(chosen)
-        elif group is list:
-            texts = _render_lists(chosen, depth)
-        else:
-            texts = _render_dicts(chosen, group, depth)
-        for i, text in zip(members, texts):
-            out[i] = text
-    return out
-
-
-def _render_lists(lists: list, depth: int) -> list[str]:
-    inner, outer = _INDENT * (depth + 1), _INDENT * depth
-    texts = iter(_render([item for items in lists for item in items], depth + 1))
-    return [f"[\n{inner}" + f",\n{inner}".join([next(texts) for _ in items])
-            + f"\n{outer}]" if items else "[]" for items in lists]
-
-
-def _render_dicts(dicts: list[dict], keys: tuple, depth: int) -> list[str]:
-    """Dicts that share the key tuple ``keys``, rendered key by key."""
-    if not all(type(key) is str for key in keys):
-        return _render([{str(key): item for key, item in d.items()} for d in dicts], depth)
-    if not keys:
-        return ["{}"] * len(dicts)
-    keys = sorted(keys)
-    return _fill(keys, [_render([d[key] for d in dicts], depth + 1) for key in keys], depth)
+    return [_dump(value, depth) for value in values]
 
 
 def _render_columns(table: Columns, start: int, stop: int, depth: int,
                     encoded: dict[tuple[int, int], np.ndarray]) -> list[str]:
-    """Rows ``start:stop`` of ``table``, as :func:`_render_dicts` renders
-    dicts. ``encoded`` keeps each Coded column's rendered values."""
+    """Rows ``start:stop`` of ``table``, as :func:`_dump` renders the dicts
+    they stand for. ``encoded`` keeps each Coded column's rendered values."""
     keys = sorted(table.columns)
     texts = []
     present = np.ones((len(keys), min(stop, len(table)) - start), dtype=bool)
@@ -235,14 +203,14 @@ def _render_columns(table: Columns, start: int, stop: int, depth: int,
 
 
 def _fill(keys: list[str], columns: list[list], depth: int,
-          present: np.ndarray | None = None) -> list[str]:
+          present: np.ndarray) -> list[str]:
     """Each row's dict text from the texts of its values under the sorted
-    ``keys``, one template per key set: ``present[k, i]``, where given,
-    says whether row i has key k."""
+    ``keys``, one template per key set: ``present[k, i]`` says whether row
+    i has key k."""
     inner = _INDENT * (depth + 1)
-    names = [f"{inner}{name.replace('%', '%%')}: %s" for name in _encode_scalars(keys)]
+    names = [f"{inner}{name.replace('%', '%%')}: %s" for name in _render(keys, 0)]
     close = f"\n{_INDENT * depth}}}"
-    if present is None or present.all():
+    if present.all():
         template = "{\n" + ",\n".join(names) + close
         return [template % row for row in zip(*columns)]
     out = np.empty(present.shape[1], dtype=object)
@@ -280,7 +248,7 @@ def emit_machine(doc: ReportDocument) -> bytes:
         for name, value in payload.items():  # in sorted order
             out.write(b'%s\n  "%s": ' % (b"," if out.tell() else b"{", name.encode()))
             if name != "results":
-                out.write(_render([value], 1)[0].encode("utf-8"))
+                out.write(_dump(value, 1).encode("utf-8"))
                 continue
             separator = "[\n    "
             for part in value.parts if isinstance(value, Rows) else [value]:
@@ -293,11 +261,9 @@ def emit_machine(doc: ReportDocument) -> bytes:
             out.write(b"\n  ]" if value else b"[]")
         out.write(b"\n}\n")
     except (TypeError, ValueError):
-        # columns are not visited in document order; let the encoder raise
-        # for the first value it cannot serialise, as it meets them in order
-        json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False)
-        # a string UTF-8 cannot encode is named at its place in the whole text
-        (_render([payload], 0)[0] + "\n").encode("utf-8")
+        # columns are not visited in document order: the whole text names the
+        # first value it cannot serialise, or the first string UTF-8 cannot encode
+        (_dump(payload, 0) + "\n").encode("utf-8")
         raise
     return out.getvalue()
 

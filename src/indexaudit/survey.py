@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PriceSeries, WeightVector, _dots, _frozen_array, _resolve_periods
+from .core import (PriceSeries, WeightVector, _dots, _frozen_array, _period_columns,
+                   _resolve_periods)
 from .errors import AuditWarning, DimensionMismatchError, ValidationError
 
 
@@ -232,12 +233,7 @@ def index_variance(prices: PriceSeries, estimate: WeightEstimate,
         chosen = _resolve_periods(prices, periods)
         vectors = [prices.values[:, chosen].mean(axis=1)]
     else:
-        positions = np.ravel(t)
-        outside = (positions < 0) | (positions >= prices.n_periods)
-        if outside.any():
-            raise ValidationError(f"period position {positions[outside][0]} out of range "
-                                  f"[0, {prices.n_periods - 1}]")
-        vectors = [prices.values[:, position] for position in positions.tolist()]
+        vectors = _period_columns(prices, t)
     quad = _dots([vector @ estimate.covariance for vector in vectors], vectors)
     peak = np.abs(np.array(vectors)).max(axis=-1, initial=0.0)
     # peak * peak is inf, not an OverflowError, for prices beyond ~1e154

@@ -75,11 +75,11 @@ MUTANTS = [
            "for (_, spool), status in reversed(list(zip(children, statuses))):",
            ("tests/test_dataio.py",)),
     Mutant("dataio.py", "write_households reaps its children outside the finally",
-           "            finally:\n"
-           "                statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]\n",
-           "            finally:\n"
-           "                pass\n"
+           "        finally:\n"
            "            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]\n",
+           "        finally:\n"
+           "            pass\n"
+           "        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]\n",
            ("tests/test_dataio.py",)),
     Mutant("montecarlo.py", "_blocks no longer folds a 1-row tail into the block before it",
            "if total - stop <= 1:",
@@ -88,8 +88,8 @@ MUTANTS = [
     # no child flushes the buffer it inherits: each writes to its own spool
     # and leaves through os._exit, which flushes nothing
     Mutant("dataio.py", "write_households forks before it flushes the header",
-           "            # a child inherits unwritten buffers, so none may be left\n"
-           "            handle.flush()\n",
+           "        # a child inherits unwritten buffers, so none may be left\n"
+           "        handle.flush()\n",
            "",
            ("tests/test_dataio.py",), equivalent=True),
     Mutant("report.py", "a % in a key is not escaped in the row template",
@@ -97,37 +97,33 @@ MUTANTS = [
            "f\"{inner}{name}: %s\"",
            ("tests/test_report_emitter.py",)),
     Mutant("report.py", "a non-finite float is not spelled as a string",
-           "if kind not in _PLAIN or (kind is float and not math.isfinite(value)):",
-           "if kind not in _PLAIN:",
+           "return value if math.isfinite(value) else repr(value)",
+           "return value",
            ("tests/test_report_emitter.py",)),
     Mutant("report.py", "dict keys are rendered in insertion order",
-           "keys = sorted(keys)",
-           "keys = list(keys)",
+           "json.dumps(_json_safe(value), sort_keys=True,",
+           "json.dumps(_json_safe(value), sort_keys=False,",
            ("tests/test_report_emitter.py",)),
     Mutant("report.py", "keys that are not str are not passed through str()",
-           "if not all(type(key) is str for key in keys):",
-           "if False:",
+           "{str(key): _json_safe(item) for key, item in value.items()}",
+           "{key: _json_safe(item) for key, item in value.items()}",
            ("tests/test_report_emitter.py",)),
     Mutant("report.py", "an error is named in column order, not document order",
-           "        json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False)\n",
-           "",
+           "    except (TypeError, ValueError):\n",
+           "    except ValueError:\n",
            ("tests/test_report_emitter.py",)),
     Mutant("report.py", "an unencodable string is named at its place in a block, not "
                         "in the whole text",
-           '        (_render([payload], 0)[0] + "\\n").encode("utf-8")\n',
-           "",
+           '(_dump(payload, 0) + "\\n").encode("utf-8")',
+           "_dump(payload, 0)",
            ("tests/test_report_emitter.py",)),
-    Mutant("report.py", "a tuple is not rendered as a list",
-           "else list if kind in (list, tuple) else None",
-           "else list if kind is list else None",
+    Mutant("report.py", "the items of a tuple are not made JSON-safe",
+           "if isinstance(value, (list, tuple, Columns, Rows)):",
+           "if isinstance(value, (list, Columns, Rows)):",
            ("tests/test_report_emitter.py",)),
     Mutant("report.py", "the first of two keys equal after str() wins",
-           "{str(key): item for key, item in d.items()}",
-           "{str(key): item for key, item in reversed(d.items())}",
-           ("tests/test_report_emitter.py",)),
-    Mutant("report.py", "list items are separated without a comma",
-           'f",\\n{inner}".join',
-           'f"\\n{inner}".join',
+           "{str(key): _json_safe(item) for key, item in value.items()}",
+           "{str(key): _json_safe(item) for key, item in reversed(value.items())}",
            ("tests/test_report_emitter.py",)),
     Mutant("report.py", "a block of result rows after the first has no leading comma",
            'separator = ",\\n    "',
@@ -166,9 +162,17 @@ MUTANTS = [
     # the C encoder prints a finite np.float64 as the float it is, and a
     # non-finite one still raises and falls back to the slow path
     Mutant("report.py", "finite np.float64 scalars take the fast path",
-           "if set(map(type, values)) <= _SCALARS:",
-           "if set(map(type, values)) <= _SCALARS | {np.float64}:",
+           "set(map(type, values)) <= _SCALARS:",
+           "set(map(type, values)) <= _SCALARS | {np.float64}:",
            ("tests/test_report_emitter.py",), equivalent=True),
+    Mutant("dataio.py", "a writer keeps a regular file it could not finish",
+           "            target.unlink(missing_ok=True)\n",
+           "            pass\n",
+           ("tests/test_dataio.py",)),
+    Mutant("coverage.py", "an alpha whose (1 + alpha) / 2 rounds to 0.5 passes",
+           "if not 0.5 < level < 1.0:",
+           "if not 0.5 <= level < 1.0:",
+           ("tests/test_coverage.py",)),
 ]
 
 

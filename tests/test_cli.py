@@ -992,6 +992,16 @@ CONFIG_ERRORS = [
     # allocates, whatever the host's overcommit setting
     (("simulate", "--true-weights", "0.5,0.5", "--groups", "a,b", "--n", str(10 ** 17),
       "--out", "{tmp}/sim.csv"), f"--n {10 ** 17} households do not fit in memory"),
+    # (1 + alpha) / 2 rounds to 0.5, where kappa is 0, or to 1, which has no quantile
+    *[((command, *ESTIMATE, "--proxy", "age_lt26", *omega, "--alpha", alpha),
+       f"--alpha {alpha} is too close to 0 or 1: (1 + alpha) / 2 rounds to {level}")
+      for command in ("coverage", "report") for omega in ((), ("--omega", "0.1"))
+      for alpha, level in (("1e-300", "0.5"), ("0.9999999999999999", "1.0"))],
+    # the command line carries a byte that is not UTF-8 as a lone surrogate
+    (("simulate", "--true-weights", "1,2", "--groups", "\udcff,b", "--n", "3",
+      "--out", "{tmp}/sim.csv"), "--groups must be UTF-8 text, got \\xff,b"),
+    (("simulate", "--true-weights", "1,2", "--stratum", "\udcff", *SIMULATED),
+     "--stratum must be UTF-8 text, got \\xff"),
 ]
 
 # raises that click's own checks keep every command line from reaching

@@ -40,6 +40,20 @@ def test_kappa_quantile_frozen_values():
             kappa_quantile(bad)
 
 
+@pytest.mark.parametrize("alpha, level", [(1e-300, 0.5), (1e-17, 0.5),
+                                          (0.9999999999999999, 1.0)])
+def test_an_alpha_within_a_rounding_of_0_or_1_is_a_validation_error(alpha, level):
+    # (1 + alpha) / 2 rounds to 0.5, where kappa is 0, or to 1, which has no quantile
+    message = f"alpha {alpha} is too close to 0 or 1: (1 + alpha) / 2 rounds to {level}"
+    for build in (lambda: kappa_quantile(alpha), lambda: EvalScheme(alpha=alpha, omega=0.1)):
+        with pytest.raises(ValidationError) as caught:
+            build()
+        assert str(caught.value) == message
+    # the alphas next to them still give a scheme
+    assert 0.0 < EvalScheme(alpha=1e-15, omega=0.1).kappa < 1e-14
+    assert EvalScheme(alpha=0.9999999999999998, omega=0.1).kappa < 9.0
+
+
 def test_scheme_derives_kappa_and_sigma(scheme):
     assert scheme.kappa == pytest.approx(KAPPA_95, rel=1e-14)
     assert scheme.sigma == pytest.approx(0.058 / KAPPA_95, rel=1e-15)

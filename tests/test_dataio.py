@@ -370,6 +370,25 @@ def test_a_failed_write_to_a_pipe_leaves_the_pipe(tmp_path, monkeypatch):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "reference.csv"]
 
 
+# a lone surrogate, as the command line spells a byte that is not UTF-8:
+# UTF-8 cannot encode it, so each writer fails after its first rows
+ODD = "\udcff"
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: dataio.write_prices(path, PriceSeries(np.ones((2, 2)), ("a", "b"),
+                                                       ("t0", ODD))),
+    lambda path: dataio.write_weights(path, {"ok": WeightVector([0.5, 0.5], label="ok"),
+                                             ODD: WeightVector([0.5, 0.5], label="odd")}),
+    lambda path: dataio.write_weight_estimate(path, WeightEstimate(
+        WeightVector([0.5, 0.5], label="survey"), np.zeros((2, 2)), 10), ("a", ODD)),
+], ids=["prices", "weights", "weight estimate"])
+def test_a_writer_that_fails_mid_file_leaves_no_file(tmp_path, write):
+    with pytest.raises(UnicodeEncodeError):
+        write(tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_households_sum_repeated_cells(tmp_path):
     path = write(tmp_path, "hh.csv",
                  "household_id,group,expenditure\n"

@@ -85,7 +85,7 @@ def test_renderer_matches_reference_encoder(rows, command, config, results, warn
 @settings(max_examples=150, deadline=None)
 @given(results=st.lists(odd_values, max_size=4),
        config=st.dictionaries(keys, odd_values, max_size=3))
-# column "a" is rendered first, but row 0's "b" comes first in the document
+# row 0's "b" comes first in the document, before row 1's "a"
 @example(results=[{"a": 1, "b": 1j}, {"a": b"x", "b": 2}], config={})
 def test_unserialisable_values_raise_the_reference_error(rows, results, config):
     # the first value the reference meets in document order names the error
@@ -145,6 +145,19 @@ def test_emission_holds_the_report_and_one_block():
 
 
 # --- result rows held as columns ------------------------------------------------------
+
+
+@BLOCKS
+def test_an_unserialisable_column_value_is_named_in_document_order(rows):
+    # column "a" is rendered first, but row 0's "b" comes first in the document
+    columns = report.Columns({"a": [1, b"x"], "b": [1j, 2]})
+    dicts = [{"a": 1, "b": 1j}, {"a": b"x", "b": 2}]
+    with pytest.raises(TypeError) as want:
+        report_oracle.emit_machine(report.build_document("x", {}, dicts))
+    with pytest.raises(TypeError) as got:
+        emit_in_blocks(report.build_document("x", {}, report.Rows(columns)), rows)
+    assert str(got.value) == str(want.value) == "Object of type complex is not JSON serializable"
+
 
 column_keys = st.sampled_from(["a", "b", "%", "%s", "é", "k\n"]) | text
 ABSENT = object()
