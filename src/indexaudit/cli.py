@@ -134,6 +134,9 @@ class RunConfig:
             raise ConfigError(f"--jobs must be at least 1, got {self.jobs}")
         if self.n_households is not None and self.n_households < 1:
             raise ConfigError(f"--n must be positive, got {self.n_households}")
+        # verify masks its seed into range; simulate seeds its stream with it as given
+        if self.command == "simulate" and self.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {self.seed}")
         if self.stratum == "all":
             raise ConfigError("--stratum 'all' is reserved for the pooled sample of every "
                               "household")
@@ -320,7 +323,13 @@ def _coverage_rows(config: RunConfig, periods: list[str], theta_star: np.ndarray
             )
         multiple = config.omega_se_multiple if config.omega_se_multiple is not None else 2.0
         omega = multiple * mean_se
-    scheme = EvalScheme(alpha=config.alpha, omega=omega)
+    try:
+        scheme = EvalScheme(alpha=config.alpha, omega=omega)
+    except ValidationError as exc:
+        if config.omega_se_multiple is None:
+            raise
+        raise ConfigError(f"--omega-se-mult {config.omega_se_multiple!r} is out of range "
+                          f"for this data: {exc}") from exc
     plug_in = estimate_coverage(theta_star, theta_audit, variance, scheme)
     if config.var_of_variance is not None:
         var_of_var = config.var_of_variance
@@ -330,7 +339,15 @@ def _coverage_rows(config: RunConfig, periods: list[str], theta_star: np.ndarray
         raise ConfigError(
             "survey estimate has no household count; pass --var-of-variance"
         )
-    benchmark = estimate_unbiased_coverage(variance, var_of_var, scheme)
+    try:
+        benchmark = estimate_unbiased_coverage(variance, var_of_var, scheme)
+    except ValidationError as exc:
+        if config.var_of_variance is None:
+            raise
+        # the data alone may be at fault: then its own error stands
+        estimate_unbiased_coverage(variance, 0.0, scheme)
+        raise ConfigError(f"--var-of-variance {config.var_of_variance!r} is out of range "
+                          f"for this data: {exc}") from exc
     return [reporting.coverage_rows(periods, plug_in, benchmark), [
         reporting.quantile_summary_row("published_constant", plug_in.value),
         reporting.quantile_summary_row("unbiased_benchmark", benchmark.value),
@@ -616,7 +633,3 @@ def _print_error(code: str, message: str) -> None:
     sys.stderr.write(json.dumps(
         {"error": {"code": code, "message": message}}, sort_keys=True,
     ) + "\n")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -123,7 +123,8 @@ def _first(values, mask):
 def _check_non_negative(what: str, value) -> None:
     bad = ~(np.asarray(value) >= 0.0) | ~np.isfinite(value)
     if bad.any():
-        raise ValidationError(f"{what} must be non-negative, got {_first(value, bad)}")
+        raise ValidationError(f"{what} must be finite and non-negative, "
+                              f"got {_first(value, bad)}")
 
 
 @dataclass(frozen=True)

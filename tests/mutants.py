@@ -6,10 +6,10 @@ Run from anywhere, with the test dependencies installed:
     python tests/mutants.py 0 4      # the mutants at those positions
 
 Each row of ``MUTANTS`` names a module of ``src/indexaudit/``, an exact
-snippet of its source, the snippet's replacement and the test files that
-must fail. For each mutant the script copies ``src/`` to a temporary
-directory, applies that one replacement there and runs only those test
-files against the copy. A mutant is killed when pytest reports a failed
+snippet of its source, the snippet's replacement and the test files (or
+single tests) that must fail. For each mutant the script copies ``src/``
+to a temporary directory, applies that one replacement there and runs
+only those tests against the copy. A mutant is killed when pytest reports a failed
 test. The script exits 1 if a mutant not marked equivalent survives, if
 its tests cannot even be collected, or if a snippet is not found exactly
 once (the table no longer matches the source). An equivalent mutant
@@ -39,7 +39,7 @@ class Mutant(NamedTuple):
     what: str
     snippet: str
     replacement: str
-    tests: tuple[str, ...]  # paths from the repository root
+    tests: tuple[str, ...]  # paths from the repository root, or test ids in them
     equivalent: bool = False
 
 
@@ -173,6 +173,21 @@ MUTANTS = [
            "if not 0.5 < level < 1.0:",
            "if not 0.5 <= level < 1.0:",
            ("tests/test_coverage.py",)),
+    Mutant("__main__.py", "the entry point does not freeze what the CLI imports",
+           "        gc.freeze()\n",
+           "        pass\n",
+           ("tests/test_cli.py::test_the_entry_point_freezes_what_the_cli_imports_and_"
+            "leaves_the_collector_on",)),
+    Mutant("__main__.py", "the entry point leaves the collector disabled",
+           "        gc.enable()\n",
+           "        pass\n",
+           ("tests/test_cli.py::test_the_entry_point_freezes_what_the_cli_imports_and_"
+            "leaves_the_collector_on",)),
+    Mutant("cli.py", "a value the data alone puts out of range is blamed on "
+                     "--var-of-variance",
+           "        estimate_unbiased_coverage(variance, 0.0, scheme)\n",
+           "",
+           ("tests/test_cli.py",)),
 ]
 
 

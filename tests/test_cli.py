@@ -393,6 +393,21 @@ def test_simulate_rejects_duplicate_group_labels(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed, sha256", [
+    ("0", "c6c443af2f0cebd8fde548aab0f5eaae45f3b65a7af6849dbe4f0c3a6b00f3f1"),
+    ("7", "cc4664741a6870e2b5e6fe65a002573b280ee26fbc553275d4bff251245718e3"),
+    (str(2 ** 64), "9bc03e765e035855b323f13236307ffd38275104eb853fdba839b48b1b071db2"),
+])
+def test_simulate_keeps_the_stream_of_every_valid_seed(capsys, tmp_path, seed, sha256):
+    # a negative seed is a config error (CONFIG_ERRORS); these files were
+    # drawn before that check was added
+    out = tmp_path / "sim.csv"
+    code, _, err = run(capsys, "simulate", "--true-weights", "0.6,0.4", "--groups", "a,b",
+                       "--n", "5", "--seed", seed, "--out", str(out))
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 SIMULATE = ("simulate", "--true-weights", "0.6,0.4", "--groups", "a,b", "--n", "3")
 
 
@@ -728,6 +743,10 @@ def test_config_errors_exit_1(capsys, fx, tmp_path):
     ("coverage", "--alpha", "1.5"),
     ("verify", "--jobs", "0"),
     ("simulate", "--n", "0"),
+    # finite and positive, but out of range in the value each gives on the data
+    ("coverage", "--omega-se-mult", "1e-300"),  # omega's sigma^2 underflows to 0
+    ("report", "--omega-se-mult", "1e300"),  # omega's sigma^2 overflows
+    ("coverage", "--var-of-variance", "1e308"),  # the coverage variance overflows
 ])
 def test_invalid_float_flags_exit_1(capsys, fx, tmp_path, command, flag, value):
     argv = {
@@ -868,6 +887,30 @@ def test_an_audit_variance_whose_square_overflows_is_a_data_error(capsys, tmp_pa
     assert body["message"].endswith(" is too large: its square overflows")
 
 
+def test_a_derived_value_out_of_range_on_the_data_alone_stays_a_data_error(capsys,
+                                                                          tmp_path):
+    # prices near 1e80 give an audit variance whose tau^6 overflows whatever
+    # --var-of-variance is: the data is at fault, not the flag
+    prices = tmp_path / "prices.csv"
+    prices.write_text("period,group,index\n" + "".join(
+        f"t{t},{group},{1e80 * (1.0 + 0.1 * t * (group == 'a'))!r}\n"
+        for t in range(3) for group in "ab"), encoding="utf-8")
+    weights = tmp_path / "weights.csv"
+    weights.write_text("source,group,weight\np,a,0.5\np,b,0.5\n", encoding="utf-8")
+    micro = tmp_path / "micro.csv"
+    micro.write_text("household_id,group,expenditure\nh1,a,1\nh1,b,2\nh2,a,3\n"
+                     "h2,b,1\nh3,a,2\nh3,b,2\n", encoding="utf-8")
+    code, out, err = run(capsys, "coverage", "--prices", str(prices), "--weights",
+                         str(weights), "--survey-micro", str(micro), "--proxy", "p",
+                         "--omega", "1", "--var-of-variance", "1")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    body = json.loads(err)["error"]
+    assert body["code"] == "data_error"
+    assert body["message"].startswith("variance estimate "), body["message"]
+    assert body["message"].endswith(" is too large: tau^6 = (sigma^2 + variance estimate)^3 "
+                                    "overflows")
+
+
 @pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize("body, message", [
     (b"p,a,1.0\np,b,\xff2.0\n", ": not UTF-8 text: invalid start byte"),
@@ -914,6 +957,143 @@ def test_module_entry_point_smoke():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("indexaudit, version ")
+
+
+# --- the process entry point ------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+# the package these tests import, which a child process imports too
+PACKAGE = Path(dataio.__file__).resolve().parent
+
+
+def _entry_env() -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop("INDEXAUDIT_OUTPUT_DIR", None)
+    return env
+
+
+def _console_script() -> str:
+    """The ``module:function`` the ``indexaudit`` console script runs."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    return pyproject["project"]["scripts"]["indexaudit"]
+
+
+def test_the_console_script_runs_what_python_m_runs():
+    # both entry points run __main__.main, so neither can skip what it does
+    tree = ast.parse((PACKAGE / "__main__.py").read_text(encoding="utf-8"))
+    (guard,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    module, function = _console_script().split(":")
+    assert module == "indexaudit.__main__"
+    assert [ast.unparse(statement) for statement in guard.body] == [f"sys.exit({function}())"]
+
+
+def _launcher(name: str) -> list[str]:
+    """``python -m indexaudit`` ("module"), or what the console script runs
+    ("script")."""
+    if name == "module":
+        return [sys.executable, "-m", "indexaudit"]
+    module, function = _console_script().split(":")
+    return [sys.executable, "-c", f"import sys; from {module} import {function}; "
+                                  f"sys.exit({function}())"]
+
+
+def test_the_entry_point_freezes_what_the_cli_imports_and_leaves_the_collector_on():
+    code = ("import gc, json, sys\n"
+            "from indexaudit.__main__ import main\n"
+            "before = [gc.isenabled(), gc.get_freeze_count()]\n"
+            "sys.argv[1:] = ['--version']\n"
+            "status = main()\n"
+            "print(json.dumps([before, gc.isenabled(), gc.get_freeze_count(), status]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_entry_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    version, result = proc.stdout.splitlines()
+    assert version.startswith("indexaudit, version ")
+    # importing the entry module touches nothing; running it imports the CLI,
+    # freezes the tens of thousands of objects that brings, and turns the
+    # collector back on
+    before, enabled, frozen, status = json.loads(result)
+    assert (before, enabled, status) == ([True, 0], True, 0)
+    assert frozen > 10_000
+
+
+def test_the_cli_in_process_leaves_the_collector_alone():
+    code = ("import gc, json\n"
+            "from indexaudit import cli\n"
+            "before = gc.get_freeze_count()\n"
+            "status = cli.main(['--version'])\n"
+            "print(json.dumps([before, gc.get_freeze_count(), gc.isenabled(), status]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_entry_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, True, 0]
+
+
+@pytest.fixture(scope="module")
+def panel_sweep(tmp_path_factory):
+    """The benchmark's panel_sweep inputs at full size: 40 groups, 400
+    periods, 16 proxies; its ztest --each-period report is ~2.7 MB."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    workdir = tmp_path_factory.mktemp("panel_sweep")
+    prepared = workloads.prepare_panel_sweep(workdir, 7,
+                                             workloads.SIZES["panel_sweep"]["full"])
+    argv = prepared.invocations[0].argv
+    assert argv[0] == "ztest" and argv[-3:-1] == ("--each-period", "--output")
+    return argv[:-2]
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+def test_a_report_piped_to_stdout_is_the_report_written_to_a_file(panel_sweep, tmp_path,
+                                                                 launcher):
+    # far more than a pipe buffer: the exit path must still flush all of it
+    command = _launcher(launcher)
+    out = tmp_path / "ztest.json"
+    written = subprocess.run([*command, *panel_sweep, "--output", str(out)],
+                             capture_output=True, env=_entry_env(), timeout=120)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    piped = subprocess.run([*command, *panel_sweep], capture_output=True,
+                           env=_entry_env(), timeout=120)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert len(piped.stdout) > 2_000_000
+    assert piped.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+@pytest.mark.parametrize("argv, status, message", [
+    (("ztest", "--prices", "{prices}", "--weights", "{weights}", "--survey-estimate",
+      "{estimate}", "--periods", "5:2"),
+     1, {"code": "config_error", "message": "backwards period range '5:2'"}),
+    (("ztest", "--prices", "{ragged}", "--weights", "{weights}", "--survey-estimate",
+      "{estimate}"),
+     2, {"code": "data_error", "message": "{ragged}: panel is not rectangular; 1 missing "
+                                          "cell(s), first is group 'b', period 'y'"}),
+    # of --seed 0 to 7 at --scale 0.2, seeds 0, 3, 4, 5 and 6 trip a gate;
+    # seed 4 trips z_calibration alone, by the widest margin (KS 0.0252 > 0.02)
+    (("verify", "--seed", "4", "--scale", "0.2", "--jobs", "2", "--output", "{tmp}/v.json"),
+     3, {"code": "verification_failure",
+         "message": "verification suite failed; see the report for failing checks"}),
+])
+def test_a_failing_process_exits_with_its_code_and_one_json_line(fx, tmp_path, launcher,
+                                                                 argv, status, message):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("period,group,index\nx,a,1.0\nx,b,2.0\ny,a,1.1\n")
+    inputs = {**fx, "ragged": ragged, "tmp": tmp_path}
+    proc = subprocess.run([*_launcher(launcher), *(fill(arg, inputs) for arg in argv)],
+                          capture_output=True, text=True, env=_entry_env(), timeout=120)
+    expected = {key: fill(value, inputs) for key, value in message.items()}
+    assert (proc.returncode, proc.stdout) == (status, "")
+    assert proc.stderr == json.dumps({"error": expected}, sort_keys=True) + "\n"
+    if status == 3:
+        report = json.loads((tmp_path / "v.json").read_text())
+        assert [row["name"] for row in report["results"] if not row["passed"]] == \
+            ["z_calibration"]
 
 
 # --- every configuration error cli.py raises ------------------------------------------
@@ -1002,6 +1182,15 @@ CONFIG_ERRORS = [
       "--out", "{tmp}/sim.csv"), "--groups must be UTF-8 text, got \\xff,b"),
     (("simulate", "--true-weights", "1,2", "--stratum", "\udcff", *SIMULATED),
      "--stratum must be UTF-8 text, got \\xff"),
+    (("simulate", "--true-weights", "1,2", "--seed", "-1", *SIMULATED),
+     "--seed must be non-negative, got -1"),
+    # the least positive multiple gives an omega of 0
+    (("coverage", *ESTIMATE, "--proxy", "age_lt26", "--omega-se-mult=5e-324"),
+     "--omega-se-mult 5e-324 is out of range for this data: omega must be a positive "
+     "float, got 0.0"),
+    (("report", *ESTIMATE, "--proxy", "age_lt26", "--var-of-variance=1e308"),
+     "--var-of-variance 1e+308 is out of range for this data: coverage variance must be "
+     "finite and non-negative, got inf"),
 ]
 
 # raises that click's own checks keep every command line from reaching

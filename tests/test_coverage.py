@@ -263,12 +263,10 @@ def test_default_variance_of_variance():
 def test_coverage_estimate_validation():
     with pytest.raises(ValidationError, match=r"coverage estimate out of \[0, 1\]: 1.2"):
         CoverageEstimate(value=1.2, variance=0.0)
-    with pytest.raises(ValidationError,
-                       match="coverage variance must be non-negative, got -1.0"):
-        CoverageEstimate(value=0.5, variance=-1.0)
-    with pytest.raises(ValidationError,
-                       match="coverage variance must be non-negative, got nan"):
-        CoverageEstimate(value=0.5, variance=math.nan)
+    for variance in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match=f"coverage variance must be finite and "
+                                                  f"non-negative, got {variance}"):
+            CoverageEstimate(value=0.5, variance=variance)
     with pytest.raises(TypeError):
         CoverageEstimate(value=0.5, variance=0.0, ci_low=0.4, ci_high=0.6)
 
