@@ -16,6 +16,7 @@ traceback.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -484,14 +485,21 @@ def emit_report(doc: reporting.ReportDocument, fmt: str,
         payload = reporting.emit_table(doc).encode("utf-8")
     try:
         if output is None:
-            sys.stdout.buffer.write(payload)
-            sys.stdout.buffer.flush()
+            # a pipe whose reader goes away can take part of a write without
+            # an error; the rest of it then fails
+            stream, rest = sys.stdout.buffer, memoryview(payload)
+            while rest:
+                written = stream.write(rest)
+                if not written:
+                    raise OSError(errno.EIO, "short write")
+                rest = rest[written:]
+            stream.flush()
         else:
             Path(output).parent.mkdir(parents=True, exist_ok=True)
             with output_file(output, binary=True) as handle:
                 handle.write(payload)
     except OSError as exc:
-        raise ConfigError(f"cannot write report to {output}: {exc}") from exc
+        raise ConfigError(f"cannot write report to {output or 'stdout'}: {exc}") from exc
 
 
 def _execute(config: RunConfig) -> None:

@@ -21,6 +21,13 @@ of the file one chunk of rows at a time, so memory stays bounded for every
 file, and each file is read once. Blank rows are skipped as the csv module
 skips them. Both give the same result and the same errors.
 
+Micro data, the largest input, is read on every core: a regular file is cut
+at line starts into byte ranges, each read by the direct split in a process
+of its own (see ``load_households``); from the first chunk of any range that
+the direct split cannot read, the csv module reads on in this process. The
+micro writer spreads its formatting the same way. Both fork through
+``_fork_parts``, and ``_part_count`` decides how many parts.
+
 Loaders raise ValidationError naming the file and line of the offense; text
 that is not UTF-8 and a field longer than ``csv.field_size_limit()`` are
 ValidationErrors too. Writers emit full-precision floats (repr round-trip).
@@ -33,13 +40,15 @@ import csv
 import io
 import itertools
 import os
+import pickle
 import shutil
 import stat
 import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import (IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
+                    TypeVar)
 
 from .core import PriceSeries, WeightVector
 from .errors import ConfigError, ValidationError, WorkerFailure
@@ -56,6 +65,11 @@ _CHUNK_CHARS = 1 << 18
 # of its part stay small beside the formatting (65,536 float reprs take about
 # 0.09 s on a 2-core x86-64 VM).
 _VALUES_PER_PART = 65_536
+# Bytes of micro data each reader process reads at least, so that its fork
+# and the copy of its rows back stay small beside the parsing (on a 2-core
+# x86-64 VM, two parts read a 300 KB file no faster than one, and a 600 KB
+# file in 8.4 ms, not 9.9).
+_BYTES_PER_PART = 1 << 19
 # the ASCII characters besides line ends that str.strip removes
 _ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
@@ -64,10 +78,10 @@ _Chunk = tuple[Sequence[int], dict[str, list[str]]]
 _Result = TypeVar("_Result")
 
 
-def _open(path: Path) -> io.TextIOWrapper:
+def _open(path: Path, binary: bool = False) -> IO:
     try:
         # a leading byte-order mark, as spreadsheets write, is not header text
-        return path.open(newline="", encoding="utf-8-sig")
+        return path.open("rb") if binary else path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
@@ -143,97 +157,115 @@ def _rows_have_width(text: str, width: int) -> bool:
     return bool((rows[:, 0] > ends - lengths).all() and (rows[:, -1] < ends).all())
 
 
+def _split(text: str, header: Sequence[str], start: int) -> _Chunk | None:
+    """The data rows of ``text``, whole lines numbered from ``start``, split
+    directly; None where the csv module might read them otherwise. Blank rows
+    are left out, as the csv module skips them."""
+    width = len(header)
+    if not (cut := _plain_cells(text, width)):
+        return None
+    cells, kept = cut
+    split = [cells[i::width] for i in range(width)]
+    lines = (range(start, start + len(split[0])) if kept is None
+             else [start + offset for offset in kept])
+    # a row of cells that strip to empty is blank
+    if "" in split[0] and not all(map(any, zip(*split))):
+        rows = [i for i, row in enumerate(zip(*split)) if any(row)]
+        split = [[column[i] for i in rows] for column in split]
+        lines = [lines[i] for i in rows]
+    return lines, dict(zip(header, split))
+
+
 def _chunks(path: Path, columns: Sequence[str],
             optional: Sequence[str]) -> Iterator[_Chunk]:
     """The file's data rows, a chunk at a time: split directly while the text
     is plain, and from the header or chunk that is not, read by the csv
-    module, ``_CHUNK_CHARS // 32`` rows at a time. A read error is raised
-    where it is met; a ragged row, and then a file without data rows, once
-    the whole file has been read."""
+    module (see ``_csv_chunks``). A read error is raised where it is met; a
+    ragged row, and then a file without data rows, once the whole file has
+    been read."""
     header, start, rows_read, source = None, 1, 0, ()
     with _open(path) as handle:
         try:
-            try:
-                text = handle.readline()
-                if not text:
-                    raise ValidationError(f"{path}: empty file")
-                if cut := _plain_cells(text, text.count(",") + 1):
-                    header = _check_header(path, cut[0], columns, optional)
-                    width, start = len(header), 2
-                    while text := handle.read(_CHUNK_CHARS):
-                        # up to the end of the line the read stopped in
-                        text += handle.readline()
-                        if not (cut := _plain_cells(text, width)):
-                            break
-                        cells, kept = cut
-                        split = [cells[i::width] for i in range(width)]
-                        lines = (range(start, start + len(split[0])) if kept is None
-                                 else [start + offset for offset in kept])
-                        # a row of cells that strip to empty is blank: the csv
-                        # module skips it
-                        if "" in split[0] and not all(map(any, zip(*split))):
-                            rows = [i for i, row in enumerate(zip(*split)) if any(row)]
-                            split = [[column[i] for i in rows] for column in split]
-                            lines = [lines[i] for i in rows]
-                        if lines:
-                            yield lines, dict(zip(header, split))
-                            rows_read += len(lines)
-                        start += text.count("\n")
-                if text:
-                    # the csv module reads on from the header or chunk that
-                    # is not plain
-                    source = itertools.chain(io.StringIO(text, newline=""), handle)
-            except UnicodeDecodeError:
-                if not handle.seekable():
-                    raise
-                # from the start of the file, so that a csv error before the
-                # bytes is named first, where the csv module meets it
-                handle.seek(0)
-                source = itertools.islice(handle, start - 1, None)
-            if source:
-                reader, ragged = csv.reader(source), None
-                if header is None:
-                    header = _check_header(path, next(reader), columns, optional)
-                width, size = len(header), max(1, _CHUNK_CHARS // 32)
-                while True:
-                    lines, rows, read = [], [], reader.line_num
-                    # each row is numbered by the line it starts on
-                    line_no = start + read
-                    for row in itertools.islice(reader, size):
-                        # a row is blank when every cell is whitespace, i.e.
-                        # when their concatenation is
-                        if "".join(row).strip():
-                            if len(row) == width:
-                                lines.append(line_no)
-                                rows.append(row)
-                            elif ragged is None:
-                                ragged = ValidationError(f"{path}:{line_no}: expected "
-                                                         f"{width} fields, got {len(row)}")
-                        line_no = start + reader.line_num
-                    if reader.line_num == read:
+            text = handle.readline()
+            if not text:
+                raise ValidationError(f"{path}: empty file")
+            if cut := _plain_cells(text, text.count(",") + 1):
+                header = _check_header(path, cut[0], columns, optional)
+                start = 2
+                while text := handle.read(_CHUNK_CHARS):
+                    # up to the end of the line the read stopped in
+                    text += handle.readline()
+                    if (chunk := _split(text, header, start)) is None:
                         break
-                    if rows:
-                        yield lines, {key: list(map(str.strip, cells))
-                                      for key, cells in zip(header, zip(*rows))}
-                        rows_read += len(rows)
-                if ragged:
-                    raise ragged
+                    if chunk[0]:
+                        yield chunk
+                        rows_read += len(chunk[0])
+                    start += text.count("\n")
+            if text:
+                # the csv module reads on from the header or chunk that is
+                # not plain
+                source = itertools.chain(io.StringIO(text, newline=""), handle)
         except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
-        except csv.Error as exc:
-            raise ValidationError(f"{path}:{start - 1 + reader.line_num}: {exc}") from None
+            if not handle.seekable():
+                raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
+            # from the start of the file, so that a csv error before the
+            # bytes is named first, where the csv module meets it
+            handle.seek(0)
+            source = itertools.islice(handle, start - 1, None)
+        if source:
+            for chunk in _csv_chunks(path, source, header, start, columns, optional):
+                yield chunk
+                rows_read += len(chunk[0])
     if not rows_read:
         raise ValidationError(f"{path}: no data rows")
 
 
-def _load(path: Path, columns: Sequence[str], optional: Sequence[str],
-          consume: Callable[[Iterable[_Chunk]], _Result]) -> _Result:
-    """``consume`` run once over the file's chunks (see ``_chunks``)."""
-    chunks = _chunks(path, columns, optional)
+def _csv_chunks(path: Path, source: Iterable[str], header: Sequence[str] | None,
+                start: int, columns: Sequence[str],
+                optional: Sequence[str]) -> Iterator[_Chunk]:
+    """The data rows of ``source``, whose first line is line ``start`` of the
+    file, read by the csv module ``_CHUNK_CHARS // 32`` rows at a time; the
+    header is read first where it is not given. A read error is raised where
+    it is met, a ragged row once ``source`` has been read."""
+    reader, ragged = csv.reader(source), None
+    try:
+        if header is None:
+            header = _check_header(path, next(reader), columns, optional)
+        width, size = len(header), max(1, _CHUNK_CHARS // 32)
+        while True:
+            lines, rows, read = [], [], reader.line_num
+            # each row is numbered by the line it starts on
+            line_no = start + read
+            for row in itertools.islice(reader, size):
+                # a row is blank when every cell is whitespace, i.e. when
+                # their concatenation is
+                if "".join(row).strip():
+                    if len(row) == width:
+                        lines.append(line_no)
+                        rows.append(row)
+                    elif ragged is None:
+                        ragged = ValidationError(f"{path}:{line_no}: expected "
+                                                 f"{width} fields, got {len(row)}")
+                line_no = start + reader.line_num
+            if reader.line_num == read:
+                break
+            if rows:
+                yield lines, {key: list(map(str.strip, cells))
+                              for key, cells in zip(header, zip(*rows))}
+        if ragged:
+            raise ragged
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{start - 1 + reader.line_num}: {exc}") from None
+
+
+def _load(chunks: Iterator[_Chunk], consume: Callable[[Iterable[_Chunk]], _Result]) -> _Result:
+    """``consume`` run once over ``chunks``; a ValidationError it raises
+    gives way to a read error or a ragged row later in the file."""
     try:
         return consume(chunks)
     except ValidationError:
-        # a read error or a ragged row later in the file comes first
         for _ in chunks:
             pass
         raise
@@ -281,7 +313,7 @@ def load_prices(path: str | Path) -> PriceSeries:
     after that.
     """
     path = Path(path)
-    return _load(path, ("period", "group", "index"), (),
+    return _load(_chunks(path, ("period", "group", "index"), ()),
                  lambda chunks: _prices(path, chunks))
 
 
@@ -345,7 +377,7 @@ def load_weights(path: str | Path,
     order over the whole file.
     """
     path = Path(path)
-    return _load(path, ("source", "group", "weight"), (),
+    return _load(_chunks(path, ("source", "group", "weight"), ()),
                  lambda chunks: _weights(path, chunks, group_labels))
 
 
@@ -390,6 +422,9 @@ def _weights(path: Path, chunks: Iterable[_Chunk],
     return vectors
 
 
+_MICRO_COLUMNS, _MICRO_OPTIONAL = ("household_id", "group", "expenditure"), ("stratum",)
+
+
 def load_households(path: str | Path,
                     group_labels: Sequence[str] | None = None) -> HouseholdPanel:
     """Read household micro data; repeated (household, group) rows are summed.
@@ -400,21 +435,141 @@ def load_households(path: str | Path,
     chunk; the error raised is the one on the lowest line and, within a line,
     the first of: unknown group, non-number, negative amount, stratum
     conflict. Only integer codes and amounts are kept per row.
+
+    A regular file is read in byte ranges at line starts, one per part (see
+    ``_part_count``): this process reads the first, a forked child each
+    other. The ranges are joined in file order, so the panel and the error
+    are those of one reader. The csv module reads on from the first chunk
+    the direct split cannot read, and the ranges after it are dropped.
     """
     path = Path(path)
-    return _load(path, ("household_id", "group", "expenditure"), ("stratum",),
-                 lambda chunks: _households(path, chunks, group_labels))
-
-
-def _households(path: Path, chunks: Iterable[_Chunk],
-                group_labels: Sequence[str] | None) -> HouseholdPanel:
     order = None if group_labels is None else list(group_labels)
+    try:
+        info = path.stat()
+    except OSError:
+        info = None  # _open names the error
+    parts = (_part_count(info.st_size, _BYTES_PER_PART)
+             if info is not None and stat.S_ISREG(info.st_mode) else 1)
+    if parts > 1:
+        with _open(path, binary=True) as raw:
+            panel = _households_in_parts(path, raw, parts, order)
+        if panel is not None:
+            return panel
+    return _load(_chunks(path, _MICRO_COLUMNS, _MICRO_OPTIONAL),
+                 lambda chunks: _households(path, [(0, _read_rows(path, chunks, order))],
+                                            order))
+
+
+def _households_in_parts(path: Path, raw: IO[bytes], parts: int,
+                         order: list[str] | None) -> HouseholdPanel | None:
+    """The panel of the micro file open as ``raw``, its data rows read in
+    ``parts`` byte ranges; None where its header is not plain text."""
+    line = raw.readline()
+    try:
+        text = line.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    if not (line.endswith(b"\n") and (cut := _plain_cells(text, text.count(",") + 1))):
+        return None
+    header = _check_header(path, cut[0], _MICRO_COLUMNS, _MICRO_OPTIONAL)
+    size, bounds = os.fstat(raw.fileno()).st_size, [raw.tell()]
+    for part in range(1, parts):
+        # the first line start at or after an even share of the data
+        raw.seek(max(bounds[-1], bounds[0] + (size - bounds[0]) * part // parts - 1))
+        raw.readline()
+        bounds.append(raw.tell())
+    bounds.append(max(size, bounds[-1]))
+
+    def read(part: int) -> tuple[_Rows, int, int | None]:
+        return _read_range(path, header, bounds[part], bounds[part + 1], order)
+
+    with contextlib.ExitStack() as stack:
+        first, spools = _fork_parts(
+            parts, lambda spool, part: pickle.dump(read(part), spool, protocol=5),
+            lambda: read(0), f"a reader process for {path}", stack)
+        ranges = itertools.chain([first], map(pickle.load, spools))
+        joined, start = [], 2
+        for rows, lines, stop in ranges:
+            joined.append((start, rows))
+            start += lines
+            if stop is not None:
+                break
+    if stop is None:
+        return _households(path, joined, order)
+    raw.seek(stop)
+    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as rest:
+        return _load(_csv_chunks(path, rest, header, start, _MICRO_COLUMNS, _MICRO_OPTIONAL),
+                     lambda chunks: _households(
+                         path, [*joined, (0, _read_rows(path, chunks, order))], order))
+
+
+def _range_chunks(path: Path, header: Sequence[str], first: int, last: int,
+                  end: list[int | None]) -> Iterator[_Chunk]:
+    """The data rows of bytes ``first`` to ``last`` of the file, both line
+    starts, split directly a chunk at a time, with lines numbered from 0 at
+    ``first``. Once read, ``end`` holds the number of lines read and the
+    offset of the first chunk the direct split cannot read, or None."""
+    start = 0
+    with _open(path, binary=True) as raw:
+        raw.seek(first)
+        while first < last:
+            data = raw.read(min(_CHUNK_CHARS, last - first))
+            data += raw.readline(last - first - len(data))
+            try:
+                chunk = _split(data.decode("utf-8"), header, start)
+            except UnicodeDecodeError:
+                chunk = None
+            if chunk is None:
+                break
+            if chunk[0]:
+                yield chunk
+            first += len(data)
+            start += data.count(b"\n")
+    end[:] = [start, first if first < last else None]
+
+
+def _read_range(path: Path, header: Sequence[str], first: int, last: int,
+                order: list[str] | None) -> tuple[_Rows, int, int | None]:
+    """The rows of a byte range (see ``_range_chunks``), the number of its
+    lines read and where the direct split stopped in it, or None."""
+    end: list[int | None] = []
+    chunks = _range_chunks(path, header, first, last, end)
+    rows = _read_rows(path, chunks, order)
+    # after a failure too: a read error or a ragged row later on comes first
+    for _ in chunks:
+        pass
+    return rows, *end
+
+
+class _Rows(NamedTuple):
+    """The data rows of a range of a micro file, coded against the range's
+    own tables, whose labels are in order of first appearance."""
+
+    # per chunk: each row's household code, group code (a position in the
+    # order given) and amount
+    households: list[np.ndarray]
+    groups: list[np.ndarray]
+    amounts: list[np.ndarray]
+    household_ids: list[str]
+    group_labels: list[str]
+    stratum_labels: list[str]  # empty without a stratum column
+    first_strata: np.ndarray  # each household's first stratum code
+    first_lines: list[int]  # the line of each household's first row
+    failure: tuple[int, int, str] | None  # (line, check order, message)
+
+
+def _read_rows(path: Path, chunks: Iterable[_Chunk], order: list[str] | None) -> _Rows:
+    """The rows of ``chunks`` up to the first chunk where a check fails; its
+    failure is the one on the lowest line."""
     group_code = {} if order is None else {g: i for i, g in enumerate(order)}
     household_code: dict[str, int] = {}
     stratum_code: dict[str, int] = {}
-    # the stratum code of each household's first row, in household code order
+    # the stratum code and the line of each household's first row, in
+    # household code order
     first_strata = np.empty(0, dtype=np.intp)
+    first_lines: list[int] = []
     households, groups, amounts = [], [], []
+    failure = None
     for lines, cols in chunks:
         ids, group_cells, texts = cols["household_id"], cols["group"], cols["expenditure"]
         seen = len(household_code)
@@ -451,6 +606,7 @@ def _households(path: Path, chunks: Iterable[_Chunk],
             new_rows = np.flatnonzero(household >= seen)
             first_rows = new_rows[np.unique(household[new_rows], return_index=True)[1]]
             first_strata = np.concatenate([first_strata, stratum[first_rows]])
+            first_lines += [lines[row] for row in first_rows.tolist()]
             conflicts = np.flatnonzero(stratum != first_strata[household])
             if conflicts.size:
                 row = int(conflicts[0])
@@ -458,17 +614,61 @@ def _households(path: Path, chunks: Iterable[_Chunk],
                 failures.append((row, 3, f"household {ids[row]!r} appears under two "
                                          f"strata ({first!r} and {strata[row] or None!r})"))
         if failures:
-            row, _, message = min(failures)
-            raise ValidationError(f"{path}:{lines[row]}: {message}")
+            row, check, message = min(failures)
+            failure = (lines[row], check, message)
+            break
         households.append(household)
         groups.append(codes)
         amounts.append(values)
+    return _Rows(households, groups, amounts, list(household_code), list(group_code),
+                 list(stratum_code), first_strata, first_lines, failure)
 
+
+def _households(path: Path, parts: Sequence[tuple[int, _Rows]],
+                order: list[str] | None) -> HouseholdPanel:
+    """The panel of the rows of each part in turn, whose lines are numbered
+    from the first number given with it; the failure on the lowest line,
+    a household's stratum conflicting across parts included, is raised."""
+    group_code = {} if order is None else {g: i for i, g in enumerate(order)}
+    household_code: dict[str, int] = {}
+    stratum_code: dict[str, int] = {}
+    first_strata = np.empty(0, dtype=np.intp)
+    coded = []  # each part's rows, with its household and group codes here
+    for start, rows in parts:
+        failures = [] if rows.failure is None else [rows.failure]
+        seen = len(household_code)
+        household = _encode(household_code, rows.household_ids)
+        if rows.stratum_labels:
+            stratum = _encode(stratum_code, rows.stratum_labels)[rows.first_strata]
+            first_strata = np.concatenate([first_strata, stratum[household >= seen]])
+            # a household first seen in an earlier part conflicts at its
+            # first row in this one
+            conflicts = np.flatnonzero(stratum != first_strata[household])
+            if conflicts.size:
+                h = min(conflicts.tolist(), key=rows.first_lines.__getitem__)
+                first = list(stratum_code)[first_strata[household[h]]] or None
+                failures.append((rows.first_lines[h], 3, (
+                    f"household {rows.household_ids[h]!r} appears under two strata "
+                    f"({first!r} and {rows.stratum_labels[rows.first_strata[h]] or None!r})")))
+        if failures:
+            line, _, message = min(failures)
+            raise ValidationError(f"{path}:{start + line}: {message}")
+        coded.append((rows, household, None if order is not None
+                       else _encode(group_code, rows.group_labels)))
+    if not any(rows.amounts for rows, _, _ in coded):
+        raise ValidationError(f"{path}: no data rows")
     m = len(group_code) if order is None else len(order)
-    cells = np.concatenate(households) * m + np.concatenate(groups)
-    # bincount adds each cell's amounts in file order, as a running sum would
-    spend = np.bincount(cells, weights=np.concatenate(amounts),
-                        minlength=len(household_code) * m)
+    spend = np.zeros(len(household_code) * m)
+    # a sum that overflows is the panel's error, not a warning
+    with np.errstate(over="ignore"):
+        for rows, household, group in coded:
+            for households, groups, amounts in zip(rows.households, rows.groups,
+                                                   rows.amounts):
+                cells = household[households] * m + (groups if group is None
+                                                     else group[groups])
+                # each cell's amounts are added in file order, as a running
+                # sum would
+                np.add.at(spend, cells, amounts)
     labels = [label or None for label in stratum_code]
     return HouseholdPanel(
         household_ids=tuple(household_code),
@@ -482,7 +682,7 @@ def load_weight_estimate(path: str | Path,
                          group_labels: Sequence[str]) -> WeightEstimate:
     """Read a precomputed weight estimate: point weights, covariance, count."""
     path = Path(path)
-    return _load(path, ("kind", "row_group", "col_group", "value"), (),
+    return _load(_chunks(path, ("kind", "row_group", "col_group", "value"), ()),
                  lambda chunks: _weight_estimate(path, chunks, group_labels))
 
 
@@ -608,10 +808,9 @@ def write_households(path: str | Path, panel: HouseholdPanel,
 
     The households are written in contiguous ranges, one per part (see
     ``_part_count``). This process writes the first range straight into the
-    file; each other range is written by a forked child into an anonymous
-    temporary file in the same directory, which is appended in order once
-    the child has exited. A child that fails raises ``WorkerFailure``; on
-    any failure a regular file is removed."""
+    file; each other range is written by a forked child (see
+    ``_fork_parts``) into a temporary file in the same directory, which is
+    appended in order. On any failure a regular file is removed."""
     target = Path(path)
     with_stratum = any(stratum is not None for stratum in panel.strata)
     # ",<group>," and ",<stratum><end of line>" for every label, quoted once
@@ -619,7 +818,8 @@ def write_households(path: str | Path, panel: HouseholdPanel,
     ends = {stratum: (f",{_csv_field(stratum or '')}" if with_stratum else "")
             + csv.excel.lineterminator for stratum in set(panel.strata)}
 
-    def write_range(handle: IO[str], first: int, last: int) -> None:
+    def write_range(handle: IO[str], part: int) -> None:
+        first, last = bounds[part], bounds[part + 1]
         # one household's floats at a time, not the whole matrix's
         for household, stratum, row in zip(panel.household_ids[first:last],
                                            panel.strata[first:last],
@@ -628,10 +828,11 @@ def write_households(path: str | Path, panel: HouseholdPanel,
             handle.write("".join([f"{start}{middle}{amount!r}{end}"
                                   for middle, amount in zip(middles, amounts)]))
 
-    with output_file(target) as handle, contextlib.ExitStack() as spools:
+    with output_file(target) as handle, contextlib.ExitStack() as stack:
         # a device or a pipe is written by this process alone
         regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-        parts = _part_count(len(panel) * len(group_labels)) if regular else 1
+        parts = (_part_count(len(panel) * len(group_labels), _VALUES_PER_PART)
+                 if regular else 1)
         bounds = [len(panel) * part // parts for part in range(parts + 1)]
         header = ["household_id", "group", "expenditure"]
         if with_stratum:
@@ -639,44 +840,58 @@ def write_households(path: str | Path, panel: HouseholdPanel,
         csv.writer(handle).writerow(header)
         # a child inherits unwritten buffers, so none may be left
         handle.flush()
-        children: list[tuple[int, IO[str]]] = []
-        try:
-            for first, last in zip(bounds[1:-1], bounds[2:]):
-                spool = spools.enter_context(tempfile.TemporaryFile(
-                    "w+", newline="", encoding="utf-8", dir=target.parent))
-                pid = os.fork()
-                if pid == 0:
-                    # the child never returns into the caller's code
-                    status = 1
-                    try:
-                        write_range(spool, first, last)
-                        spool.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-                children.append((pid, spool))
-            write_range(handle, bounds[0], bounds[1])
-        finally:
-            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-        for (_, spool), status in zip(children, statuses):
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                raise WorkerFailure(f"a writer process for {target} " + (
-                    f"was killed by signal {-code}" if code < 0
-                    else f"exited with code {code}"))
-            spool.seek(0)
+        _, spools = _fork_parts(parts, write_range, lambda: write_range(handle, 0),
+                                f"a writer process for {target}", stack, mode="w+",
+                                newline="", encoding="utf-8", dir=target.parent)
+        for spool in spools:
             shutil.copyfileobj(spool, handle)
 
 
-def _part_count(values: int) -> int:
-    """How many processes write a file of ``values`` amounts: one per
-    available core and per ``_VALUES_PER_PART`` amounts, at least one. Only
-    a Linux process with no other Python thread forks: elsewhere fork is
-    unsafe or absent, and a forked child would hold a copy of every lock
-    another thread might own."""
+def _fork_parts(parts: int, work: Callable[[IO, int], object],
+                first: Callable[[], _Result], what: str, stack: contextlib.ExitStack,
+                **spool: Any) -> tuple[_Result, list[IO]]:
+    """``first()``, run in this process, and a spool of each part from 1 to
+    ``parts - 1``, read from its start. Each of those parts is a forked child
+    that runs ``work(spool, part)`` into its own anonymous temporary file,
+    made by ``tempfile.TemporaryFile(**spool)`` and closed by ``stack``.
+    Every child is reaped, whatever ``first`` does; one that did not exit
+    normally raises ``WorkerFailure`` naming ``what``."""
+    children: list[tuple[int, IO]] = []
+    try:
+        for part in range(1, parts):
+            handle = stack.enter_context(tempfile.TemporaryFile(**spool))
+            pid = os.fork()
+            if pid == 0:
+                # the child never returns into the caller's code
+                status = 1
+                try:
+                    work(handle, part)
+                    handle.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, handle))
+        result = first()
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for status in statuses:
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise WorkerFailure(f"{what} " + (f"was killed by signal {-code}" if code < 0
+                                             else f"exited with code {code}"))
+    for _, handle in children:
+        handle.seek(0)
+    return result, [handle for _, handle in children]
+
+
+def _part_count(size: int, per_part: int) -> int:
+    """How many processes share work of ``size`` units: one per available
+    core and per ``per_part`` units, at least one. Only a Linux process with
+    no other Python thread forks: elsewhere fork is unsafe or absent, and a
+    forked child would hold a copy of every lock another thread might own."""
     if sys.platform != "linux" or threading.active_count() != 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), values // _VALUES_PER_PART))
+    return max(1, min(len(os.sched_getaffinity(0)), size // per_part))
 
 
 def _csv_field(text: str) -> str:

@@ -60,7 +60,7 @@ class VerificationFailure(AuditError):
 class WorkerFailure(AuditError):
     """A worker process died or failed before its part of the work finished:
     a verification suite worker (killed, out of memory), or a process that
-    writes part of a micro file. No result is lost silently."""
+    reads or writes part of a micro file. No result is lost silently."""
 
     exit_code = 4
     code = "worker_failure"

@@ -23,6 +23,8 @@ import numpy as np
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SLICE = 65_536
+# the native formats a memoryview reads as Python bools, ints and floats
+_BUFFER_FORMATS = frozenset("?bBhHiIlLqQfd")
 
 
 def _per_value(function, x: np.ndarray, argument) -> np.ndarray:
@@ -34,8 +36,12 @@ def _per_value(function, x: np.ndarray, argument) -> np.ndarray:
     values = np.empty(flat.size)
     for start in range(0, flat.size, _SLICE):
         part = argument(flat[start:start + _SLICE])
+        # a buffer of native numbers gives the Python numbers tolist() gives,
+        # without building the list
+        view = memoryview(part)
+        items = view if view.format in _BUFFER_FORMATS else part.tolist()
         values[start:start + part.size] = np.fromiter(
-            map(function, part.tolist()), float, count=part.size)
+            map(function, items), float, count=part.size)
     return values.reshape(np.shape(x))
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
+# loaded here, before a verify worker forks, so that no worker loads it again
+from numpy.random import PCG64, Generator
 
 from . import gaussian
 from .coverage import (
@@ -169,7 +171,7 @@ def empirical_coverage(plan: SimulationPlan) -> SimulationOutcome:
         raise ValidationError("coverage_constant takes no extra_variance")
     if plan.scenario == "coverage_unbiased" and bias != 0.0:
         raise ValidationError("coverage_unbiased takes no bias")
-    rng = np.random.Generator(np.random.PCG64(plan.seed))
+    rng = Generator(PCG64(plan.seed))
     noise_sd = math.sqrt(extra_variance)
     # The chunk length decides which draws become estimates and which become
     # references, so it is part of the result. Each chunk's estimates are
@@ -284,7 +286,7 @@ def _default_design() -> _AuditDesign:
 _DESIGN = _default_design()
 
 
-def _draw_statistics(rng: np.random.Generator, replicates: int,
+def _draw_statistics(rng: Generator, replicates: int,
                      true_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z and B statistics for weight estimates drawn N(true_weights, V)."""
     design = _DESIGN
@@ -312,7 +314,7 @@ def test_calibration(plan: SimulationPlan) -> SimulationOutcome:
     known covariance, and record the 5% two-sided rejection rate (target:
     0.05) plus the KS distance to the standard normal in ``extras``.
     """
-    rng = np.random.Generator(np.random.PCG64(plan.seed))
+    rng = Generator(PCG64(plan.seed))
     # only the tested statistic is kept while ks_distance sorts it
     stats = _draw_statistics(rng, plan.replicates, _DESIGN.weights)[
         0 if plan.scenario == "z_calibration" else 1]
@@ -383,7 +385,7 @@ def mse_unbiasedness(plan: SimulationPlan) -> SimulationOutcome:
 
     def draws(count_negatives: bool) -> Callable[[int, int], np.ndarray]:
         # each pass draws the plan's stream again, one leaf at a time
-        rng = np.random.Generator(np.random.PCG64(plan.seed))
+        rng = Generator(PCG64(plan.seed))
 
         def estimates(start: int, stop: int) -> np.ndarray:
             # (bias - sd * normal) ** 2 - audit_variance, in the one buffer
@@ -426,7 +428,7 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
     scheme = EvalScheme(alpha=float(plan.parameters.get("alpha", 0.95)),
                         omega=float(plan.parameters.get("omega", 0.058)))
     quantity = str(plan.parameters.get("quantity", "plug_in"))
-    rng = np.random.Generator(np.random.PCG64(plan.seed))
+    rng = Generator(PCG64(plan.seed))
     if quantity == "plug_in":
         u = float(plan.parameters.get("bias_in_sigma", 0.9))
         sd_ratio = float(plan.parameters.get("audit_sd_ratio", 0.15))

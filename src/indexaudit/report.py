@@ -423,7 +423,7 @@ def quantile_summary_row(column: str, values) -> dict:
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
         raise ValidationError("cannot summarize an empty column")
-    quartiles = np.quantile(data, [0.0, 0.25, 0.5, 0.75, 1.0])
+    quartiles = _quantiles(data, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
     return {
         "type": "coverage_summary",
         "column": column,
@@ -434,6 +434,29 @@ def quantile_summary_row(column: str, values) -> dict:
         "third_quartile": float(quartiles[3]),
         "maximum": float(quartiles[4]),
     }
+
+
+def _quantiles(data: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(data, q)`` by its default ("linear") method, bit for
+    bit: the same partition of a copy of ``data`` and the same interpolation,
+    without the ``np.unique`` call that imports ``numpy.ma``."""
+    n = data.size
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    above = below + 1
+    below[virtual >= n - 1] = above[virtual >= n - 1] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    arr = data.copy()
+    arr.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))
+    if np.isnan(arr[-1]):
+        # a NaN sorts last, and every quantile is that NaN
+        return np.full(q.shape, arr[-1])
+    low, high = arr[below], arr[above]
+    gamma = virtual - below
+    diff = high - low
+    result = low + diff * gamma
+    np.subtract(high, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    return result
 
 
 # --- table rendering ---------------------------------------------------------

@@ -71,15 +71,15 @@ MUTANTS = [
            ("tests/test_micro_loader.py", "tests/test_price_loader.py",
             "tests/test_dataio.py")),
     Mutant("dataio.py", "write_households appends the ranges in reverse",
-           "for (_, spool), status in zip(children, statuses):",
-           "for (_, spool), status in reversed(list(zip(children, statuses))):",
+           "        for spool in spools:\n",
+           "        for spool in reversed(spools):\n",
            ("tests/test_dataio.py",)),
-    Mutant("dataio.py", "write_households reaps its children outside the finally",
-           "        finally:\n"
-           "            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]\n",
-           "        finally:\n"
-           "            pass\n"
+    Mutant("dataio.py", "_fork_parts reaps its children outside the finally",
+           "    finally:\n"
            "        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]\n",
+           "    finally:\n"
+           "        pass\n"
+           "    statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]\n",
            ("tests/test_dataio.py",)),
     Mutant("montecarlo.py", "_blocks no longer folds a 1-row tail into the block before it",
            "if total - stop <= 1:",
@@ -134,8 +134,8 @@ MUTANTS = [
            "part[start:start + _ROWS + 1]",
            ("tests/test_report_emitter.py",)),
     Mutant("dataio.py", "repeated micro cells are summed in reverse file order",
-           "spend = np.bincount(cells, weights=np.concatenate(amounts),",
-           "spend = np.bincount(cells[::-1], weights=np.concatenate(amounts)[::-1],",
+           "np.add.at(spend, cells, amounts)",
+           "np.add.at(spend, cells[::-1], amounts[::-1])",
            ("tests/test_micro_loader.py",)),
     Mutant("bias_tests.py", "the Z effects are one matrix product",
            "effects = np.array([_dots(p_bar, itertools.repeat(diff)) for diff in diffs])",
@@ -173,6 +173,32 @@ MUTANTS = [
            "if not 0.5 < level < 1.0:",
            "if not 0.5 <= level < 1.0:",
            ("tests/test_coverage.py",)),
+    Mutant("dataio.py", "on one line, an unknown group comes after a non-number",
+           '(row, 0, f"unknown group',
+           '(row, 2, f"unknown group',
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "a household's first stratum in a chunk is its last row's",
+           "first_rows = new_rows[np.unique(household[new_rows], return_index=True)[1]]",
+           "first_rows = new_rows[::-1][np.unique(household[new_rows][::-1], "
+           "return_index=True)[1]]",
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "the direct split drops a row with any empty cell as blank",
+           "if any(row)]",
+           "if all(row)]",
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "the direct split does not strip its cells",
+           "cells = list(map(str.strip, cells))",
+           "cells = list(cells)",
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "the loader joins the ranges after the first in reverse",
+           "map(pickle.load, spools))",
+           "map(pickle.load, spools[::-1]))",
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "a household's first stratum is taken from a later range",
+           "first_strata = np.concatenate([first_strata, stratum[household >= seen]])\n",
+           "first_strata = np.concatenate([first_strata, stratum[household >= seen]])\n"
+           "            first_strata[household] = stratum\n",
+           ("tests/test_micro_loader.py",)),
     Mutant("__main__.py", "the entry point does not freeze what the CLI imports",
            "        gc.freeze()\n",
            "        pass\n",

@@ -556,6 +556,32 @@ def test_verify_worker_death_is_a_one_line_error(capsys, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="the patch reaches the readers only through fork")
+def test_a_micro_reader_process_death_is_a_one_line_error(capsys, fx, tmp_path,
+                                                          monkeypatch):
+    loader, read = os.getpid(), dataio._read_range
+
+    def die(*args):
+        if os.getpid() != loader:
+            os._exit(9)
+        return read(*args)
+
+    monkeypatch.setattr(dataio, "_read_range", die)
+    monkeypatch.setattr(dataio, "_BYTES_PER_PART", 1)
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, "report", "--prices", fx["prices"],
+                            "--weights", fx["weights"], "--survey-micro", fx["micro"],
+                            "--proxy", "age_lt26", "--output", str(out))
+    assert code == 4
+    assert stdout == ""
+    assert json.loads(err) == {"error": {
+        "code": "worker_failure",
+        "message": f"a reader process for {fx['micro']} exited with code 9"}}
+    assert not out.exists()
+
+
 def test_verify_reports_gate_failures_with_exit_3(capsys, tmp_path):
     # with only a handful of replicates the calibration gates cannot hold
     out = tmp_path / "fail.json"
@@ -1063,6 +1089,22 @@ def test_a_report_piped_to_stdout_is_the_report_written_to_a_file(panel_sweep, t
     assert (piped.returncode, piped.stderr) == (0, b"")
     assert len(piped.stdout) > 2_000_000
     assert piped.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+def test_a_report_whose_reader_goes_away_is_a_config_error(panel_sweep, launcher):
+    # the reader takes 10 bytes of ~2.7 MB and closes the pipe
+    read, write = os.pipe()
+    proc = subprocess.Popen([*_launcher(launcher), *panel_sweep], stdout=write,
+                            stderr=subprocess.PIPE, env=_entry_env())
+    os.close(write)
+    with os.fdopen(read, "rb") as reader:
+        assert len(reader.read(10)) == 10
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert json.loads(err) == {"error": {
+        "code": "config_error",
+        "message": "cannot write report to stdout: [Errno 32] Broken pipe"}}
 
 
 @pytest.mark.parametrize("launcher", ["module", "script"])

@@ -247,8 +247,8 @@ def force_parts(monkeypatch, parts):
 
 
 def assert_written_as_reference(tmp_path, panel, parts):
-    assert dataio._part_count(len(panel) * len(SPLIT_GROUPS)) == min(
-        parts, len(panel) * len(SPLIT_GROUPS))
+    values = len(panel) * len(SPLIT_GROUPS)
+    assert dataio._part_count(values, dataio._VALUES_PER_PART) == min(parts, values)
     got, want = tmp_path / "split.csv", tmp_path / "reference.csv"
     dataio.write_households(got, panel, SPLIT_GROUPS)
     micro_oracle.write_households(want, panel, SPLIT_GROUPS)
@@ -284,14 +284,14 @@ def test_split_writer_matches_reference_for_any_split(tmp_path_factory, n_househ
 def test_writer_splits_only_large_panels_of_a_single_threaded_linux_process(monkeypatch):
     monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(4)))
     linux = sys.platform == "linux"
-    assert [dataio._part_count(values) for values in (1, 65_535, 65_536, 131_072,
-                                                      200_001, 10**9)] == (
+    assert [dataio._part_count(values, dataio._VALUES_PER_PART)
+            for values in (1, 65_535, 65_536, 131_072, 200_001, 10**9)] == (
         [1, 1, 1, 2, 3, 4] if linux else [1] * 6)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(10,))
     waiter.start()
     try:
-        assert dataio._part_count(10**9) == 1
+        assert dataio._part_count(10**9, dataio._VALUES_PER_PART) == 1
     finally:
         release.set()
         waiter.join(10)
@@ -505,6 +505,7 @@ def test_committed_fixtures_match_builder_output(tmp_path, fixture_dir):
 # --- byte-order mark ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("parts", [1, 3])
 @pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize("name, loader", [
     ("prices.csv", "load_prices"),
@@ -513,7 +514,11 @@ def test_committed_fixtures_match_builder_output(tmp_path, fixture_dir):
     ("ces_micro.csv", "load_households"),
 ])
 def test_a_leading_byte_order_mark_is_skipped(tmp_path, fixture_dir, monkeypatch,
-                                              food_prices, name, loader, quoted):
+                                              food_prices, name, loader, quoted, parts):
+    # micro data is read in byte ranges where it may be
+    monkeypatch.setattr(dataio, "_BYTES_PER_PART", 1)
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(parts)))
+
     def load(path):
         if loader == "load_prices":
             return dataio.load_prices(path)

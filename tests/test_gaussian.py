@@ -204,3 +204,35 @@ def test_ks_distance_flags_shifted_sample():
 def test_ks_distance_rejects_empty():
     with pytest.raises(ValueError):
         gaussian.ks_distance(np.array([]))
+
+
+def per_value_through_lists(function, x, argument):
+    """``gaussian._per_value`` as it was written, through ``tolist()``."""
+    part = argument(np.ravel(x))
+    return np.fromiter(map(function, part.tolist()), float,
+                       count=part.size).reshape(np.shape(x))
+
+
+@pytest.mark.parametrize("x", [
+    np.linspace(-9.0, 9.0, 301),
+    np.linspace(-9.0, 9.0, 301, dtype=np.float32),
+    np.arange(-40, 41),
+    np.arange(-40, 41, dtype=np.int8),
+    np.linspace(-9.0, 9.0, 602)[::2],
+    np.linspace(-9.0, 9.0, 300).reshape(20, 15).T,
+    np.array(2.5),
+    np.array([-1.5, 0, 2, 7.25], dtype=object),
+    np.array([0.5, 1.5], dtype=np.float16),
+], ids=["float64", "float32", "int64", "int8", "strided", "transposed", "0-d",
+        "object", "float16"])
+def test_per_value_keeps_the_bits_of_mapping_over_a_list(monkeypatch, x):
+    # slices of 7 values, so most arrays take several
+    monkeypatch.setattr(gaussian, "_SLICE", 7)
+    for function, argument in [
+            (math.erfc, lambda part: -part / gaussian._SQRT2),
+            (math.exp, lambda part: -0.5 * part * part),
+            (lambda value: gaussian.power(value, 6), np.asarray)]:
+        got = gaussian._per_value(function, x, argument)
+        want = per_value_through_lists(function, x, argument)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -4,6 +4,7 @@ wraps."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import symtable
@@ -29,6 +30,23 @@ def test_cli_import_leaves_the_monte_carlo_suite_and_hashlib_unloaded():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_a_report_leaves_numpy_ma_unloaded(tmp_path):
+    # np.quantile would load it through np.unique, in every report process
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    argv = ["report", "--prices", str(fixtures / "prices.csv"),
+            "--weights", str(fixtures / "weights.csv"), "--proxy", "age_lt26",
+            "--survey-micro", str(fixtures / "ces_micro.csv"),
+            "--output", str(tmp_path / "report.json")]
+    code = ("import sys; from indexaudit.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["results"]
 
 
 def test_every_export_resolves():

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indexaudit import report
 from indexaudit.bias_tests import z_test
@@ -153,6 +155,28 @@ def test_quantile_summary_row_statistics():
     assert row["third_quartile"] == 3.25
     with pytest.raises(ValidationError, match="empty column"):
         report.quantile_summary_row("col", [])
+
+
+QUARTILES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                                        math.nan])),
+                min_size=1, max_size=40))
+@example([1.5])
+@example([-0.0])
+@example([0.0, -0.0, 0.0, -0.0])
+@example([math.nan, 1.0])
+@example([math.inf, -math.inf])
+@example([1e308, -1e308, 5e-324])
+def test_quantiles_are_numpys_linear_quantiles_bit_for_bit(values):
+    data = np.array(values)
+    with np.errstate(all="ignore"):
+        want = np.quantile(data, QUARTILES)
+        got = report._quantiles(data, QUARTILES)
+    assert got.tobytes() == want.tobytes()
+    assert data.tobytes() == np.array(values).tobytes()
 
 
 # --- table format ----------------------------------------------------------------
