@@ -13,19 +13,21 @@ is skipped. Long (tidy) layouts throughout:
   given and mirrored values must agree), or ``households`` (an integer count,
   group columns empty).
 
-A file is split at commas and line ends directly, a chunk of lines at a
-time. From the header or first chunk that the direct split cannot read
-exactly as the csv module does (a quote, a NUL, a lone carriage return, an
-over-long line, a ragged row), the csv module takes over and reads the rest
-of the file one chunk of rows at a time, so memory stays bounded for every
-file, and each file is read once. Blank rows are skipped as the csv module
-skips them. Both give the same result and the same errors.
+Every loader reads its file with one reader (see ``_read``): the header
+line once, then the data as one or more byte ranges, each split at commas
+and line ends directly, a chunk of lines at a time. From the header or the
+first chunk that the direct split cannot read exactly as the csv module does
+(a quote, a NUL, a lone carriage return, an over-long line, a ragged row,
+bytes that are not UTF-8), the csv module reads on from that chunk's own
+bytes to the end of the file, one chunk of rows at a time. So memory stays
+bounded for every file, each file is read once, and a pipe is read as a
+regular file is. Blank rows are skipped as the csv module skips them. Both
+give the same result and the same errors.
 
 Micro data, the largest input, is read on every core: a regular file is cut
-at line starts into byte ranges, each read by the direct split in a process
-of its own (see ``load_households``); from the first chunk of any range that
-the direct split cannot read, the csv module reads on in this process. The
-micro writer spreads its formatting the same way. Both fork through
+at line starts into byte ranges, each read in a process of its own. A pipe,
+a small file and the other inputs are one range to the end of the stream.
+The micro writer spreads its formatting the same way. Both fork through
 ``_fork_parts``, and ``_part_count`` decides how many parts.
 
 Loaders raise ValidationError naming the file and line of the offense; text
@@ -56,10 +58,10 @@ from .survey import HouseholdPanel, WeightEstimate
 
 import numpy as np
 
-# Characters of text the direct reader reads at a time, then up to the end of
-# a line: about 7.7k lines of micro data. Larger chunks read no faster and
-# hold more cells at once. Where the csv module reads, it reads a 32nd as
-# many rows at a time (8,192), about as many as a chunk of micro data holds.
+# Bytes the direct split reads at a time, then up to the end of a line: about
+# 7.7k lines of micro data. Larger chunks read no faster and hold more cells
+# at once. Where the csv module reads, it reads a 32nd as many rows at a time
+# (8,192), about as many as a chunk of micro data holds.
 _CHUNK_CHARS = 1 << 18
 # Amounts each writer process formats at least, so that its fork and the copy
 # of its part stay small beside the formatting (65,536 float reprs take about
@@ -78,10 +80,9 @@ _Chunk = tuple[Sequence[int], dict[str, list[str]]]
 _Result = TypeVar("_Result")
 
 
-def _open(path: Path, binary: bool = False) -> IO:
+def _open(path: Path) -> IO[bytes]:
     try:
-        # a leading byte-order mark, as spreadsheets write, is not header text
-        return path.open("rb") if binary else path.open(newline="", encoding="utf-8-sig")
+        return path.open("rb")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
@@ -106,11 +107,12 @@ def _plain_cells(text: str, width: int) -> tuple[list[str], list[int] | None] | 
     """The stripped cells of ``text``, rows of ``width`` cells split at commas
     and line ends, where that is what the csv module reads, else None
     (``str.splitlines`` would also split at characters such as ``\\x1c`` and
-    ``\\x85`` that the csv module keeps in a cell). Where a line has another
-    width, blank lines (only commas and whitespace, and not over-long) are
-    dropped first, and the offsets of the lines kept come second; else that
-    is None."""
-    if '"' in text or "\0" in text:
+    ``\\x85`` that the csv module keeps in a cell). A replacement character
+    may stand for bytes that are not UTF-8, which the csv module names. Where
+    a line has another width, blank lines (only commas and whitespace, and
+    not over-long) are dropped first, and the offsets of the lines kept come
+    second; else that is None."""
+    if '"' in text or "\0" in text or "\ufffd" in text:
         return None
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -176,48 +178,94 @@ def _split(text: str, header: Sequence[str], start: int) -> _Chunk | None:
     return lines, dict(zip(header, split))
 
 
-def _chunks(path: Path, columns: Sequence[str],
-            optional: Sequence[str]) -> Iterator[_Chunk]:
-    """The file's data rows, a chunk at a time: split directly while the text
-    is plain, and from the header or chunk that is not, read by the csv
-    module (see ``_csv_chunks``). A read error is raised where it is met; a
-    ragged row, and then a file without data rows, once the whole file has
-    been read."""
-    header, start, rows_read, source = None, 1, 0, ()
-    with _open(path) as handle:
-        try:
-            text = handle.readline()
-            if not text:
-                raise ValidationError(f"{path}: empty file")
-            if cut := _plain_cells(text, text.count(",") + 1):
-                header = _check_header(path, cut[0], columns, optional)
-                start = 2
-                while text := handle.read(_CHUNK_CHARS):
-                    # up to the end of the line the read stopped in
-                    text += handle.readline()
-                    if (chunk := _split(text, header, start)) is None:
-                        break
-                    if chunk[0]:
-                        yield chunk
-                        rows_read += len(chunk[0])
-                    start += text.count("\n")
-            if text:
-                # the csv module reads on from the header or chunk that is
-                # not plain
-                source = itertools.chain(io.StringIO(text, newline=""), handle)
-        except UnicodeDecodeError as exc:
-            if not handle.seekable():
-                raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
-            # from the start of the file, so that a csv error before the
-            # bytes is named first, where the csv module meets it
-            handle.seek(0)
-            source = itertools.islice(handle, start - 1, None)
-        if source:
-            for chunk in _csv_chunks(path, source, header, start, columns, optional):
-                yield chunk
-                rows_read += len(chunk[0])
-    if not rows_read:
-        raise ValidationError(f"{path}: no data rows")
+def _read(path: Path, columns: Sequence[str], optional: Sequence[str],
+          read: Callable[[Iterator[_Chunk]], _Result],
+          per_part: int = 0) -> list[tuple[int, _Result]]:
+    """``read`` run over the data rows of each byte range of the file, in
+    file order, each with the number to add to its line numbers.
+
+    The header is read once. Where the direct split reads it, a regular file
+    is cut at line starts into ``_part_count(size, per_part)`` ranges (one
+    where ``per_part`` is 0): this process reads the first, a forked child
+    each other. Anything else is one range to the end of the stream. From
+    the first chunk of a range that the direct split cannot read, the csv
+    module reads on, in this process, to the end of the file, and the ranges
+    after it are dropped: results and errors are those of one reader.
+    """
+    with _open(path) as raw:
+        line, header = raw.readline(), None
+        # a leading byte-order mark, as spreadsheets write, is not header text
+        if not (text := line.decode("utf-8-sig", "replace")):
+            raise ValidationError(f"{path}: empty file")
+        if cut := _plain_cells(text, text.count(",") + 1):
+            header = _check_header(path, cut[0], columns, optional)
+
+        def chunks(handle: IO[bytes], start: int, end: list[int | None] | None = None,
+                   size: int = sys.maxsize) -> Iterator[_Chunk]:
+            """The data rows of the next ``size`` bytes of ``handle``, whole
+            lines numbered from ``start``, split directly a chunk at a time.
+            From the first chunk the direct split cannot read (or the header
+            line, where that is not plain), the csv module reads on to the end
+            of the stream; or, given ``end``, the rows stop there, and ``end``
+            holds the number of lines read and that chunk's offset, or None."""
+            data = line
+            while header is not None and (data := handle.read(min(_CHUNK_CHARS, size))):
+                # up to the end of the line the read stopped in
+                data += handle.readline(size - len(data))
+                if (chunk := _split(data.decode("utf-8", "replace"), header, start)) is None:
+                    break
+                if chunk[0]:
+                    yield chunk
+                size -= len(data)
+                start += data.count(b"\n")
+            if end is not None:
+                end[:] = [start, handle.tell() - len(data) if data else None]
+            elif data:
+                # the csv module reads on from this chunk's own bytes, which
+                # end at a line end, and then from the rest of the stream
+                head = io.TextIOWrapper(io.BytesIO(data), "utf-8" if header else "utf-8-sig",
+                                        newline="")
+                with io.TextIOWrapper(handle, "utf-8", newline="") as rest:
+                    yield from _csv_chunks(path, itertools.chain(head, rest), header, start,
+                                           columns, optional)
+
+        info = os.fstat(raw.fileno())
+        parts = (_part_count(info.st_size, per_part)
+                 if per_part and header and stat.S_ISREG(info.st_mode) else 1)
+        if parts == 1:
+            rows = chunks(raw, 2 if header else 1)
+            if (chunk := next(rows, None)) is None:
+                raise ValidationError(f"{path}: no data rows")
+            return [(0, _read_range(itertools.chain([chunk], rows), read))]
+        bounds = [raw.tell()]
+        for part in range(1, parts):
+            # the first line start at or after an even share of the data
+            raw.seek(max(bounds[-1], bounds[0] + (info.st_size - bounds[0]) * part // parts - 1))
+            raw.readline()
+            bounds.append(raw.tell())
+        bounds.append(max(info.st_size, bounds[-1]))
+
+        def read_part(part: int) -> tuple[_Result, int, int | None]:
+            end: list[int | None] = []
+            # a forked child shares the file offset of ``raw``
+            with _open(path) as handle:
+                handle.seek(bounds[part])
+                result = _read_range(chunks(handle, 0, end, bounds[part + 1] - bounds[part]),
+                                     read)
+            return result, *end
+
+        with contextlib.ExitStack() as stack:
+            first, spools = _fork_parts(
+                parts, lambda spool, part: pickle.dump(read_part(part), spool, protocol=5),
+                lambda: read_part(0), f"a reader process for {path}", stack)
+            joined, start = [], 2
+            for result, lines, stop in itertools.chain([first], map(pickle.load, spools)):
+                joined.append((start, result))
+                start += lines
+                if stop is not None:
+                    raw.seek(stop)
+                    return [*joined, (0, _read_range(chunks(raw, start), read))]
+        return joined
 
 
 def _csv_chunks(path: Path, source: Iterable[str], header: Sequence[str] | None,
@@ -260,17 +308,20 @@ def _csv_chunks(path: Path, source: Iterable[str], header: Sequence[str] | None,
         raise ValidationError(f"{path}:{start - 1 + reader.line_num}: {exc}") from None
 
 
-def _load(chunks: Iterator[_Chunk], consume: Callable[[Iterable[_Chunk]], _Result]) -> _Result:
-    """``consume`` run once over ``chunks``; a ValidationError it raises
-    gives way to a read error or a ragged row later in the file."""
+def _read_range(chunks: Iterator[_Chunk],
+                read: Callable[[Iterator[_Chunk]], _Result]) -> _Result:
+    """``read(chunks)``, after which the rest of ``chunks`` is read: a read
+    error or a ragged row later in the file comes before what ``read``
+    returns or the ValidationError it raises."""
     try:
-        return consume(chunks)
-    except ValidationError:
-        for _ in chunks:
-            pass
-        raise
-    finally:
-        chunks.close()
+        result = read(chunks)
+    except ValidationError as exc:
+        result = exc
+    for _ in chunks:
+        pass
+    if isinstance(result, ValidationError):
+        raise result
+    return result
 
 
 def _not_a_number(path: Path, line_no: int, column: str, text: str) -> ValidationError:
@@ -313,8 +364,8 @@ def load_prices(path: str | Path) -> PriceSeries:
     after that.
     """
     path = Path(path)
-    return _load(_chunks(path, ("period", "group", "index"), ()),
-                 lambda chunks: _prices(path, chunks))
+    return _read(path, ("period", "group", "index"), (),
+                 lambda chunks: _prices(path, chunks))[0][1]
 
 
 def _prices(path: Path, chunks: Iterable[_Chunk]) -> PriceSeries:
@@ -377,8 +428,8 @@ def load_weights(path: str | Path,
     order over the whole file.
     """
     path = Path(path)
-    return _load(_chunks(path, ("source", "group", "weight"), ()),
-                 lambda chunks: _weights(path, chunks, group_labels))
+    return _read(path, ("source", "group", "weight"), (),
+                 lambda chunks: _weights(path, chunks, group_labels))[0][1]
 
 
 def _weights(path: Path, chunks: Iterable[_Chunk],
@@ -422,9 +473,6 @@ def _weights(path: Path, chunks: Iterable[_Chunk],
     return vectors
 
 
-_MICRO_COLUMNS, _MICRO_OPTIONAL = ("household_id", "group", "expenditure"), ("stratum",)
-
-
 def load_households(path: str | Path,
                     group_labels: Sequence[str] | None = None) -> HouseholdPanel:
     """Read household micro data; repeated (household, group) rows are summed.
@@ -436,109 +484,13 @@ def load_households(path: str | Path,
     the first of: unknown group, non-number, negative amount, stratum
     conflict. Only integer codes and amounts are kept per row.
 
-    A regular file is read in byte ranges at line starts, one per part (see
-    ``_part_count``): this process reads the first, a forked child each
-    other. The ranges are joined in file order, so the panel and the error
-    are those of one reader. The csv module reads on from the first chunk
-    the direct split cannot read, and the ranges after it are dropped.
+    A regular file is read in byte ranges, one per part (see ``_read``).
     """
     path = Path(path)
     order = None if group_labels is None else list(group_labels)
-    try:
-        info = path.stat()
-    except OSError:
-        info = None  # _open names the error
-    parts = (_part_count(info.st_size, _BYTES_PER_PART)
-             if info is not None and stat.S_ISREG(info.st_mode) else 1)
-    if parts > 1:
-        with _open(path, binary=True) as raw:
-            panel = _households_in_parts(path, raw, parts, order)
-        if panel is not None:
-            return panel
-    return _load(_chunks(path, _MICRO_COLUMNS, _MICRO_OPTIONAL),
-                 lambda chunks: _households(path, [(0, _read_rows(path, chunks, order))],
-                                            order))
-
-
-def _households_in_parts(path: Path, raw: IO[bytes], parts: int,
-                         order: list[str] | None) -> HouseholdPanel | None:
-    """The panel of the micro file open as ``raw``, its data rows read in
-    ``parts`` byte ranges; None where its header is not plain text."""
-    line = raw.readline()
-    try:
-        text = line.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        return None
-    if not (line.endswith(b"\n") and (cut := _plain_cells(text, text.count(",") + 1))):
-        return None
-    header = _check_header(path, cut[0], _MICRO_COLUMNS, _MICRO_OPTIONAL)
-    size, bounds = os.fstat(raw.fileno()).st_size, [raw.tell()]
-    for part in range(1, parts):
-        # the first line start at or after an even share of the data
-        raw.seek(max(bounds[-1], bounds[0] + (size - bounds[0]) * part // parts - 1))
-        raw.readline()
-        bounds.append(raw.tell())
-    bounds.append(max(size, bounds[-1]))
-
-    def read(part: int) -> tuple[_Rows, int, int | None]:
-        return _read_range(path, header, bounds[part], bounds[part + 1], order)
-
-    with contextlib.ExitStack() as stack:
-        first, spools = _fork_parts(
-            parts, lambda spool, part: pickle.dump(read(part), spool, protocol=5),
-            lambda: read(0), f"a reader process for {path}", stack)
-        ranges = itertools.chain([first], map(pickle.load, spools))
-        joined, start = [], 2
-        for rows, lines, stop in ranges:
-            joined.append((start, rows))
-            start += lines
-            if stop is not None:
-                break
-    if stop is None:
-        return _households(path, joined, order)
-    raw.seek(stop)
-    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as rest:
-        return _load(_csv_chunks(path, rest, header, start, _MICRO_COLUMNS, _MICRO_OPTIONAL),
-                     lambda chunks: _households(
-                         path, [*joined, (0, _read_rows(path, chunks, order))], order))
-
-
-def _range_chunks(path: Path, header: Sequence[str], first: int, last: int,
-                  end: list[int | None]) -> Iterator[_Chunk]:
-    """The data rows of bytes ``first`` to ``last`` of the file, both line
-    starts, split directly a chunk at a time, with lines numbered from 0 at
-    ``first``. Once read, ``end`` holds the number of lines read and the
-    offset of the first chunk the direct split cannot read, or None."""
-    start = 0
-    with _open(path, binary=True) as raw:
-        raw.seek(first)
-        while first < last:
-            data = raw.read(min(_CHUNK_CHARS, last - first))
-            data += raw.readline(last - first - len(data))
-            try:
-                chunk = _split(data.decode("utf-8"), header, start)
-            except UnicodeDecodeError:
-                chunk = None
-            if chunk is None:
-                break
-            if chunk[0]:
-                yield chunk
-            first += len(data)
-            start += data.count(b"\n")
-    end[:] = [start, first if first < last else None]
-
-
-def _read_range(path: Path, header: Sequence[str], first: int, last: int,
-                order: list[str] | None) -> tuple[_Rows, int, int | None]:
-    """The rows of a byte range (see ``_range_chunks``), the number of its
-    lines read and where the direct split stopped in it, or None."""
-    end: list[int | None] = []
-    chunks = _range_chunks(path, header, first, last, end)
-    rows = _read_rows(path, chunks, order)
-    # after a failure too: a read error or a ragged row later on comes first
-    for _ in chunks:
-        pass
-    return rows, *end
+    return _households(path, _read(path, ("household_id", "group", "expenditure"),
+                                   ("stratum",), lambda chunks: _read_rows(path, chunks, order),
+                                   _BYTES_PER_PART), order)
 
 
 class _Rows(NamedTuple):
@@ -682,8 +634,8 @@ def load_weight_estimate(path: str | Path,
                          group_labels: Sequence[str]) -> WeightEstimate:
     """Read a precomputed weight estimate: point weights, covariance, count."""
     path = Path(path)
-    return _load(_chunks(path, ("kind", "row_group", "col_group", "value"), ()),
-                 lambda chunks: _weight_estimate(path, chunks, group_labels))
+    return _read(path, ("kind", "row_group", "col_group", "value"), (),
+                 lambda chunks: _weight_estimate(path, chunks, group_labels))[0][1]
 
 
 def _weight_estimate(path: Path, chunks: Iterable[_Chunk],

@@ -48,28 +48,33 @@ MUTANTS = [
            'ragged = ValidationError(f"{path}:{line_no}: expected "',
            'raise ValidationError(f"{path}:{line_no}: expected "',
            ("tests/test_micro_loader.py",)),
-    Mutant("dataio.py", "_load no longer drains the chunks after an error",
-           "        for _ in chunks:\n            pass\n        raise\n",
-           "        raise\n",
-           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "_read_range no longer reads the rest of the chunks",
+           "    for _ in chunks:\n        pass\n",
+           "",
+           ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
     Mutant("dataio.py", "the csv continuation numbers its rows from one line late",
            "line_no = start + read\n",
            "line_no = start + read + 1\n",
            ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
-    Mutant("dataio.py", "after bytes that are not UTF-8, the csv module starts one "
-                        "line late",
-           "itertools.islice(handle, start - 1, None)",
-           "itertools.islice(handle, start, None)",
+    Mutant("dataio.py", "the csv module reads on from one line after the start of "
+                        "the chunk it is handed",
+           "io.TextIOWrapper(io.BytesIO(data),",
+           'io.TextIOWrapper(io.BytesIO(data.split(b"\\n", 1)[-1]),',
            ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "the direct split reads bytes that are not UTF-8 as "
+                        "replacement characters",
+           ''' or "\\ufffd" in text:''',
+           ":",
+           ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
     Mutant("dataio.py", "the csv continuation keeps blank rows",
            'if "".join(row).strip():',
            "if True:",
            ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
-    Mutant("dataio.py", "the csv continuation starts at the next chunk, not the current one",
-           'source = itertools.chain(io.StringIO(text, newline=""), handle)',
-           "source = handle",
-           ("tests/test_micro_loader.py", "tests/test_price_loader.py",
-            "tests/test_dataio.py")),
+    Mutant("dataio.py", "a range the direct split stops in names the offset after the "
+                        "chunk it could not read, not the chunk's own",
+           "handle.tell() - len(data) if data else None",
+           "handle.tell() if data else None",
+           ("tests/test_micro_loader.py",)),
     Mutant("dataio.py", "write_households appends the ranges in reverse",
            "        for spool in spools:\n",
            "        for spool in reversed(spools):\n",

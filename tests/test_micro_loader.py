@@ -218,17 +218,51 @@ def test_read_errors_are_data_errors_on_both_paths(tmp_path, text, message, quot
     assert message in str(caught.value)
 
 
-@pytest.mark.parametrize("parts", [1, 2, 4])
+@contextlib.contextmanager
+def source(tmp_path, data, kind):
+    """The path of a regular file, or of a named pipe a thread writes into,
+    that holds ``data``."""
+    path = tmp_path / "data.csv"
+    if kind == "file":
+        path.write_bytes(data)
+        yield path
+        return
+    os.mkfifo(path)
+
+    def write():
+        # the reader may stop at an error before the end of the data
+        with contextlib.suppress(BrokenPipeError), path.open("wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+def csv_error_before_bytes_that_are_not_utf8(header, row, rows_before):
+    """A file whose over-long field comes 3,000 rows before bytes that are not
+    UTF-8; those are in the field's chunk, so the direct split cannot decode
+    it, and the csv module, reading by line, meets the field first."""
+    text = (header + row.format("h1") * rows_before + row.format(OVERSIZED)
+            + row.format("h1") * 3000 + row.format("\udcff"))
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("parts, kind", [(1, "file"), (2, "file"), (4, "file"),
+                                         (1, "fifo")])
 @pytest.mark.parametrize("rows_before, line", [(1, 3), (40_000, 40_002)])
 def test_a_csv_error_before_bytes_that_are_not_utf8_is_named_first(tmp_path, rows_before,
-                                                                  line, parts):
-    # the bytes are in the over-long field's chunk, so the direct split cannot
-    # decode it; the csv module, reading by line, meets the field first
-    path = tmp_path / "micro.csv"
-    text = ("household_id,group,expenditure\n" + "h1,a,1\n" * rows_before
-            + f"{OVERSIZED},a,1\n" + "h1,a,1\n" * 3000 + "h1,a,\udcff\n")
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    with forced_parts(parts), pytest.raises(ValidationError) as caught:
+                                                                  line, parts, kind):
+    if kind == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
+    data = csv_error_before_bytes_that_are_not_utf8("household_id,group,expenditure\n",
+                                                    "{},a,1\n", rows_before)
+    with source(tmp_path, data, kind) as path, forced_parts(parts), \
+            pytest.raises(ValidationError) as caught:
         dataio.load_households(path, ["a", "b"])
     assert str(caught.value) == f"{path}:{line}: field larger than field limit (131072)"
 

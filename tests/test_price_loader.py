@@ -8,6 +8,7 @@ commas and ASCII whitespace must stay on the direct reader.
 """
 
 import csv
+import os
 from unittest import mock
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 import price_oracle
 from indexaudit import dataio
 from indexaudit.errors import ValidationError
-from test_micro_loader import (BLANK_LINES, CHUNKS, LAYOUTS, blank_lines, plain,
+from test_micro_loader import (BLANK_LINES, CHUNKS, LAYOUTS, blank_lines,
+                               csv_error_before_bytes_that_are_not_utf8, plain, source,
                                write_rows, write_with_blank_lines)
 
 # labels with a comma or a quote are quoted by csv.writer
@@ -107,3 +109,35 @@ def test_price_error_precedence(tmp_path, text, message, chunk):
             with pytest.raises(ValidationError) as caught:
                 load(path)
         assert message in str(caught.value)
+
+
+@pytest.mark.parametrize("kind", ["file", "fifo"])
+def test_a_csv_error_before_bytes_that_are_not_utf8_is_named_first(tmp_path, kind):
+    if kind == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
+    data = csv_error_before_bytes_that_are_not_utf8("period,group,index\n", "t,{},1\n", 0)
+    with source(tmp_path, data, kind) as path, pytest.raises(ValidationError) as caught:
+        dataio.load_prices(path)
+    assert str(caught.value) == f"{path}:2: field larger than field limit (131072)"
+
+
+def test_each_row_of_a_file_is_read_once(tmp_path):
+    # the one quote is in the last chunk: every chunk before it is split
+    # directly, and the csv module reads on from the last one
+    rows = [f"t{i // 2},{'ab'[i % 2]},{i + 1}\n" for i in range(40)]
+    rows[-1] = '"t19",b,40\n'
+    path = tmp_path / "prices.csv"
+    path.write_text("period,group,index\n" + "".join(rows), encoding="utf-8")
+    read, csv_reader = [], csv.reader
+
+    def reader(lines):
+        return csv_reader(read.append(line) or line for line in lines)
+
+    with mock.patch.object(dataio, "_CHUNK_CHARS", 24), \
+            mock.patch.object(csv, "reader", side_effect=reader) as called:
+        prices = dataio.load_prices(path)
+    assert called.call_count == 1
+    # a chunk is 24 bytes and the rest of a line: at most three lines
+    assert 1 <= len(read) <= 3 and "".join(rows).endswith("".join(read))
+    assert prices.period_labels == tuple(f"t{i}" for i in range(20))
+    assert prices.values.tolist() == [list(range(1, 41, 2)), list(range(2, 41, 2))]
