@@ -63,13 +63,14 @@ class EvalScheme:
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValidationError(f"omega must be a positive float, got {self.omega}")
         sigma = self.omega / kappa
-        # the coverage formulas take sigma ** 2 and tau ** 6 with tau >= sigma,
+        # the coverage formulas take sigma^2 and tau^6 with tau >= sigma,
         # which underflow to 0 or overflow for some positive finite omegas
-        sigma6 = gaussian.power(sigma, 6)
+        sigma2 = sigma * sigma
+        sigma6 = sigma2 * sigma2 * sigma2
         if not 0.0 < sigma6 < math.inf:
             raise ValidationError(
                 f"omega {self.omega!r} is out of range: sigma^2 = (omega / kappa)^2 "
-                f"= {sigma * sigma!r} and sigma^6 = {sigma6!r} must be positive "
+                f"= {sigma2!r} and sigma^6 = {sigma6!r} must be positive "
                 f"finite floats"
             )
         object.__setattr__(self, "kappa", kappa)
@@ -90,7 +91,7 @@ def coverage_kernel(bias, extra_variance, scheme: EvalScheme):
         raise ValidationError("bias must be finite")
     if not np.all(np.isfinite(var_arr)) or np.any(var_arr < 0.0):
         raise ValidationError("extra variance must be finite and non-negative")
-    nu = np.sqrt(scheme.sigma ** 2 + var_arr)
+    nu = np.sqrt(scheme.sigma * scheme.sigma + var_arr)
     value = gaussian.cdf((bias_arr + scheme.omega) / nu) - gaussian.cdf((bias_arr - scheme.omega) / nu)
     if np.ndim(bias) == 0 and np.ndim(extra_variance) == 0:
         return float(value)
@@ -175,7 +176,7 @@ def estimate_coverage(theta_star, theta_audit, audit_variance,
     value = coverage_kernel(bias_hat, 0.0, scheme)
     u = bias_hat / scheme.sigma
     slope = gaussian.pdf(u + scheme.kappa) - gaussian.pdf(u - scheme.kappa)
-    variance = (audit_variance / scheme.sigma ** 2) * gaussian.power(slope, 2)
+    variance = (audit_variance / (scheme.sigma * scheme.sigma)) * (slope * slope)
     return CoverageEstimate(
         value=value, variance=variance,
         inputs={
@@ -203,16 +204,17 @@ def estimate_unbiased_coverage(variance_estimate, var_of_variance,
     _check_non_negative("variance estimate", variance_estimate)
     _check_non_negative("variance of the variance", var_of_variance)
     value = coverage_kernel(0.0, variance_estimate, scheme)
-    tau = np.sqrt(scheme.sigma ** 2 + variance_estimate)
-    ratio = scheme.omega / tau
-    slope_sq = gaussian.power(gaussian.pdf(ratio) + gaussian.pdf(-ratio), 2)
-    tau6 = gaussian.power(tau, 6)
+    tau2 = scheme.sigma * scheme.sigma + variance_estimate
+    ratio = scheme.omega / np.sqrt(tau2)
+    slope = gaussian.pdf(ratio) + gaussian.pdf(-ratio)
+    with np.errstate(over="ignore"):
+        tau6 = tau2 * tau2 * tau2
     if np.isinf(tau6).any():
         raise ValidationError(
             f"variance estimate {_first(variance_estimate, np.isinf(tau6))!r} is too "
             f"large: tau^6 = (sigma^2 + variance estimate)^3 overflows"
         )
-    variance = slope_sq * scheme.omega ** 2 / (4.0 * tau6) * var_of_variance
+    variance = slope * slope * (scheme.omega * scheme.omega) / (4.0 * tau6) * var_of_variance
     return CoverageEstimate(
         value=value, variance=variance,
         inputs={
@@ -230,7 +232,8 @@ def default_variance_of_variance(variance_estimate, n_households: int):
     _check_non_negative("variance estimate", variance_estimate)
     if n_households < 2:
         raise ValidationError(f"need at least 2 households, got {n_households}")
-    square = gaussian.power(variance_estimate, 2)
+    with np.errstate(over="ignore"):
+        square = variance_estimate * variance_estimate
     if np.isinf(square).any():
         raise ValidationError(
             f"variance estimate {_first(variance_estimate, np.isinf(square))!r} is too "
@@ -255,7 +258,9 @@ def mse_estimate(theta_star, theta_audit, audit_variance) -> MseEstimate:
     produce negative estimates, which are flagged rather than clamped.
     """
     _check_non_negative("audit variance", audit_variance)
-    value = gaussian.power(theta_star - theta_audit, 2) - audit_variance
+    difference = theta_star - theta_audit
+    with np.errstate(over="ignore"):
+        value = difference * difference - audit_variance
     return MseEstimate(value=value, is_negative=value < 0.0)
 
 
@@ -281,7 +286,7 @@ def break_even_variance(theta_star: float, theta_true: float,
     if target >= scheme.alpha - 1e-14:
         return BreakEvenResult(variance=0.0, at_boundary=True)
     lo = 0.0
-    hi = scheme.sigma ** 2
+    hi = scheme.sigma * scheme.sigma
     while coverage_of_unbiased(hi, scheme) > target:
         hi *= 2.0
         if not math.isfinite(hi):

@@ -40,10 +40,10 @@ from .errors import ValidationError, WorkerFailure
 from .seeding import derive_seed, generator
 
 _REJECTION_CUTOFF = 1.959963984540054  # two-sided 5%: quantile(0.975)
-# Replicates drawn and transformed at a time: one gaussian.cdf slice. Numpy
-# draws the same values in consecutive blocks as in one call, and each step
-# is element-wise; whole-sample sums go leaf by leaf (_tree_sum), so only the
-# coverage chunk, the calibration statistics and the delta values are whole.
+# Replicates drawn and transformed at a time. Numpy draws the same values in
+# consecutive blocks as in one call, and each step is element-wise; whole-
+# sample sums go leaf by leaf (_tree_sum), so only the calibration statistics
+# and the delta values are whole.
 _BLOCK = 65_536
 
 
@@ -97,8 +97,12 @@ def _z_score(point: float, target: float, stderr: float) -> float:
 
 def _rate_outcome(label: str, hits: int, replicates: int, target: float,
                   extras: Mapping[str, float] | None = None) -> SimulationOutcome:
+    """The observed rate against ``target``, with the standard error
+    sqrt(target (1 - target) / replicates) that a correct build's rate has.
+    The observed rate's own would be skewed at small counts, and 0 for a
+    rate seen as 0 or 1 by chance."""
     rate = hits / replicates
-    stderr = math.sqrt(rate * (1.0 - rate) / replicates)
+    stderr = math.sqrt(target * (1.0 - target) / replicates)
     return SimulationOutcome(
         label=label, point=rate, mc_stderr=stderr, target=target,
         z_score=_z_score(rate, target, stderr), replicates_used=replicates,
@@ -159,9 +163,10 @@ def empirical_coverage(plan: SimulationPlan) -> SimulationOutcome:
     Parameters: alpha (default 0.95), omega (default 0.058), bias (default 0),
     extra_variance (default 0). The evaluation convention treats the target as
     known only to the scheme's own sigma (that is what makes an unbiased
-    sigma-SD estimator exactly alpha-accurate), so each replicate draws the
-    estimate at N(bias, extra_variance) and the evaluation reference at
-    N(0, sigma^2), and counts |estimate - reference| <= omega.
+    sigma-SD estimator exactly alpha-accurate): the estimate is N(bias,
+    extra_variance) and the evaluation reference an independent N(0,
+    sigma^2), so each replicate draws their difference once, at N(bias,
+    sigma^2 + extra_variance), and counts |difference| <= omega.
     """
     scheme = EvalScheme(alpha=float(plan.parameters.get("alpha", 0.95)),
                         omega=float(plan.parameters.get("omega", 0.058)))
@@ -172,29 +177,16 @@ def empirical_coverage(plan: SimulationPlan) -> SimulationOutcome:
     if plan.scenario == "coverage_unbiased" and bias != 0.0:
         raise ValidationError("coverage_unbiased takes no bias")
     rng = Generator(PCG64(plan.seed))
-    noise_sd = math.sqrt(extra_variance)
-    # The chunk length decides which draws become estimates and which become
-    # references, so it is part of the result. Each chunk's estimates are
-    # drawn whole into one buffer; its references follow in the stream, a
-    # block at a time into another, and every step writes in place.
-    size = min(plan.replicates, 1_000_000)
-    estimates, references = np.empty(size), np.empty(min(size, _BLOCK + 1))
+    spread = math.sqrt(scheme.sigma * scheme.sigma + extra_variance)
+    buffer = np.empty(min(plan.replicates, _BLOCK + 1))
     hits = 0
-    remaining = plan.replicates
-    while remaining > 0:
-        chunk = estimates[:min(remaining, size)]
-        rng.standard_normal(out=chunk)
-        np.multiply(chunk, noise_sd, out=chunk)
-        np.add(chunk, bias, out=chunk)
-        for block in _blocks(chunk.size):
-            est = chunk[block]
-            ref = references[:est.size]
-            rng.standard_normal(out=ref)
-            np.multiply(ref, scheme.sigma, out=ref)
-            np.subtract(est, ref, out=est)
-            np.abs(est, out=est)
-            hits += int(np.count_nonzero(est <= scheme.omega))
-        remaining -= chunk.size
+    for block in _blocks(plan.replicates):
+        differences = buffer[:block.stop - block.start]
+        rng.standard_normal(out=differences)
+        np.multiply(differences, spread, out=differences)
+        np.add(differences, bias, out=differences)
+        np.abs(differences, out=differences)
+        hits += int(np.count_nonzero(differences <= scheme.omega))
     target = coverage_kernel(bias, extra_variance, scheme)
     return _rate_outcome(
         f"{plan.scenario}(bias={bias:.6g}, var={extra_variance:.6g})",
@@ -376,7 +368,7 @@ def mse_unbiasedness(plan: SimulationPlan) -> SimulationOutcome:
     block buffer, and the SD pass draws the same stream again.
     """
     bias = float(plan.parameters.get("true_bias", 0.0))
-    audit_variance = float(plan.parameters.get("audit_variance", 0.029 ** 2))
+    audit_variance = float(plan.parameters.get("audit_variance", 0.029 * 0.029))
     if audit_variance < 0.0:
         raise ValidationError("audit_variance must be non-negative")
     audit_sd = math.sqrt(audit_variance)
@@ -388,7 +380,7 @@ def mse_unbiasedness(plan: SimulationPlan) -> SimulationOutcome:
         rng = Generator(PCG64(plan.seed))
 
         def estimates(start: int, stop: int) -> np.ndarray:
-            # (bias - sd * normal) ** 2 - audit_variance, in the one buffer
+            # (bias - sd * normal)^2 - audit_variance, in the one buffer
             nonlocal negative
             values = buffer[:stop - start]
             rng.standard_normal(out=values)
@@ -433,7 +425,7 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
         u = float(plan.parameters.get("bias_in_sigma", 0.9))
         sd_ratio = float(plan.parameters.get("audit_sd_ratio", 0.15))
         bias = u * scheme.sigma
-        audit_variance = (sd_ratio * scheme.sigma) ** 2
+        audit_variance = (sd_ratio * scheme.sigma) * (sd_ratio * scheme.sigma)
         audit_sd = math.sqrt(audit_variance)
 
         def block_values(rows: int) -> np.ndarray:
@@ -446,7 +438,7 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
     elif quantity == "unbiased_benchmark":
         ratio = float(plan.parameters.get("variance_in_sigma2", 1.0))
         n_households = int(plan.parameters.get("n_households", 200))
-        true_variance = ratio * scheme.sigma ** 2
+        true_variance = ratio * (scheme.sigma * scheme.sigma)
 
         def block_values(rows: int) -> np.ndarray:
             draws = (true_variance * rng.chisquare(n_households - 1, rows)
@@ -463,7 +455,7 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
     for block in _blocks(plan.replicates):
         values[block] = block_values(block.stop - block.start)
     # The values stay whole and both passes read them: drawing them again for
-    # the second pass would double the erfc maps.
+    # the second pass would compute every coverage kernel twice.
     def leaf(start: int, stop: int) -> np.ndarray:
         return values[start:stop]
 
@@ -547,7 +539,8 @@ def default_verification_suite(master_seed: int = 42,
     """
     if scale <= 0.0 or not math.isfinite(scale):
         raise ValidationError(f"scale must be a positive float, got {scale}")
-    sigma2 = EvalScheme(alpha=0.95, omega=0.058).sigma ** 2
+    sigma = EvalScheme(alpha=0.95, omega=0.058).sigma
+    sigma2 = sigma * sigma
     entries: list[tuple[str, str, int, dict, str]] = [
         ("coverage_constant_unbiased", "coverage_constant", 200_000, {"bias": 0.0}, "z3"),
         ("coverage_constant_biased", "coverage_constant", 200_000,
@@ -565,7 +558,7 @@ def default_verification_suite(master_seed: int = 42,
         ("mse_zero_bias", "mse_unbiasedness", 100_000,
          {"true_bias": 0.0}, "negative_majority"),
         ("mse_real_bias", "mse_unbiasedness", 100_000,
-         {"true_bias": 0.058, "audit_variance": 0.029 ** 2}, "z3"),
+         {"true_bias": 0.058, "audit_variance": 0.029 * 0.029}, "z3"),
         ("delta_plug_in_u03", "delta_method_check", 20_000,
          {"quantity": "plug_in", "bias_in_sigma": 0.3}, "ratio_0.85_1.15"),
         ("delta_plug_in_u09", "delta_method_check", 20_000,

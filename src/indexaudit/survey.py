@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import gaussian
 from .core import (PriceSeries, WeightVector, _dots, _frozen_array, _period_columns,
                    _resolve_periods)
 from .errors import AuditWarning, DimensionMismatchError, ValidationError
@@ -195,7 +196,7 @@ def simulate_households(true_weights: WeightVector, n: int, dispersion: float,
         raise ValidationError(f"dispersion must be a positive float, got {dispersion}")
     rng = np.random.Generator(np.random.PCG64(seed))
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        totals = np.exp(rng.normal(0.0, dispersion, size=n))
+        totals = gaussian.exp(rng.normal(0.0, dispersion, size=n))
         shares = rng.dirichlet(true_weights.w / dispersion, size=n)
         spend = np.multiply(shares, totals[:, None], out=shares)
     if not np.isfinite(spend).all():

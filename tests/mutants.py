@@ -151,15 +151,31 @@ MUTANTS = [
            "variance_code = survey * len(names) + subset",
            "variance_code = survey * len(names) + np.sort(subset)",
            ("tests/test_battery.py",)),
-    Mutant("gaussian.py", "pdf's array branch takes numpy's exp",
-           "        values = _per_value(math.exp, x, lambda part: -0.5 * part * part)\n"
-           "        values *= _INV_SQRT_2PI\n",
-           "        values = _INV_SQRT_2PI * np.exp(-0.5 * x * x)\n",
-           ("tests/test_gaussian.py",)),
+    Mutant("gaussian.py", "pdf takes numpy's exp",
+           "    value = _exp(-0.5 * x * x)\n",
+           "    value = np.exp(-0.5 * x * x)\n",
+           ("tests/test_imports.py",)),
     Mutant("coverage.py", "the coverage pass takes numpy's ** for tau^6",
-           "tau6 = gaussian.power(tau, 6)",
-           "tau6 = tau ** 6",
-           ("tests/test_determinism.py",)),
+           "tau6 = tau2 * tau2 * tau2",
+           "tau6 = tau2 ** 3",
+           ("tests/test_imports.py",)),
+    Mutant("gaussian.py", "erfc's middle range reaches on to |x| = 1.3",
+           "(0.84375, 1.25, _ERFC_TAIL, 28.0)",
+           "(0.84375, 1.3, _ERFC_TAIL, 28.0)",
+           ("tests/test_gaussian.py",)),
+    Mutant("gaussian.py", "exp drops the low part of ln2 / 128 from its reduction",
+           "    r += k * _NEG_LN2_LO_N\n",
+           "",
+           ("tests/test_gaussian.py",)),
+    Mutant("montecarlo.py", "a coverage replicate's one draw leaves sigma^2 out of its "
+                            "variance",
+           "spread = math.sqrt(scheme.sigma * scheme.sigma + extra_variance)",
+           "spread = math.sqrt(extra_variance)",
+           ("tests/test_montecarlo.py",)),
+    Mutant("montecarlo.py", "a rate's standard error comes from the observed rate",
+           "stderr = math.sqrt(target * (1.0 - target) / replicates)",
+           "stderr = math.sqrt(rate * (1.0 - rate) / replicates)",
+           ("tests/test_montecarlo.py",)),
     Mutant("report.py", "a Coded column's negative code keeps the key",
            "present[k] = codes >= 0",
            "present[k] = codes >= -1",

@@ -6,10 +6,16 @@ emits 1,500 test rows, more than one block of rendered rows. The reference
 document takes its rows from ``battery_oracle`` and from the scalar form of
 each per-period estimator, as dicts, and renders them through the dict-row
 path of ``report.emit_machine``.
+
+The same panel documents, the fixture ``ztest`` and ``report`` and a small
+``verify`` must also have the same bytes with and without
+``GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA``, which makes the C library take its
+variants of ``exp``, ``log``, ``pow`` and ``erfc`` without FMA.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -62,17 +68,24 @@ def panel(tmp_path_factory):
 COMMANDS = {"ztest": ["--each-period"], "report": ["--proxy", "s0"]}
 
 
+def python(args: list[str], extra_env: dict) -> subprocess.CompletedProcess:
+    """``python args`` on the package under test, in a fresh process."""
+    env = {**os.environ, **extra_env, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(indexaudit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def panel_argv(directory: Path, command: str) -> list[str]:
+    return [command, *COMMANDS[command], "--prices", str(directory / "prices.csv"),
+            "--weights", str(directory / "weights.csv"),
+            "--survey-estimate", str(directory / "estimate.csv")]
+
+
 def run(directory: Path, command: str, hash_seed: str) -> bytes:
     out = directory / f"{command}_{hash_seed}.json"
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-           "PYTHONPATH": os.pathsep.join(filter(None, [
-               str(Path(indexaudit.__file__).resolve().parents[1]),
-               os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "indexaudit", command, *COMMANDS[command],
-         "--prices", str(directory / "prices.csv"), "--weights", str(directory / "weights.csv"),
-         "--survey-estimate", str(directory / "estimate.csv"), "--output", str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = python(["-m", "indexaudit", *panel_argv(directory, command), "--output", str(out)],
+                  {"PYTHONHASHSEED": hash_seed})
     assert proc.returncode == 0, proc.stderr
     return out.read_bytes()
 
@@ -89,7 +102,7 @@ def reference_rows(command, prices, proxies, estimate) -> list[dict]:
     periods = [(label, weighted_index(prices, proxy, t),
                 weighted_index(prices, estimate.point, t), index_variance(prices, estimate, t))
                for t, label in enumerate(prices.period_labels)]
-    omega = 2.0 * sum(variance ** 0.5 for *_, variance in periods) / len(periods)
+    omega = 2.0 * sum(math.sqrt(variance) for *_, variance in periods) / len(periods)
     scheme = EvalScheme(alpha=0.95, omega=omega)
     plug_in, benchmark = [], []
     for label, theta_star, theta_audit, variance in periods:
@@ -116,3 +129,34 @@ def test_report_bytes_are_the_same_in_every_process_and_match_the_reference(pane
     assert isinstance(rows, list) and all(type(row) is dict for row in rows)
     reference = report.ReportDocument(doc.command, doc.config, rows, doc.warnings, doc.meta)
     assert report.emit_machine(reference) == first
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FMA_OFF = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA"}
+AUDIT_INPUTS = ["--prices", str(FIXTURES / "prices.csv"), "--weights",
+                str(FIXTURES / "weights.csv"), "--survey-micro", str(FIXTURES / "ces_micro.csv")]
+LIBM_COMMANDS = {"ztest": ["ztest", *AUDIT_INPUTS],
+                 "report": ["report", *AUDIT_INPUTS, "--proxy", "age_lt26"],
+                 "verify": ["verify", "--seed", "7", "--scale", "0.05", "--jobs", "2"]}
+# math.exp over a grid, as a digest: the C library's FMA and non-FMA
+# variants give other bits for some of these arguments
+LIBM_PROBE = ("import hashlib, math; print(hashlib.sha256(b''.join(math.exp(i / 997.0)"
+              ".hex().encode() for i in range(-300_000, 300_000, 7))).hexdigest())")
+
+
+def test_report_bytes_do_not_depend_on_the_c_librarys_fma_variants(panel, tmp_path):
+    probes = [python(["-c", LIBM_PROBE], env).stdout for env in ({}, FMA_OFF)]
+    if probes[0] == probes[1]:
+        pytest.skip("GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA changes no math.exp result "
+                    "here, so nothing was checked")
+    # the generated panel gives 1,500 p-values, and coverage and MSE rows for
+    # 300 periods
+    panel_commands = {f"panel {command}": panel_argv(panel[0], command) for command in COMMANDS}
+    for name, argv in {**LIBM_COMMANDS, **panel_commands}.items():
+        outputs = []
+        for position, env in enumerate(({}, FMA_OFF)):
+            out = tmp_path / f"{name.replace(' ', '_')}_{position}.json"
+            proc = python(["-m", "indexaudit", *argv, "--output", str(out)], env)
+            assert proc.returncode in (0, 3), proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], name

@@ -1,6 +1,7 @@
 """What importing the package and its CLI loads, what the package source
-imports or defines that nothing uses, and which of its names the benchmark
-wraps."""
+imports or defines that nothing uses, which of its names the benchmark
+wraps, and what its source may not do: fork a child that can return, or
+take exp, log, erfc or a power from the C library."""
 
 import ast
 import importlib
@@ -13,8 +14,10 @@ from pathlib import Path
 
 import indexaudit
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-PACKAGE = Path(SRC) / "indexaudit"
+# the package the tests import, so that a copy on PYTHONPATH (a mutant) is
+# the one checked
+PACKAGE = Path(indexaudit.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
 
 
 def test_cli_import_leaves_the_monte_carlo_suite_and_hashlib_unloaded():
@@ -172,7 +175,7 @@ def test_every_name_the_benchmark_wraps_is_read_where_it_is_wrapped(monkeypatch)
     # perfbench/traced.py replaces these module attributes with timed
     # wrappers; a renamed attribute breaks the benchmark, and a name that cli
     # imports locally bypasses the wrapper and reads 0
-    monkeypatch.syspath_prepend(str(Path(SRC).parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     traced = importlib.import_module("traced")
     table = [(module, attribute) for module, attribute, *_ in traced._instrumentation({})]
     assert table
@@ -271,3 +274,52 @@ def test_every_forked_child_leaves_through_os_exit_in_a_finally():
     unsafe = {path.name: _unsafe_forks(ast.parse(path.read_text(encoding="utf-8")))
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {module: lines for module, lines in unsafe.items() if lines} == {}
+
+
+# what the package computes itself (gaussian.erfc, exp, _log, and products
+# for integer powers), so that its bits do not depend on the C library
+LIBM = {"math": {"erf", "erfc", "exp", "exp2", "expm1", "log", "log1p", "log2", "log10",
+                 "pow"},
+        "np": {"exp", "exp2", "expm1", "log", "log1p", "log2", "log10", "power",
+               "float_power"}}
+LIBM["numpy"] = LIBM["np"]
+
+
+def _libm_uses(tree: ast.AST) -> list[str]:
+    """Each ``math.exp``-like attribute, import of one, ``pow(...)`` and
+    ``**`` in ``tree``, as ``line N: what``."""
+    uses = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.attr in LIBM.get(node.value.id, ())):
+            uses.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in LIBM:
+            uses += [f"line {node.lineno}: from {node.module} import {alias.name}"
+                     for alias in node.names if alias.name in LIBM[node.module]]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            uses.append(f"line {node.lineno}: **")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "pow"):
+            uses.append(f"line {node.lineno}: pow")
+    return uses
+
+
+LIBM_EXAMPLES = """
+import math
+import numpy as np
+from math import log
+
+def f(x, **kwargs):
+    y = {**kwargs}
+    x **= 2
+    return math.exp(x) + np.log(x) + x ** 0.5 + pow(x, 3) + np.sqrt(x) + math.sqrt(x)
+"""
+
+
+def test_the_package_takes_no_exp_log_erfc_or_power_from_the_c_library():
+    assert sorted(_libm_uses(ast.parse(LIBM_EXAMPLES))) == [
+        "line 4: from math import log", "line 8: **", "line 9: **", "line 9: math.exp",
+        "line 9: np.log", "line 9: pow"]
+    uses = {path.name: _libm_uses(ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: found for module, found in uses.items() if found} == {}

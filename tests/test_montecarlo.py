@@ -73,10 +73,16 @@ def test_coverage_degenerate_tail_z_convention():
     far = run_plan(plan("coverage_constant", 100, seed=1, bias=10.0))[0]
     assert far.point == 0.0 and far.target == 0.0
     assert far.mc_stderr == 0.0 and far.z_score == 0.0
-    # bias where the kernel is tiny but nonzero: zero hits, infinite z
+    # bias where the kernel is tiny but nonzero: zero hits are what the
+    # target predicts, and the target's own standard error says so
     rare = run_plan(plan("coverage_constant", 100, seed=1, bias=0.2))[0]
-    assert rare.point == 0.0 and rare.target > 0.0
-    assert math.isinf(rare.z_score)
+    assert rare.point == 0.0 and 0.0 < rare.target < 1e-6
+    assert rare.mc_stderr == math.sqrt(rare.target * (1.0 - rare.target) / 100)
+    assert -0.01 < rare.z_score < 0.0
+    # a rate that misses a target of exactly 0 or 1 has infinite z
+    assert math.isinf(montecarlo._rate_outcome("x", 1, 100, 0.0).z_score)
+    assert math.isinf(montecarlo._rate_outcome("x", 99, 100, 1.0).z_score)
+    assert montecarlo._rate_outcome("x", 100, 100, 1.0).z_score == 0.0
 
 
 def test_coverage_parameter_contracts():

@@ -24,7 +24,7 @@ from indexaudit.montecarlo import SimulationPlan
 from indexaudit.survey import WeightEstimate
 
 SIGMA2 = EvalScheme(alpha=0.95, omega=0.058).sigma ** 2
-# 1,000,000 is the coverage chunk: below, at, and across its boundary
+# many blocks, each size with another tail
 REPLICATES = [2, 999_999, 1_000_000, 1_000_001]
 BLOCK = montecarlo._BLOCK
 # below, at and across one block, where a 1-row tail joins the block before
