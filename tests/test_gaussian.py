@@ -274,3 +274,33 @@ def test_ks_distance_flags_shifted_sample():
 def test_ks_distance_rejects_empty():
     with pytest.raises(ValueError):
         gaussian.ks_distance(np.array([]))
+
+
+def per_value_through_lists(function, x):
+    """``function`` mapped over the values of ``x`` as Python numbers."""
+    return np.array([function(value) for value in np.ravel(x).tolist()],
+                    dtype=float).reshape(np.shape(x))
+
+
+@pytest.mark.parametrize("x", [
+    np.linspace(-9.0, 9.0, 301),
+    np.linspace(-9.0, 9.0, 301, dtype=np.float32),
+    np.arange(-40, 41),
+    np.arange(-40, 41, dtype=np.int8),
+    np.linspace(-9.0, 9.0, 602)[::2],
+    np.linspace(-9.0, 9.0, 300).reshape(20, 15).T,
+    np.array(2.5),
+    np.array([-1.5, 0, 2, 7.25], dtype=object),
+    np.array([0.5, 1.5], dtype=np.float16),
+], ids=["float64", "float32", "int64", "int8", "strided", "transposed", "0-d",
+        "object", "float16"])
+def test_per_value_keeps_the_bits_of_mapping_over_a_list(monkeypatch, x):
+    # an array of any dtype or layout gives each value the bits that value
+    # gets as a float; blocks of 7 values, so most arrays take several
+    monkeypatch.setattr(gaussian, "_BLOCK", 7)
+    for function in (gaussian.erfc, gaussian.exp, gaussian.cdf, gaussian.pdf):
+        got = np.asarray(function(x))
+        want = per_value_through_lists(function, x)
+        assert got.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
