@@ -30,6 +30,8 @@ import numpy as np
 from . import gaussian
 from .errors import ValidationError
 
+_KAPPA_975 = 1.9599639845400538  # the 97.5% normal point: gaussian.quantile(0.975)
+
 
 def kappa_quantile(alpha: float) -> float:
     """Half-width of the central alpha-interval in SD units: Phi^-1((1+alpha)/2)."""
@@ -102,9 +104,10 @@ def coverage_of_constant(theta_star: float, theta_true: float, scheme: EvalSchem
     """Coverage of a zero-variance published number: the kernel at tau2 = 0.
 
     Equals alpha exactly when theta_star is the target and decays to 0 as the
-    bias grows.
+    bias grows. Taken at -|bias|, where both CDFs are lower tails and keep
+    full relative precision, so either sign gives the same bits.
     """
-    return coverage_kernel(theta_star - theta_true, 0.0, scheme)
+    return coverage_kernel(-abs(theta_star - theta_true), 0.0, scheme)
 
 
 def coverage_of_unbiased(extra_variance: float, scheme: EvalScheme) -> float:
@@ -151,7 +154,7 @@ class CoverageEstimate:
             raise ValidationError(
                 f"coverage estimate out of [0, 1]: {_first(self.value, outside)}")
         _check_non_negative("coverage variance", self.variance)
-        half = gaussian.quantile(0.975) * np.sqrt(self.variance)
+        half = _KAPPA_975 * np.sqrt(self.variance)
         low, high = self.value - half, self.value + half
         for name, value in (("ci_low", np.where(low < 0.0, 0.0, low)),
                             ("ci_high", np.where(high > 1.0, 1.0, high)),
@@ -276,27 +279,19 @@ def break_even_variance(theta_star: float, theta_true: float,
     """How much extra variance an unbiased estimator could carry and still be
     no more accurate than the biased constant.
 
-    Solves coverage_of_unbiased(v) = coverage_of_constant(theta_star) by
-    bisection (the left side is strictly decreasing in v from alpha toward 0).
-    When the constant's coverage is not strictly below alpha there is nothing
-    to trade, and the boundary result (0, True) is returned. The bracket is
-    narrowed to 1e-12 relative width.
+    The scheme's calibration identity read backwards: an unbiased estimator
+    with SD s = omega / Phi^-1((1 + c) / 2) is exactly c-accurate, so v =
+    s^2 - sigma^2 ties it with the constant's coverage c. If c is not strictly
+    below alpha there is nothing to trade: (0, True). A c below about 2^-53,
+    where (1 + c) / 2 rounds to 1/2, is a ValidationError.
     """
-    target = coverage_of_constant(theta_star, theta_true, scheme)
-    if target >= scheme.alpha - 1e-14:
+    coverage = coverage_of_constant(theta_star, theta_true, scheme)
+    if coverage >= scheme.alpha - 1e-14:
         return BreakEvenResult(variance=0.0, at_boundary=True)
-    lo = 0.0
-    hi = scheme.sigma * scheme.sigma
-    while coverage_of_unbiased(hi, scheme) > target:
-        hi *= 2.0
-        if not math.isfinite(hi):
-            raise ValidationError("break-even bracket diverged")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if coverage_of_unbiased(mid, scheme) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return BreakEvenResult(variance=0.5 * (lo + hi), at_boundary=False)
+    try:
+        s = scheme.omega / kappa_quantile(coverage)
+    except ValidationError:
+        raise ValidationError(f"break-even variance is out of range: the constant's "
+                              f"coverage {coverage!r} rounds (1 + coverage) / 2 to 1/2") from None
+    return BreakEvenResult(variance=(s - scheme.sigma) * (s + scheme.sigma),
+                           at_boundary=False)

@@ -39,7 +39,7 @@ from .core import PriceSeries
 from .errors import ValidationError, WorkerFailure
 from .seeding import derive_seed, generator
 
-_REJECTION_CUTOFF = 1.959963984540054  # two-sided 5%: quantile(0.975)
+_REJECTION_CUTOFF = 1.959963984540054  # two-sided 5%: one ulp above quantile(0.975)
 # Replicates drawn and transformed at a time. Numpy draws the same values in
 # consecutive blocks as in one call, and each step is element-wise; whole-
 # sample sums go leaf by leaf (_tree_sum), so only the calibration statistics

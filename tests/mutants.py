@@ -235,6 +235,28 @@ MUTANTS = [
            "        estimate_unbiased_coverage(variance, 0.0, scheme)\n",
            "",
            ("tests/test_cli.py",)),
+    Mutant("coverage.py", "a constant's coverage takes the signed bias, which cancels "
+                          "two CDFs near 1 when it is positive",
+           "coverage_kernel(-abs(theta_star - theta_true), 0.0, scheme)",
+           "coverage_kernel(theta_star - theta_true, 0.0, scheme)",
+           ("tests/test_coverage.py",)),
+    Mutant("coverage.py", "the break-even variance adds sigma^2 instead of taking it away",
+           "(s - scheme.sigma) * (s + scheme.sigma)",
+           "s * s + scheme.sigma * scheme.sigma",
+           ("tests/test_coverage.py",)),
+    Mutant("coverage.py", "the break-even boundary drops its 1e-14 tolerance",
+           "if coverage >= scheme.alpha - 1e-14:",
+           "if coverage >= scheme.alpha:",
+           ("tests/test_coverage.py",)),
+    Mutant("coverage.py", "the CI takes montecarlo's rejection cutoff, one ulp above "
+                          "quantile(0.975), as its 97.5% point",
+           "_KAPPA_975 = 1.9599639845400538",
+           "_KAPPA_975 = 1.959963984540054",
+           ("tests/test_coverage.py",)),
+    Mutant("montecarlo.py", "a coverage check holds a whole 1,000,000-row chunk",
+           "buffer = np.empty(min(plan.replicates, _BLOCK + 1))",
+           "buffer = np.empty(min(plan.replicates, 1_000_000))",
+           ("tests/test_montecarlo_kernels.py::test_check_peak_stays_within_its_buffers",)),
 ]
 
 

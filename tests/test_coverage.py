@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import scipy.stats
+
+from indexaudit import coverage as coverage_module
 from indexaudit import gaussian
 from indexaudit.coverage import (
     BreakEvenResult,
@@ -284,6 +287,20 @@ def test_coverage_estimate_derives_the_clipped_normal_ci():
         0.0, 0.005 + half, True)
 
 
+def test_coverage_estimate_takes_its_97_5_point_from_a_constant(scheme, monkeypatch):
+    # the constant is gaussian.quantile(0.975) to the bit, not the one-ulp-higher
+    # rejection cutoff of montecarlo
+    assert repr(coverage_module._KAPPA_975) == repr(gaussian.quantile(0.975))
+    calls = []
+    quantile = gaussian.quantile
+    monkeypatch.setattr(gaussian, "quantile", lambda p: calls.append(p) or quantile(p))
+    CoverageEstimate(value=0.5, variance=1e-4)
+    CoverageEstimate(value=np.array([0.5, 0.9]), variance=np.array([1e-4, 0.0]))
+    estimate_coverage(100.02, 100.0, 1e-4, scheme)
+    estimate_unbiased_coverage(1e-4, 1e-9, scheme)
+    assert calls == []
+
+
 # --- MSE -------------------------------------------------------------------------------
 
 
@@ -356,3 +373,59 @@ def test_break_even_grows_with_bias(scheme):
     variances = [break_even_variance(100.0 + b, 100.0, scheme).variance
                  for b in biases]
     assert np.all(np.diff(variances) > 0.0)
+
+
+# each bias up to 0.3, where the constant's coverage (1.4e-16) is still above 2^-53
+PARITY_BIASES = np.linspace(0.0005, 0.3, 600)
+
+
+def test_break_even_parity_holds_to_rounding_for_either_sign(scheme):
+    for bias in np.concatenate([PARITY_BIASES, -PARITY_BIASES]):
+        coverage = coverage_of_constant(float(bias), 0.0, scheme)
+        assert coverage > 2.0 ** -53
+        result = break_even_variance(float(bias), 0.0, scheme)
+        assert not result.at_boundary and result.variance > 0.0
+        assert abs(coverage_of_unbiased(result.variance, scheme) - coverage) <= 1e-15
+
+
+def test_break_even_and_constant_coverage_are_even_in_the_bias_to_the_bit(scheme):
+    # theta_true +/- k / 1024 is exact for these theta_true, so both signs see
+    # the same |bias|
+    for theta_true in (0.0, 100.0, -3.5):
+        for k in range(1, 308):
+            up, down = theta_true + k / 1024, theta_true - k / 1024
+            assert (repr(coverage_of_constant(up, theta_true, scheme))
+                    == repr(coverage_of_constant(down, theta_true, scheme)))
+            assert (repr(break_even_variance(up, theta_true, scheme))
+                    == repr(break_even_variance(down, theta_true, scheme)))
+
+
+@pytest.mark.parametrize("bias", [0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_constant_coverage_keeps_its_relative_precision_far_out(scheme, bias, sign):
+    # from 7.99e-7 at 0.2 down to 1.1e-222 at 1.0; a positive bias once
+    # cancelled two CDFs near 1 (23% off at 0.3, 0 at 0.4). A rounding of the
+    # argument x moves Phi(x) by about x^2 ulps so far out, in scipy's value
+    # as in ours, so the tolerance grows with x^2: 1e-14 at 0.2, 4.5e-13 at 1.0
+    upper = (scheme.omega - bias) / scheme.sigma
+    lower = (-scheme.omega - bias) / scheme.sigma
+    expected = scipy.stats.norm.cdf(upper) - scipy.stats.norm.cdf(lower)
+    got = coverage_of_constant(sign * bias, 0.0, scheme)
+    assert got == pytest.approx(expected, rel=2.0 * upper * upper * 2.0 ** -52, abs=0.0)
+
+
+@pytest.mark.parametrize("bias, coverage", [(0.4, "3.4010831526451913e-31"), (2.0, "0.0")])
+def test_break_even_below_2_to_the_minus_53_names_the_break_even(scheme, bias, coverage):
+    for theta_star in (bias, -bias):
+        with pytest.raises(ValidationError) as caught:
+            break_even_variance(theta_star, 0.0, scheme)
+        assert str(caught.value) == (
+            f"break-even variance is out of range: the constant's coverage {coverage} "
+            f"rounds (1 + coverage) / 2 to 1/2")
+
+
+def test_break_even_boundary_holds_within_1e_14_of_alpha(scheme):
+    # at a bias of 1e-9 the coverage is 0.9499999999999998: the boundary, not a
+    # variance from a kappa indistinguishable from the scheme's own
+    assert 0.0 < scheme.alpha - coverage_of_constant(1e-9, 0.0, scheme) < 1e-14
+    assert break_even_variance(1e-9, 0.0, scheme) == BreakEvenResult(0.0, True)

@@ -135,6 +135,7 @@ def test_no_unused_import_or_private_name_in_the_package():
 # or pinned where its comment says
 LIBRARY = (
     "break_even_variance",  # README "Evaluation coverage"; tests/test_coverage.py
+    "coverage_of_unbiased",  # README "Library"; acceptance criteria 3 and 4
     "mean_source_effect",  # README "Source effects" (averaged); tests/test_core.py
     "relative_weight_diff",  # README "Source effects"; tests/test_identities.py
     "source_effect",  # README "Source effects"; tests/test_identities.py

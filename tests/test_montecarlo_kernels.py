@@ -183,43 +183,45 @@ def traced_peak(fn, *args) -> int:
 
 
 # What each check holds at once, in each phase of its run: float64 arrays of
-# the replicate count (of one 1,000,000 chunk for coverage), float64 arrays of
-# one block of at most BLOCK + 1 rows (a bool mask counts 1/8), and MB of
-# other objects: the Python floats one gaussian.cdf slice maps over erfc
-# (2.1 MB). The bound is the largest phase plus 1 MB for small objects. The
-# whole-array kernels exceed every bound.
-DRAW_STATISTICS = (2, 11, 0.0)
-CALIBRATION = [DRAW_STATISTICS, (3, 2, 2.1), (4, 0, 0.0)]
+# the replicate count, float64 arrays of one block of at most BLOCK + 1 rows
+# (a bool mask counts 1/8), and float64 arrays of one gaussian.cdf slice of
+# gaussian._BLOCK values: traced_peak of gaussian.cdf, less its result, is up
+# to 16.8 of them when every value of a slice falls in one of erfc's two tail
+# ranges, 7.3 for a standard normal sample. The bound is the largest phase
+# plus 1 MB for small objects. The whole-array kernels, and a coverage check
+# that holds a whole 1,000,000-row chunk, exceed every bound.
+CDF_SLICE = 17
+DRAW_STATISTICS = (2, 11, 0)
+CALIBRATION = [DRAW_STATISTICS, (3, 0, CDF_SLICE), (4, 0, 0)]
 LAYOUTS = {
-    # the estimates of one chunk; the references buffer and the hit mask
-    "coverage_constant": [(1, 1.125, 0.0)],
-    "coverage_unbiased": [(1, 1.125, 0.0)],
-    "coverage_biased_noisy": [(1, 1.125, 0.0)],
+    # the differences of one block and their hit mask
+    "coverage_constant": [(0, 1.125, 0)],
+    "coverage_unbiased": [(0, 1.125, 0)],
+    "coverage_biased_noisy": [(0, 1.125, 0)],
     # drawing: the Z and B statistics, and per block the 5-column normals,
     # their product with the covariance root and a statistic's product; then
     # ks_distance beside the tested statistic: its sorted copy and the CDF
-    # values, with one slice's argument, erfc values and Python floats; then
-    # the CDF values, the grid and one difference
+    # values, with one CDF slice; then the CDF values, the grid and one
+    # difference
     "z_calibration": CALIBRATION,
     "b_calibration": CALIBRATION,
     # drawing, one grid point at a time
     "power_curve": [DRAW_STATISTICS],
     # one leaf's draws, in the one block buffer, and its negative mask
-    "mse_unbiasedness": [(0, 1.125, 0.0)],
-    # the values the SD reads; per block the biases, the kernel's two
-    # quotients, and a CDF's negated argument, argument and result
-    "plug_in": [(1, 5, 2.1)],
-    # the same with the chi-square draws in place of the biases, and their
-    # scaled copy
-    "unbiased_benchmark": [(1, 6, 2.1)],
+    "mse_unbiasedness": [(0, 1.125, 0)],
+    # the values the SD reads; per block the biases, the first CDF's values,
+    # the second quotient and its CDF values, with one CDF slice
+    "plug_in": [(1, 4, CDF_SLICE)],
+    # the same with the chi-square draws in place of the biases, and the
+    # kernel's nu
+    "unbiased_benchmark": [(1, 5, CDF_SLICE)],
 }
 
 
 def check_bound(p: SimulationPlan) -> float:
-    rows = min(p.replicates, 1_000_000) if p.scenario.startswith("coverage") else p.replicates
-    return max(8 * (whole * rows + block * (BLOCK + 1)) + other_mb * MB
-               for whole, block, other_mb in LAYOUTS[p.parameters.get("quantity", p.scenario)]
-               ) + MB
+    return 8 * max(whole * p.replicates + block * (BLOCK + 1) + cdf_slice * gaussian._BLOCK
+                   for whole, block, cdf_slice
+                   in LAYOUTS[p.parameters.get("quantity", p.scenario)]) + MB
 
 
 @pytest.mark.parametrize("scenario, replicates, params", [
