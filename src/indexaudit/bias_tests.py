@@ -37,6 +37,7 @@ from .core import (
     WeightVector,
     _check_groups,
     _dots,
+    _quadratic_forms,
     _resolve_periods,
     mean_price_vector,
 )
@@ -95,20 +96,41 @@ def _describe_periods(prices: PriceSeries, periods: Sequence[int] | None) -> str
     return ",".join(prices.period_labels[int(t)] for t in periods)
 
 
-def _level_variance(p_bar: np.ndarray, estimate: WeightEstimate) -> float:
-    variance = float(p_bar @ estimate.covariance @ p_bar)
-    scale = float(np.max(np.abs(p_bar)))
-    if not math.isfinite(variance):
-        raise ValidationError(
-            f"index-level variance overflows: mean_p'V mean_p is {variance} for "
-            f"mean prices up to {scale:.3g}; no Z-test possible"
-        )
-    if variance < 1e-20 * scale * scale:
-        raise DegenerateVarianceError(
-            f"index-level variance {variance:.3e} is numerically zero at "
-            f"price scale {scale:.3g}; no Z-test possible"
-        )
-    return variance
+def _level_tests(prices: PriceSeries, estimates: Sequence[WeightEstimate],
+                 proxies: Sequence[WeightVector],
+                 subsets: Sequence[Sequence[int] | None]) -> tuple[np.ndarray, np.ndarray]:
+    """The Z-test effects, one row per (survey, proxy) pair and one column
+    per subset, and the level variances, one row per survey, as arrays.
+
+    One mean-price row per subset (a single period's is its price column)
+    and one ``np.dot`` per effect. The first (survey, subset) whose variance
+    overflows or is below 1e-20 on the squared price scale raises.
+    """
+    for weights in [estimate.point for estimate in estimates] + list(proxies):
+        _check_groups(prices, weights)
+    single = {k: periods[0] for k, periods in enumerate(subsets)
+              if isinstance(periods, (list, tuple)) and len(periods) == 1
+              and type(periods[0]) is int and 0 <= periods[0] < prices.n_periods}
+    p_bar = np.empty((len(subsets), prices.n_groups))
+    p_bar[list(single)] = prices.values[:, list(single.values())].T
+    for k, periods in enumerate(subsets):
+        if k not in single:
+            p_bar[k] = mean_price_vector(prices, periods)
+    level = np.array([_quadratic_forms(p_bar, estimate.covariance) for estimate in estimates])
+    scale = np.abs(p_bar).max(axis=1)
+    with np.errstate(over="ignore"):
+        bad = ~(np.isfinite(level) & (level >= 1e-20 * scale * scale))
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        variance, peak = float(level[i, k]), float(scale[k])
+        if not math.isfinite(variance):
+            raise ValidationError(f"index-level variance overflows: mean_p'V mean_p is {variance}"
+                                  f" for mean prices up to {peak:.3g}; no Z-test possible")
+        raise DegenerateVarianceError(f"index-level variance {variance:.3e} is numerically zero "
+                                      f"at price scale {peak:.3g}; no Z-test possible")
+    effects = np.array([_dots(p_bar, itertools.repeat(estimate.point.w - proxy.w))
+                        for estimate in estimates for proxy in proxies])
+    return effects, level
 
 
 def z_test(prices: PriceSeries, estimate: WeightEstimate, w_proxy: WeightVector,
@@ -118,20 +140,13 @@ def z_test(prices: PriceSeries, estimate: WeightEstimate, w_proxy: WeightVector,
     Effect is ``mean_p . (w_survey - w_proxy)`` over the period subset;
     variance is ``mean_p^T V mean_p``. A variance below 1e-20 on the squared
     price scale means the covariance cannot distinguish the two index levels,
-    and the test is refused as degenerate.
+    and the test is refused as degenerate. This is one cell of the battery's
+    own computation, so it gives the battery's bits and errors.
     """
-    _check_groups(prices, estimate.point)
-    _check_groups(prices, w_proxy)
-    p_bar = mean_price_vector(prices, periods)
-    effect = float(np.dot(p_bar, estimate.point.w - w_proxy.w))
-    return TestResult(
-        TestKind.Z, effect, _level_variance(p_bar, estimate),
-        metadata={
-            "survey": estimate.point.label,
-            "proxy": w_proxy.label,
-            "periods": _describe_periods(prices, periods),
-        },
-    )
+    effects, level = _level_tests(prices, [estimate], [w_proxy], [periods])
+    return TestResult(TestKind.Z, float(effects[0, 0]), float(level[0, 0]), metadata={
+        "survey": estimate.point.label, "proxy": w_proxy.label,
+        "periods": _describe_periods(prices, periods)})
 
 
 class UnitySlopeFit(NamedTuple):
@@ -196,7 +211,7 @@ def b_test(prices: PriceSeries, estimate: WeightEstimate, w_proxy: WeightVector,
     so the degeneracy threshold is an absolute 1e-20.
     """
     fit = unity_slope_fit(prices, estimate, w_proxy, periods)
-    variance = float(fit.coefficients @ estimate.covariance @ fit.coefficients)
+    variance = float(_quadratic_forms([fit.coefficients], estimate.covariance)[0])
     if not math.isfinite(variance):
         raise ValidationError(
             f"slope variance overflows: c'Vc is {variance}; no B-test possible"
@@ -262,10 +277,10 @@ def cross_group_battery(prices: PriceSeries,
 
     Each result is the one :func:`z_test` or :func:`b_test` gives on its
     cell, and an error is the first one they raise in cell order. The
-    Z-tests are arrays: one mean-price row per subset (a single period's is
-    its price column), one level variance per survey and subset, and the
-    effects of each survey as proxies by subsets, one ``np.dot`` per cell (a
-    matrix product sums in another order and changes the last bits).
+    Z-tests of all cells are one :func:`_level_tests` call, the computation
+    ``z_test`` runs on one cell; the B-tests run cell by cell. A survey, a
+    proxy, a subset or a (survey, subset) pair can each fail, and cell order
+    interleaves them, so on a failure the cells are replayed in order.
     """
     if period_subsets is None:
         period_subsets = {"all": None}
@@ -282,24 +297,9 @@ def cross_group_battery(prices: PriceSeries,
                           stacklevel=2)
     try:
         codes = [list(TestKind).index(kind) for kind in include]
-        level = np.empty((len(surveys), len(names)) if 0 in codes else (0, 0))
-        if 0 in codes:
-            for weights in [estimates[s].point for s in surveys] + [proxies[q] for q in labels]:
-                _check_groups(prices, weights)
-            single = {k: periods[0] for k, periods in enumerate(subsets)
-                      if isinstance(periods, (list, tuple)) and len(periods) == 1
-                      and type(periods[0]) is int and 0 <= periods[0] < prices.n_periods}
-            p_bar = np.empty((len(names), prices.n_groups))
-            p_bar[list(single)] = prices.values[:, list(single.values())].T
-            for k, periods in enumerate(subsets):
-                if k not in single:
-                    p_bar[k] = mean_price_vector(prices, periods)
-            for i, label in enumerate(surveys):
-                level[i] = _dots([row @ estimates[label].covariance for row in p_bar], p_bar)
-            scale = np.abs(p_bar).max(axis=1)
-            with np.errstate(over="ignore"):
-                if not (np.isfinite(level) & (level >= 1e-20 * scale * scale)).all():
-                    raise DegenerateVarianceError("a level variance is degenerate")
+        effects, level = (_level_tests(prices, [estimates[s] for s in surveys],
+                                       [proxies[q] for q in labels], subsets)
+                          if 0 in codes else (np.empty((0, 0)),) * 2)
         b_results = [b_test(prices, estimates[s], proxies[q], subsets[k])
                      for s, q, k, _ in itertools.product(
                          surveys, labels, [k for k, size in enumerate(sizes) if size >= 3],
@@ -326,10 +326,7 @@ def cross_group_battery(prices: PriceSeries,
     z, b = kind == 0, kind == 1
     effect = np.empty(kind.size)
     effect[b] = [result.effect for result in b_results]
-    if 0 in codes:
-        diffs = [estimates[s].point.w - proxies[q].w for s in surveys for q in labels]
-        effects = np.array([_dots(p_bar, itertools.repeat(diff)) for diff in diffs])
-        effect[z] = effects[survey[z] * len(labels) + proxy[z], subset[z]]
+    effect[z] = effects[survey[z] * len(labels) + proxy[z], subset[z]]
     variance_code = survey * len(names) + subset
     variance_code[b] = level.size + np.arange(len(b_results))
     tested = set(subset.tolist())

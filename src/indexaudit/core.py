@@ -178,10 +178,17 @@ def _dots(left, right) -> np.ndarray:
     """``np.dot(a, b)`` for each pair of arrays of ``left`` and ``right``.
 
     One BLAS dot product per pair, each summed in that kernel's order: a
-    matrix product sums in another order and changes the last bits. This is
-    the one place the package's per-cell summation order is set.
+    matrix product sums in another order and changes the last bits. With
+    :func:`_quadratic_forms` this is the one place the package's per-cell
+    summation order is set.
     """
     return np.fromiter(map(np.ndarray.dot, left, right), float)
+
+
+def _quadratic_forms(vectors, covariance: np.ndarray) -> np.ndarray:
+    """``v @ V @ v`` for each of ``vectors``, bit for bit: the package's one
+    spelling of a variance under weight uncertainty."""
+    return _dots([vector @ covariance for vector in vectors], vectors)
 
 
 def weighted_index(prices: PriceSeries, weights: WeightVector, t):

@@ -35,7 +35,7 @@ from .coverage import (
     estimate_unbiased_coverage,
     default_variance_of_variance,
 )
-from .core import PriceSeries
+from .core import PriceSeries, _quadratic_forms
 from .errors import ValidationError, WorkerFailure
 from .seeding import derive_seed, generator
 
@@ -61,6 +61,11 @@ class SimulationPlan:
             raise ValidationError(
                 f"unknown scenario {self.scenario!r}; expected one of {', '.join(SCENARIOS)}"
             )
+        taken = _PARAMETERS[self.scenario]
+        unread = [key for key in self.parameters if key not in taken]
+        if unread:
+            raise ValidationError(f"scenario {self.scenario!r} takes no parameter {unread[0]!r}; "
+                                  f"it takes {', '.join(map(repr, taken)) or 'none'}")
         if self.replicates < 2:
             raise ValidationError(f"replicates must be at least 2, got {self.replicates}")
         if self.seed < 0:
@@ -255,6 +260,7 @@ def _default_design() -> _AuditDesign:
     centered = proxy_series - proxy_series.mean()
     centered -= centered.mean()
     slope_coefficients = panel @ centered / float(np.dot(centered, centered))
+    z_variance, b_variance = _quadratic_forms([mean_prices, slope_coefficients], covariance)
     ones = np.ones_like(weights)
     trend_direction = _orthonormalize(trends, [ones, mean_prices])
     orthogonal_direction = _orthonormalize(
@@ -268,8 +274,8 @@ def _default_design() -> _AuditDesign:
         cov_root=cov_root,
         mean_prices=mean_prices,
         slope_coefficients=slope_coefficients,
-        z_stderr=math.sqrt(float(mean_prices @ covariance @ mean_prices)),
-        b_stderr=math.sqrt(float(slope_coefficients @ covariance @ slope_coefficients)),
+        z_stderr=math.sqrt(z_variance),
+        b_stderr=math.sqrt(b_variance),
         trend_direction=trend_direction,
         orthogonal_direction=orthogonal_direction,
     )
@@ -481,6 +487,14 @@ SCENARIOS = {
     "mse_unbiasedness": mse_unbiasedness,
     "delta_method_check": delta_method_check,
 }
+_COVERAGE = ("alpha", "omega", "bias", "extra_variance")
+# scenario -> the parameters it reads; a plan with any other is refused
+_PARAMETERS = {"coverage_constant": _COVERAGE, "coverage_unbiased": _COVERAGE,
+               "coverage_biased_noisy": _COVERAGE, "z_calibration": (), "b_calibration": (),
+               "power_curve": ("direction", "epsilons"),
+               "mse_unbiasedness": ("true_bias", "audit_variance"),
+               "delta_method_check": ("quantity", "alpha", "omega", "bias_in_sigma",
+                                      "audit_sd_ratio", "variance_in_sigma2", "n_households")}
 
 
 def run_plan(plan: SimulationPlan,

@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import gaussian
-from .core import (PriceSeries, WeightVector, _dots, _frozen_array, _period_columns,
-                   _resolve_periods)
+from .core import (PriceSeries, WeightVector, _frozen_array, _period_columns,
+                   _quadratic_forms)
 from .errors import AuditWarning, DimensionMismatchError, ValidationError
 
 
@@ -212,30 +212,22 @@ def simulate_households(true_weights: WeightVector, n: int, dispersion: float,
     )
 
 
-def index_variance(prices: PriceSeries, estimate: WeightEstimate,
-                   t=None, periods: Sequence[int] | None = None):
+def index_variance(prices: PriceSeries, estimate: WeightEstimate, t):
     """Sampling variance of the weighted index from weight uncertainty.
 
-    Evaluates the quadratic form p^T V p at period position ``t`` (an array
-    of positions gives one value each), or at the mean price vector over
-    ``periods`` when that is given instead (exactly one of the two must be
-    supplied). Tiny negative results from rounding clamp to zero; a negative
-    value beyond -1e-10 on the problem's own scale means the covariance is
-    broken and raises.
+    Evaluates the quadratic form p^T V p of the price column at period
+    position ``t``; an array of positions gives one value each. Tiny
+    negative results from rounding clamp to zero; a negative value beyond
+    -1e-10 on the problem's own scale means the covariance is broken and
+    raises.
     """
     if estimate.point.n_groups != prices.n_groups:
         raise DimensionMismatchError(
             f"weight estimate has {estimate.point.n_groups} groups, "
             f"price panel has {prices.n_groups}"
         )
-    if (t is None) == (periods is None):
-        raise ValidationError("index_variance takes exactly one of t or periods")
-    if periods is not None:
-        chosen = _resolve_periods(prices, periods)
-        vectors = [prices.values[:, chosen].mean(axis=1)]
-    else:
-        vectors = _period_columns(prices, t)
-    quad = _dots([vector @ estimate.covariance for vector in vectors], vectors)
+    vectors = _period_columns(prices, t)
+    quad = _quadratic_forms(vectors, estimate.covariance)
     peak = np.abs(np.array(vectors)).max(axis=-1, initial=0.0)
     # peak * peak is inf, not an OverflowError, for prices beyond ~1e154
     with np.errstate(over="ignore", invalid="ignore"):
@@ -253,4 +245,4 @@ def index_variance(prices: PriceSeries, estimate: WeightEstimate,
             f"covariance is broken"
         )
     quad[quad < 0.0] = 0.0
-    return float(quad[0]) if t is None or np.ndim(t) == 0 else quad
+    return float(quad[0]) if np.ndim(t) == 0 else quad

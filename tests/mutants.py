@@ -2,8 +2,9 @@
 
 Run from anywhere, with the test dependencies installed:
 
-    python tests/mutants.py          # every mutant in the table
-    python tests/mutants.py 0 4      # the mutants at those positions
+    python tests/mutants.py             # every mutant in the table
+    python tests/mutants.py 0 4         # the mutants at those positions
+    python tests/mutants.py -k "level"  # the mutants whose ``what`` contains it
 
 Each row of ``MUTANTS`` names a module of ``src/indexaudit/``, an exact
 snippet of its source, the snippet's replacement and the test files (or
@@ -23,6 +24,7 @@ standard library only.
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -143,14 +145,35 @@ MUTANTS = [
            "np.add.at(spend, cells[::-1], amounts[::-1])",
            ("tests/test_micro_loader.py",)),
     Mutant("bias_tests.py", "the Z effects are one matrix product",
-           "effects = np.array([_dots(p_bar, itertools.repeat(diff)) for diff in diffs])",
-           "effects = np.array(diffs) @ p_bar.T",
+           "effects = np.array([_dots(p_bar, itertools.repeat(estimate.point.w - proxy.w))\n"
+           "                        for estimate in estimates for proxy in proxies])",
+           "effects = np.array([estimate.point.w - proxy.w\n"
+           "                     for estimate in estimates for proxy in proxies]) @ p_bar.T",
            ("tests/test_battery.py",)),
     Mutant("bias_tests.py", "a subset's level variance is repeated in subset order, not "
                             "across the proxies",
            "variance_code = survey * len(names) + subset",
            "variance_code = survey * len(names) + np.sort(subset)",
            ("tests/test_battery.py",)),
+    Mutant("bias_tests.py", "the level tests name the last bad (survey, subset), not "
+                            "the first",
+           "i, k = np.argwhere(bad)[0]",
+           "i, k = np.argwhere(bad)[-1]",
+           ("tests/test_bias_tests.py",)),
+    Mutant("bias_tests.py", "a level variance is checked for degeneracy before overflow",
+           "if not math.isfinite(variance):\n"
+           "            raise ValidationError(f\"index-level variance overflows",
+           "if not variance < 1e-20 * peak * peak:\n"
+           "            raise ValidationError(f\"index-level variance overflows",
+           ("tests/test_bias_tests.py",)),
+    Mutant("bias_tests.py", "z_test describes its periods as \"all\"",
+           '"periods": _describe_periods(prices, periods)})',
+           '"periods": "all"})',
+           ("tests/test_battery.py",)),
+    Mutant("montecarlo.py", "a plan keeps a parameter its scenario never reads",
+           "        if unread:\n",
+           "        if False:\n",
+           ("tests/test_montecarlo.py",)),
     Mutant("gaussian.py", "pdf takes numpy's exp",
            "    value = _exp(-0.5 * x * x)\n",
            "    value = np.exp(-0.5 * x * x)\n",
@@ -284,7 +307,15 @@ def outcome(mutant: Mutant, scratch: Path) -> str:
 
 
 def main(argv: list[str]) -> int:
-    chosen = [int(arg) for arg in argv] or range(len(MUTANTS))
+    parser = argparse.ArgumentParser(description="Run the mutation checks.")
+    parser.add_argument("positions", nargs="*", type=int, help="rows to run, by position")
+    parser.add_argument("-k", dest="text", help="run the rows whose what contains TEXT")
+    args = parser.parse_args(argv)
+    matched = [position for position, mutant in enumerate(MUTANTS)
+               if args.text is not None and args.text in mutant.what]
+    if args.text is not None and not matched:
+        parser.error(f"no mutant's what contains {args.text!r}")
+    chosen = list(dict.fromkeys(args.positions + matched)) or range(len(MUTANTS))
     failures = 0
     for position in chosen:
         mutant = MUTANTS[position]

@@ -4,7 +4,8 @@ Generated batteries mix well-posed cells with every input the battery
 rejects: empty, out-of-range and duplicated period subsets, zero
 covariances, and weight vectors whose groups do not match the panel. For
 each, both batteries must give the same report rows, bit for bit and in the
-same order, or raise the same exception type with the same message.
+same order, or raise the same exception type with the same message; and
+so must ``z_test`` and the reference's on each cell.
 """
 
 import warnings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import battery_oracle
 from indexaudit import report
-from indexaudit.bias_tests import TestKind, TestResults, cross_group_battery
+from indexaudit.bias_tests import TestKind, TestResults, cross_group_battery, z_test
 from indexaudit.core import PriceSeries, WeightVector
 from indexaudit.errors import AuditWarning
 from indexaudit.survey import WeightEstimate
@@ -129,6 +130,26 @@ def assert_matches_reference(prices, estimates, proxies, subsets, include):
 @given(batteries())
 def test_battery_matches_cell_by_cell_reference(battery):
     assert_matches_reference(*battery)
+
+
+def z_outcome(run, prices, estimate, proxy, periods):
+    try:
+        result = run(prices, estimate, proxy, periods)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+    return ("ok", result.kind, result.effect.hex(), result.variance.hex(),
+            result.statistic.hex(), result.p_value.hex(), result.metadata)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batteries())
+def test_z_test_matches_reference_on_every_cell(battery):
+    prices, estimates, proxies, subsets, _ = battery
+    for estimate in estimates.values():
+        for proxy in proxies.values():
+            for periods in (subsets or {"all": None}).values():
+                assert z_outcome(z_test, prices, estimate, proxy, periods) == z_outcome(
+                    battery_oracle.z_test, prices, estimate, proxy, periods)
 
 
 @pytest.mark.parametrize("subsets, include", [

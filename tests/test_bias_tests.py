@@ -9,6 +9,7 @@ import pytest
 from indexaudit.bias_tests import (
     TestKind,
     TestResult,
+    _level_tests,
     b_test,
     cross_group_battery,
     unity_slope_fit,
@@ -122,16 +123,60 @@ def test_z_test_respects_period_subsets(tiny_prices, tiny_estimate):
 
 def test_z_test_variance_matches_index_variance(food_prices, food_weights,
                                                 food_estimate):
-    result = z_test(food_prices, food_estimate, food_weights["age_68plus"])
-    oracle = index_variance(food_prices, food_estimate,
-                            periods=range(food_prices.n_periods))
-    assert result.variance == pytest.approx(oracle, rel=1e-14)
+    # a single period's mean prices are its price column; BLAS sums the
+    # column, a strided view, in another order than a contiguous row
+    proxy = food_weights["age_68plus"]
+    periods = range(food_prices.n_periods)
+    variances = index_variance(food_prices, food_estimate, np.array(periods))
+    assert [z_test(food_prices, food_estimate, proxy, [t]).variance
+            for t in periods] == pytest.approx(variances, rel=1e-13)
+    p_bar = food_prices.values.mean(axis=1)
+    assert z_test(food_prices, food_estimate, proxy).variance == pytest.approx(
+        float(p_bar @ food_estimate.covariance @ p_bar), rel=1e-14)
 
 
 def test_z_test_degenerate_variance(tiny_prices, tiny_estimate):
     # at period 0 both group prices are equal, so p'Vp = 0 for this covariance
     with pytest.raises(DegenerateVarianceError, match="no Z-test"):
         z_test(tiny_prices, tiny_estimate, WeightVector([0.5, 0.5]), periods=[0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_z_test_overflow_names_the_quadratic_form():
+    # p'V = (1e296, -1e296) to rounding: the first term of the dot product
+    # overflows and the second does not
+    prices = PriceSeries(np.array([[1e300, 1e300], [1.0, 1.0]]), ("a", "b"), ("t0", "t1"))
+    estimate = WeightEstimate(point=WeightVector([0.5, 0.5]),
+                              covariance=1e-4 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(ValidationError) as caught:
+        z_test(prices, estimate, WeightVector([0.4, 0.6]))
+    assert str(caught.value) == ("index-level variance overflows: mean_p'V mean_p is inf "
+                                 "for mean prices up to 1e+300; no Z-test possible")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_level_variance_overflowing_to_minus_inf_is_an_overflow():
+    """A fabricated negative covariance, past the construction checks: the
+    form is -inf, below any degeneracy threshold, and still an overflow."""
+    prices = PriceSeries(np.array([[1e300], [1.0]]), ("a", "b"), ("t0",))
+    estimate = object.__new__(WeightEstimate)
+    object.__setattr__(estimate, "point", WeightVector([0.5, 0.5]))
+    object.__setattr__(estimate, "covariance",
+                       1e-4 * np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ValidationError, match="mean_p'V mean_p is -inf"):
+        z_test(prices, estimate, WeightVector([0.4, 0.6]))
+
+
+def test_level_tests_name_the_first_bad_survey_and_subset(tiny_prices, tiny_estimate):
+    flat = WeightEstimate(point=tiny_estimate.point, covariance=np.zeros((2, 2)))
+    proxy = WeightVector([0.5, 0.5])
+    # every cell of the flat estimate is degenerate, at its own price scale
+    with pytest.raises(DegenerateVarianceError) as first:
+        z_test(tiny_prices, flat, proxy, [1])
+    with pytest.raises(DegenerateVarianceError) as caught:
+        _level_tests(tiny_prices, [tiny_estimate, flat], [proxy], [[1], [2]])
+    assert str(caught.value) == str(first.value)
+    assert "price scale 102" in str(first.value)
 
 
 def test_z_test_dimension_checks(tiny_prices, tiny_estimate):

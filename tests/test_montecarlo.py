@@ -39,6 +39,25 @@ def test_plan_validation():
     assert set(SCENARIOS) >= {"coverage_constant", "power_curve"}
 
 
+@pytest.mark.parametrize("scenario, key, taken", [
+    ("coverage_constant", "extra_varaince", "'alpha', 'omega', 'bias', 'extra_variance'"),
+    ("coverage_unbiased", "omgea", "'alpha', 'omega', 'bias', 'extra_variance'"),
+    ("coverage_biased_noisy", "bais", "'alpha', 'omega', 'bias', 'extra_variance'"),
+    ("z_calibration", "alpha", "none"),
+    ("b_calibration", "epsilons", "none"),
+    ("power_curve", "epsilon", "'direction', 'epsilons'"),
+    ("mse_unbiasedness", "true_bais", "'true_bias', 'audit_variance'"),
+    ("delta_method_check", "bias_in_sigma2",
+     "'quantity', 'alpha', 'omega', 'bias_in_sigma', 'audit_sd_ratio', "
+     "'variance_in_sigma2', 'n_households'"),
+])
+def test_a_parameter_the_scenario_never_reads_is_refused(scenario, key, taken):
+    with pytest.raises(ValidationError) as caught:
+        plan(scenario, 100, **{key: 0.058})
+    assert str(caught.value) == (f"scenario {scenario!r} takes no parameter {key!r}; "
+                                 f"it takes {taken}")
+
+
 def test_run_plan_is_deterministic():
     p = plan("coverage_constant", 5000, seed=77, bias=0.01)
     first = run_plan(p)

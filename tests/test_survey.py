@@ -256,17 +256,12 @@ def test_index_variance_oracles(tiny_prices, tiny_estimate):
         0.0004 * 9.0, rel=1e-13)
     assert index_variance(tiny_prices, tiny_estimate, t=2) == pytest.approx(
         0.0004 * 36.0, rel=1e-13)
-    assert index_variance(tiny_prices, tiny_estimate,
-                          periods=[0, 1, 2]) == pytest.approx(
-        0.0004 * 9.0, rel=1e-13)
-    assert index_variance(tiny_prices, tiny_estimate,
-                          periods=[0]) == 0.0
 
 
 def test_index_variance_argument_contract(tiny_prices, tiny_estimate):
-    with pytest.raises(ValidationError, match="exactly one"):
+    with pytest.raises(TypeError):
         index_variance(tiny_prices, tiny_estimate)
-    with pytest.raises(ValidationError, match="exactly one"):
+    with pytest.raises(TypeError, match="periods"):
         index_variance(tiny_prices, tiny_estimate, t=0, periods=[1])
     with pytest.raises(ValidationError, match="out of range"):
         index_variance(tiny_prices, tiny_estimate, t=7)
