@@ -64,8 +64,9 @@ import numpy as np
 # (8,192), about as many as a chunk of micro data holds.
 _CHUNK_CHARS = 1 << 18
 # Amounts each writer process formats at least, so that its fork and the copy
-# of its part stay small beside the formatting (65,536 float reprs take about
-# 0.09 s on a 2-core x86-64 VM).
+# of its part stay small beside the formatting. On a 2-core x86-64 VM one
+# process writes 64,000 amounts in about 30 ms and two in 26 ms, while a fork
+# costs 10-17 ms of CPU, so a smaller part would buy wall time with CPU.
 _VALUES_PER_PART = 65_536
 # Bytes of micro data each reader process reads at least, so that its fork
 # and the copy of its rows back stay small beside the parsing (on a 2-core
@@ -755,48 +756,73 @@ def write_weights(path: str | Path, vectors: Mapping[str, WeightVector]) -> None
 
 def write_households(path: str | Path, panel: HouseholdPanel,
                      group_labels: Sequence[str]) -> None:
-    """Write micro data in long form, one household at a time; the bytes are
-    those ``csv.writer`` would write row by row.
+    """Write micro data in long form; the bytes are those ``csv.writer``
+    would write row by row, with each amount as ``repr`` spells it.
 
     The households are written in contiguous ranges, one per part (see
     ``_part_count``). This process writes the first range straight into the
     file; each other range is written by a forked child (see
     ``_fork_parts``) into a temporary file in the same directory, which is
-    appended in order. On any failure a regular file is removed."""
+    appended in order. On any failure a regular file is removed.
+
+    A range is written a block of households at a time: each cell's line is
+    a row of bytes, its household, ``,group,``, amount (``floattext.encode``)
+    and ``,stratum`` with the line end, each padded with ``floattext.PAD``,
+    which UTF-8 never holds and which is then dropped."""
+    from . import floattext
+
     target = Path(path)
+    pad = bytes([floattext.PAD])
     with_stratum = any(stratum is not None for stratum in panel.strata)
     # ",<group>," and ",<stratum><end of line>" for every label, quoted once
-    middles = [f",{_csv_field(group)}," for group in group_labels]
-    ends = {stratum: (f",{_csv_field(stratum or '')}" if with_stratum else "")
-            + csv.excel.lineterminator for stratum in set(panel.strata)}
+    middles = _padded([f",{_csv_field(group)}," for group in group_labels], pad)
+    strata = list(dict.fromkeys(panel.strata))
+    code = {stratum: i for i, stratum in enumerate(strata)}
+    ends = _padded([(f",{_csv_field(stratum or '')}" if with_stratum else "")
+                     + csv.excel.lineterminator for stratum in strata], pad)
+    step = max(1, floattext.BLOCK // max(1, len(group_labels)))
 
-    def write_range(handle: IO[str], part: int) -> None:
-        first, last = bounds[part], bounds[part + 1]
-        # one household's floats at a time, not the whole matrix's
-        for household, stratum, row in zip(panel.household_ids[first:last],
-                                           panel.strata[first:last],
-                                           panel.expenditures[first:last]):
-            start, end, amounts = _csv_field(household), ends[stratum], row.tolist()
-            handle.write("".join([f"{start}{middle}{amount!r}{end}"
-                                  for middle, amount in zip(middles, amounts)]))
+    def write_range(handle: IO[bytes], part: int) -> None:
+        for first in range(bounds[part], bounds[part + 1], step):
+            last = min(first + step, bounds[part + 1])
+            starts = _padded([_csv_field(household)
+                              for household in panel.household_ids[first:last]], pad)
+            amounts = floattext.encode(panel.expenditures[first:last])
+            columns = np.cumsum([0, starts.shape[1], middles.shape[1], floattext.WIDTH,
+                                 ends.shape[1]])
+            lines = np.empty((last - first, len(group_labels), columns[-1]), dtype=np.uint8)
+            lines[:, :, :columns[1]] = starts[:, None]
+            lines[:, :, columns[1]:columns[2]] = middles
+            lines[:, :, columns[2]:columns[3]] = amounts.reshape(
+                last - first, len(group_labels), floattext.WIDTH)
+            lines[:, :, columns[3]:] = ends[[code[stratum] for stratum
+                                             in panel.strata[first:last]]][:, None]
+            handle.write(lines.tobytes().translate(None, pad))
 
-    with output_file(target) as handle, contextlib.ExitStack() as stack:
+    with output_file(target, binary=True) as handle, contextlib.ExitStack() as stack:
         # a device or a pipe is written by this process alone
         regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
         parts = (_part_count(len(panel) * len(group_labels), _VALUES_PER_PART)
                  if regular else 1)
         bounds = [len(panel) * part // parts for part in range(parts + 1)]
-        header = ["household_id", "group", "expenditure"]
-        if with_stratum:
-            header.append("stratum")
-        csv.writer(handle).writerow(header)
+        header = ["household_id", "group", "expenditure"] + ["stratum"] * with_stratum
+        handle.write((",".join(header) + csv.excel.lineterminator).encode())
         # a child inherits unwritten buffers, so none may be left
         handle.flush()
         _, spools = _fork_parts(parts, write_range, lambda: write_range(handle, 0),
-                                f"a writer process for {target}", stack, mode="w+",
-                                newline="", encoding="utf-8", dir=target.parent)
+                                f"a writer process for {target}", stack, mode="w+b",
+                                dir=target.parent)
         for spool in spools:
             shutil.copyfileobj(spool, handle)
+
+
+def _padded(texts: Sequence[str], pad: bytes) -> np.ndarray:
+    """The UTF-8 bytes of each text as a row, padded to the longest with
+    ``pad``."""
+    encoded = [text.encode("utf-8") for text in texts]
+    width = max(map(len, encoded), default=0)
+    rows = b"".join(text.ljust(width, pad) for text in encoded)
+    return np.frombuffer(rows, dtype=np.uint8).reshape(len(encoded), width)
 
 
 def _fork_parts(parts: int, work: Callable[[IO, int], object],
@@ -847,7 +873,10 @@ def _part_count(size: int, per_part: int) -> int:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    """``text`` as ``csv.writer`` writes it as one field of a longer row: as
+    it is, unless it is empty or holds a delimiter, a quote or a line end."""
+    if text and not ("," in text or '"' in text or "\r" in text or "\n" in text):
+        return text
     buffer = io.StringIO()
     # a row of one empty field is written as "", so add a second field
     csv.writer(buffer).writerow([text, ""])

@@ -61,10 +61,16 @@ class SimulationPlan:
             raise ValidationError(
                 f"unknown scenario {self.scenario!r}; expected one of {', '.join(SCENARIOS)}"
             )
-        taken = _PARAMETERS[self.scenario]
+        taken, what = _PARAMETERS[self.scenario], f"scenario {self.scenario!r}"
+        if isinstance(taken, dict):  # the parameters of the quantity it runs
+            quantity = str(self.parameters.get("quantity", "plug_in"))
+            if quantity not in taken:
+                raise ValidationError(f"unknown quantity {quantity!r}; expected one of "
+                                      f"{', '.join(map(repr, taken))}")
+            taken, what = taken[quantity], f"{what} with quantity {quantity!r}"
         unread = [key for key in self.parameters if key not in taken]
         if unread:
-            raise ValidationError(f"scenario {self.scenario!r} takes no parameter {unread[0]!r}; "
+            raise ValidationError(f"{what} takes no parameter {unread[0]!r}; "
                                   f"it takes {', '.join(map(repr, taken)) or 'none'}")
         if self.replicates < 2:
             raise ValidationError(f"replicates must be at least 2, got {self.replicates}")
@@ -441,7 +447,7 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
             return coverage_kernel(biases, 0.0, scheme)
 
         target = math.sqrt(estimate_coverage(bias, 0.0, audit_variance, scheme).variance)
-    elif quantity == "unbiased_benchmark":
+    else:  # "unbiased_benchmark", as the plan was checked
         ratio = float(plan.parameters.get("variance_in_sigma2", 1.0))
         n_households = int(plan.parameters.get("n_households", 200))
         true_variance = ratio * (scheme.sigma * scheme.sigma)
@@ -455,8 +461,6 @@ def delta_method_check(plan: SimulationPlan) -> SimulationOutcome:
         target = math.sqrt(
             estimate_unbiased_coverage(true_variance, var_of_var, scheme).variance
         )
-    else:
-        raise ValidationError(f"unknown quantity {quantity!r}")
     values = np.empty(plan.replicates)
     for block in _blocks(plan.replicates):
         values[block] = block_values(block.stop - block.start)
@@ -488,13 +492,16 @@ SCENARIOS = {
     "delta_method_check": delta_method_check,
 }
 _COVERAGE = ("alpha", "omega", "bias", "extra_variance")
-# scenario -> the parameters it reads; a plan with any other is refused
+_DELTA = ("quantity", "alpha", "omega")
+# scenario -> the parameters it reads, or per quantity where the scenario
+# runs one of several; a plan with any other is refused
 _PARAMETERS = {"coverage_constant": _COVERAGE, "coverage_unbiased": _COVERAGE,
                "coverage_biased_noisy": _COVERAGE, "z_calibration": (), "b_calibration": (),
                "power_curve": ("direction", "epsilons"),
                "mse_unbiasedness": ("true_bias", "audit_variance"),
-               "delta_method_check": ("quantity", "alpha", "omega", "bias_in_sigma",
-                                      "audit_sd_ratio", "variance_in_sigma2", "n_households")}
+               "delta_method_check": {
+                   "plug_in": _DELTA + ("bias_in_sigma", "audit_sd_ratio"),
+                   "unbiased_benchmark": _DELTA + ("variance_in_sigma2", "n_households")}}
 
 
 def run_plan(plan: SimulationPlan,

@@ -280,6 +280,42 @@ MUTANTS = [
            "buffer = np.empty(min(plan.replicates, _BLOCK + 1))",
            "buffer = np.empty(min(plan.replicates, 1_000_000))",
            ("tests/test_montecarlo_kernels.py::test_check_peak_stays_within_its_buffers",)),
+    Mutant("floattext.py", "an exact tie in the last digit rounds up, not to even",
+           " & ((digits & _U(1)) == 0))",
+           ")",
+           ("tests/test_floattext.py",)),
+    Mutant("floattext.py", "1e16 is written positionally",
+           "_FIXED = range(-4, 16)",
+           "_FIXED = range(-4, 17)",
+           ("tests/test_floattext.py",)),
+    Mutant("floattext.py", "1e-4 is written in scientific notation",
+           "_FIXED = range(-4, 16)",
+           "_FIXED = range(-3, 16)",
+           ("tests/test_floattext.py",)),
+    Mutant("floattext.py", "an exponent below 10 is written with one digit",
+           'b"e%+03d"',
+           'b"e%+d"',
+           ("tests/test_floattext.py",)),
+    Mutant("floattext.py", "a whole number drops the 0 of its .0",
+           "max(count - exponent - 1, 1)",
+           "max(count - exponent - 1, 0)",
+           ("tests/test_floattext.py",)),
+    Mutant("floattext.py", "an exact lower bound is in the interval for an odd mantissa too",
+           "vm_exact[small] = evens & exact_low",
+           "vm_exact[small] = exact_low",
+           ("tests/test_floattext.py",)),
+    Mutant("floattext.py", "an exact lower bound is never in the interval",
+           "up |= (rounded < vm) | ((rounded == vm) & ~vm_exact)",
+           "up |= rounded <= vm",
+           ("tests/test_floattext.py",)),
+    Mutant("floattext.py", "an exact upper bound stays in the interval for an odd mantissa",
+           "vp[small] -= (~evens & exact_high).astype(np.uint64)",
+           "pass",
+           ("tests/test_floattext.py",)),
+    Mutant("dataio.py", "a field with a line feed is written unquoted",
+           """ or "\\n" in text):""",
+           """):""",
+           ("tests/test_dataio.py",)),
 ]
 
 

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import io
 import os
 import pickle
 import sys
@@ -237,6 +238,15 @@ def split_panel(n_households, with_strata):
         amounts,
         tuple(SPLIT_STRATA[i % len(SPLIT_STRATA)] for i in range(n_households))
         if with_strata else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(',"\r\n \t\x00a\x85\u2028é') | st.characters(), max_size=6))
+def test_a_field_is_spelled_as_csv_writer_spells_it(text):
+    # the writer passes a field that needs no quotes through as it is
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(["x", text, "y"])
+    assert buffer.getvalue() == f"x,{dataio._csv_field(text)},y\r\n"
 
 
 def force_parts(monkeypatch, parts):

@@ -21,11 +21,13 @@ SRC = str(PACKAGE.parent)
 
 
 def test_cli_import_leaves_the_monte_carlo_suite_and_hashlib_unloaded():
-    # only verify runs the Monte Carlo suite and its process pool, and only
-    # simulate hashes its output
+    # only verify runs the Monte Carlo suite and its process pool, only
+    # simulate hashes its output, and the float formatter and its tables
+    # load on the first float written
     code = ("import indexaudit.cli, sys; print(' '.join(sorted(m for m in "
             "('indexaudit.montecarlo', 'concurrent.futures', "
-            "'concurrent.futures.process', 'multiprocessing', 'hashlib') "
+            "'concurrent.futures.process', 'multiprocessing', 'hashlib', "
+            "'indexaudit.floattext') "
             "if m in sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))

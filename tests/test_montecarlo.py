@@ -47,15 +47,32 @@ def test_plan_validation():
     ("b_calibration", "epsilons", "none"),
     ("power_curve", "epsilon", "'direction', 'epsilons'"),
     ("mse_unbiasedness", "true_bais", "'true_bias', 'audit_variance'"),
-    ("delta_method_check", "bias_in_sigma2",
-     "'quantity', 'alpha', 'omega', 'bias_in_sigma', 'audit_sd_ratio', "
-     "'variance_in_sigma2', 'n_households'"),
 ])
 def test_a_parameter_the_scenario_never_reads_is_refused(scenario, key, taken):
     with pytest.raises(ValidationError) as caught:
         plan(scenario, 100, **{key: 0.058})
     assert str(caught.value) == (f"scenario {scenario!r} takes no parameter {key!r}; "
                                  f"it takes {taken}")
+
+
+@pytest.mark.parametrize("parameters, key, taken", [
+    ({"bias_in_sigma2": 0.9}, "bias_in_sigma2", "plug_in"),
+    ({"quantity": "plug_in", "n_households": 300}, "n_households", "plug_in"),
+    ({"quantity": "plug_in", "variance_in_sigma2": 2.0}, "variance_in_sigma2", "plug_in"),
+    ({"quantity": "unbiased_benchmark", "bias_in_sigma": 0.9}, "bias_in_sigma",
+     "unbiased_benchmark"),
+    ({"quantity": "unbiased_benchmark", "audit_sd_ratio": 0.2}, "audit_sd_ratio",
+     "unbiased_benchmark"),
+])
+def test_a_delta_check_refuses_the_other_quantitys_parameters(parameters, key, taken):
+    # each quantity reads its own keys besides quantity, alpha and omega
+    own = {"plug_in": "'bias_in_sigma', 'audit_sd_ratio'",
+           "unbiased_benchmark": "'variance_in_sigma2', 'n_households'"}[taken]
+    with pytest.raises(ValidationError) as caught:
+        plan("delta_method_check", 100, **parameters)
+    assert str(caught.value) == (
+        f"scenario 'delta_method_check' with quantity {taken!r} takes no parameter {key!r}; "
+        f"it takes 'quantity', 'alpha', 'omega', {own}")
 
 
 def test_run_plan_is_deterministic():
@@ -191,7 +208,8 @@ def test_delta_method_benchmark_sd_matches_formula():
 
 
 def test_delta_method_rejects_unknown_quantity():
-    with pytest.raises(ValidationError, match="unknown quantity"):
+    with pytest.raises(ValidationError, match="unknown quantity 'bogus'; expected one of "
+                                              "'plug_in', 'unbiased_benchmark'"):
         run_plan(plan("delta_method_check", 100, quantity="bogus"))
 
 
