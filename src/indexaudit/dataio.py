@@ -13,22 +13,14 @@ is skipped. Long (tidy) layouts throughout:
   given and mirrored values must agree), or ``households`` (an integer count,
   group columns empty).
 
-Every loader reads its file with one reader (see ``_read``): the header
-line once, then the data as one or more byte ranges, each split at commas
-and line ends directly, a chunk of lines at a time. From the header or the
-first chunk that the direct split cannot read exactly as the csv module does
-(a quote, a NUL, a lone carriage return, an over-long line, a ragged row,
-bytes that are not UTF-8), the csv module reads on from that chunk's own
-bytes to the end of the file, one chunk of rows at a time. So memory stays
-bounded for every file, each file is read once, and a pipe is read as a
-regular file is. Blank rows are skipped as the csv module skips them. Both
-give the same result and the same errors.
-
-Micro data, the largest input, is read on every core: a regular file is cut
-at line starts into byte ranges, each read in a process of its own. A pipe,
-a small file and the other inputs are one range to the end of the stream.
-The micro writer spreads its formatting the same way. Both fork through
-``_fork_parts``, and ``_part_count`` decides how many parts.
+Every loader reads its file with one reader, ``_read``, in byte ranges: the
+data is split directly at commas and line ends, and from the first chunk
+that this cannot read exactly as the csv module does, the csv module reads
+on. Both give the same result and the same errors, in bounded memory, from
+a pipe as from a regular file. Micro data, the largest input, is read in
+ranges on every core, and the micro writer spreads its formatting the same
+way: both fork through ``_fork_parts``, and ``_part_count`` decides how
+many parts.
 
 Loaders raise ValidationError naming the file and line of the offense; text
 that is not UTF-8 and a field longer than ``csv.field_size_limit()`` are
@@ -37,6 +29,7 @@ ValidationErrors too. Writers emit full-precision floats (repr round-trip).
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
@@ -67,6 +60,8 @@ _CHUNK_CHARS = 1 << 18
 # of its part stay small beside the formatting. On a 2-core x86-64 VM one
 # process writes 64,000 amounts in about 30 ms and two in 26 ms, while a fork
 # costs 10-17 ms of CPU, so a smaller part would buy wall time with CPU.
+# Threads hold the GIL between numpy calls: 200,000 amounts take 71 ms (93 ms
+# CPU) in two threads, 76 (72) in one process and 54 (84) in two.
 _VALUES_PER_PART = 65_536
 # Bytes of micro data each reader process reads at least, so that its fork
 # and the copy of its rows back stay small beside the parsing (on a 2-core
@@ -182,17 +177,16 @@ def _split(text: str, header: Sequence[str], start: int) -> _Chunk | None:
 def _read(path: Path, columns: Sequence[str], optional: Sequence[str],
           read: Callable[[Iterator[_Chunk]], _Result],
           per_part: int = 0) -> list[tuple[int, _Result]]:
-    """``read`` run over the data rows of each byte range of the file, in
-    file order, each with the number to add to its line numbers.
+    """``read`` run over the data rows of each byte range of the file that
+    has any, in file order, each with the number to add to its line numbers.
 
     The header is read once. Where the direct split reads it, a regular file
     is cut at line starts into ``_part_count(size, per_part)`` ranges (one
-    where ``per_part`` is 0): this process reads the first, a forked child
-    each other. Anything else is one range to the end of the stream. From
-    the first chunk of a range that the direct split cannot read, the csv
-    module reads on, in this process, to the end of the file, and the ranges
-    after it are dropped: results and errors are those of one reader.
-    """
+    where ``per_part`` is 0), else the stream is one range. This process
+    reads the first, a forked child each other, alike: split directly up to
+    its end, or from its first chunk the direct split cannot read, by the
+    csv module to the end of the file. Ranges are joined in file order up to
+    that one, and errors raised in that order, as one reader meets them."""
     with _open(path) as raw:
         line, header = raw.readline(), None
         # a leading byte-order mark, as spreadsheets write, is not header text
@@ -200,83 +194,80 @@ def _read(path: Path, columns: Sequence[str], optional: Sequence[str],
             raise ValidationError(f"{path}: empty file")
         if cut := _plain_cells(text, text.count(",") + 1):
             header = _check_header(path, cut[0], columns, optional)
-
-        def chunks(handle: IO[bytes], start: int, end: list[int | None] | None = None,
-                   size: int = sys.maxsize) -> Iterator[_Chunk]:
-            """The data rows of the next ``size`` bytes of ``handle``, whole
-            lines numbered from ``start``, split directly a chunk at a time.
-            From the first chunk the direct split cannot read (or the header
-            line, where that is not plain), the csv module reads on to the end
-            of the stream; or, given ``end``, the rows stop there, and ``end``
-            holds the number of lines read and that chunk's offset, or None."""
-            data = line
-            while header is not None and (data := handle.read(min(_CHUNK_CHARS, size))):
-                # up to the end of the line the read stopped in
-                data += handle.readline(size - len(data))
-                if (chunk := _split(data.decode("utf-8", "replace"), header, start)) is None:
-                    break
-                if chunk[0]:
-                    yield chunk
-                size -= len(data)
-                start += data.count(b"\n")
-            if end is not None:
-                end[:] = [start, handle.tell() - len(data) if data else None]
-            elif data:
-                # the csv module reads on from this chunk's own bytes, which
-                # end at a line end, and then from the rest of the stream
-                head = io.TextIOWrapper(io.BytesIO(data), "utf-8" if header else "utf-8-sig",
-                                        newline="")
-                with io.TextIOWrapper(handle, "utf-8", newline="") as rest:
-                    yield from _csv_chunks(path, itertools.chain(head, rest), header, start,
-                                           columns, optional)
-
         info = os.fstat(raw.fileno())
         parts = (_part_count(info.st_size, per_part)
                  if per_part and header and stat.S_ISREG(info.st_mode) else 1)
-        if parts == 1:
-            rows = chunks(raw, 2 if header else 1)
-            if (chunk := next(rows, None)) is None:
-                raise ValidationError(f"{path}: no data rows")
-            return [(0, _read_range(itertools.chain([chunk], rows), read))]
-        bounds = [raw.tell()]
+        bounds = [len(line)]
         for part in range(1, parts):
             # the first line start at or after an even share of the data
             raw.seek(max(bounds[-1], bounds[0] + (info.st_size - bounds[0]) * part // parts - 1))
             raw.readline()
             bounds.append(raw.tell())
-        bounds.append(max(info.st_size, bounds[-1]))
+            raw.seek(bounds[0])
+        bounds.append(sys.maxsize)  # the last range reads to the end of the stream
 
-        def read_part(part: int) -> tuple[_Result, int, int | None]:
-            end: list[int | None] = []
+        def read_range(handle: IO[bytes], part: int, start: int) -> tuple[Any, int | None]:
+            """``_read_range`` over range ``part`` of ``handle``, lines numbered
+            from ``start``, and the line after it, or None if the csv module read on."""
+            end: int | None = start
+
+            def chunks() -> Iterator[_Chunk]:
+                nonlocal end
+                data, size = line.removeprefix(codecs.BOM_UTF8), bounds[part + 1] - bounds[part]
+                while header is not None and (data := handle.read(min(_CHUNK_CHARS, size))):
+                    # up to the end of the line the read stopped in
+                    data += handle.readline(size - len(data))
+                    if (chunk := _split(data.decode("utf-8", "replace"), header, end)) is None:
+                        break
+                    if chunk[0]:
+                        yield chunk
+                    size -= len(data)
+                    end += data.count(b"\n")
+                if data:
+                    line_no, end = end, None
+                    yield from _csv_chunks(path, data, handle, header, line_no, columns,
+                                           optional)
+
+            return _read_range(chunks(), read), end
+
+        def read_part(spool: IO[bytes], part: int) -> None:
             # a forked child shares the file offset of ``raw``
             with _open(path) as handle:
                 handle.seek(bounds[part])
-                result = _read_range(chunks(handle, 0, end, bounds[part + 1] - bounds[part]),
-                                     read)
-            return result, *end
+                pickle.dump(read_range(handle, part, 0), spool, protocol=5)
 
         with contextlib.ExitStack() as stack:
-            first, spools = _fork_parts(
-                parts, lambda spool, part: pickle.dump(read_part(part), spool, protocol=5),
-                lambda: read_part(0), f"a reader process for {path}", stack)
-            joined, start = [], 2
-            for result, lines, stop in itertools.chain([first], map(pickle.load, spools)):
-                joined.append((start, result))
-                start += lines
-                if stop is not None:
-                    raw.seek(stop)
-                    return [*joined, (0, _read_range(chunks(raw, start), read))]
-        return joined
+            first, spools = _fork_parts(parts, read_part,
+                                        lambda: read_range(raw, 0, 2 if header else 1),
+                                        f"a reader process for {path}", stack)
+            joined, start = [], 0
+            for result, end in itertools.chain([first], map(pickle.load, spools)):
+                if isinstance(result, ValidationError):
+                    raise (_LineError(path, start + result.args[1], result.args[2])
+                           if isinstance(result, _LineError) else result)
+                if result is not None:
+                    joined.append((start, result))
+                if end is None:
+                    break
+                start += end
+    if not joined:
+        raise ValidationError(f"{path}: no data rows")
+    return joined
 
 
-def _csv_chunks(path: Path, source: Iterable[str], header: Sequence[str] | None,
+def _csv_chunks(path: Path, data: bytes, handle: IO[bytes], header: Sequence[str] | None,
                 start: int, columns: Sequence[str],
                 optional: Sequence[str]) -> Iterator[_Chunk]:
-    """The data rows of ``source``, whose first line is line ``start`` of the
-    file, read by the csv module ``_CHUNK_CHARS // 32`` rows at a time; the
-    header is read first where it is not given. A read error is raised where
-    it is met, a ragged row once ``source`` has been read."""
-    reader, ragged = csv.reader(source), None
+    """The data rows of ``data``, whole lines from line ``start`` of the file
+    on, and of the rest of ``handle``, read by the csv module ``_CHUNK_CHARS
+    // 32`` rows at a time; the header is read first where it is not given.
+    Lines are split where ``newline=""`` splits them and each is decoded once
+    it is reached, so a read error (bytes that are not UTF-8 too) is raised
+    where it is met; a ragged row once the file has been read."""
+    blocks = itertools.chain([data], iter(
+        lambda: handle.read(_CHUNK_CHARS) + handle.readline(), b""))
+    source = itertools.chain.from_iterable(block.splitlines(keepends=True) for block in blocks)
+    reader, ragged = csv.reader(map(bytes.decode, source)), None
     try:
         if header is None:
             header = _check_header(path, next(reader), columns, optional)
@@ -293,8 +284,8 @@ def _csv_chunks(path: Path, source: Iterable[str], header: Sequence[str] | None,
                         lines.append(line_no)
                         rows.append(row)
                     elif ragged is None:
-                        ragged = ValidationError(f"{path}:{line_no}: expected "
-                                                 f"{width} fields, got {len(row)}")
+                        ragged = _LineError(path, line_no,
+                                            f"expected {width} fields, got {len(row)}")
                 line_no = start + reader.line_num
             if reader.line_num == read:
                 break
@@ -306,22 +297,33 @@ def _csv_chunks(path: Path, source: Iterable[str], header: Sequence[str] | None,
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:
-        raise ValidationError(f"{path}:{start - 1 + reader.line_num}: {exc}") from None
+        raise _LineError(path, start - 1 + reader.line_num, str(exc)) from None
 
 
-def _read_range(chunks: Iterator[_Chunk],
-                read: Callable[[Iterator[_Chunk]], _Result]) -> _Result:
-    """``read(chunks)``, after which the rest of ``chunks`` is read: a read
-    error or a ragged row later in the file comes before what ``read``
-    returns or the ValidationError it raises."""
+class _LineError(ValidationError):
+    """``(path, line, text)``: ``text`` on line ``line`` of ``path``, which
+    ``_read`` moves from a byte range's own numbering to the file's."""
+
+    def __str__(self) -> str:
+        return "{}:{}: {}".format(*self.args)
+
+
+def _read_range(chunks: Iterator[_Chunk], read: Callable[[Iterator[_Chunk]], _Result]
+                ) -> _Result | ValidationError | None:
+    """``read(chunks)``, or None where ``chunks`` is empty, after which the
+    rest of ``chunks`` is read; a ValidationError either raises is returned,
+    so a read error later in the file comes before what ``read`` gives."""
     try:
-        result = read(chunks)
+        if (chunk := next(chunks, None)) is None:
+            return None
+        try:
+            result = read(itertools.chain([chunk], chunks))
+        except ValidationError as exc:
+            result = exc
+        for _ in chunks:
+            pass
     except ValidationError as exc:
-        result = exc
-    for _ in chunks:
-        pass
-    if isinstance(result, ValidationError):
-        raise result
+        return exc
     return result
 
 
@@ -608,8 +610,6 @@ def _households(path: Path, parts: Sequence[tuple[int, _Rows]],
             raise ValidationError(f"{path}:{start + line}: {message}")
         coded.append((rows, household, None if order is not None
                        else _encode(group_code, rows.group_labels)))
-    if not any(rows.amounts for rows, _, _ in coded):
-        raise ValidationError(f"{path}: no data rows")
     m = len(group_code) if order is None else len(order)
     spend = np.zeros(len(household_code) * m)
     # a sum that overflows is the panel's error, not a warning
@@ -810,8 +810,7 @@ def write_households(path: str | Path, panel: HouseholdPanel,
         # a child inherits unwritten buffers, so none may be left
         handle.flush()
         _, spools = _fork_parts(parts, write_range, lambda: write_range(handle, 0),
-                                f"a writer process for {target}", stack, mode="w+b",
-                                dir=target.parent)
+                                f"a writer process for {target}", stack, dir=target.parent)
         for spool in spools:
             shutil.copyfileobj(spool, handle)
 

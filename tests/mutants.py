@@ -47,11 +47,11 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("dataio.py", "a ragged csv row is raised at once, before a later read error",
-           'ragged = ValidationError(f"{path}:{line_no}: expected "',
-           'raise ValidationError(f"{path}:{line_no}: expected "',
+           "ragged = _LineError(path, line_no,",
+           "raise _LineError(path, line_no,",
            ("tests/test_micro_loader.py",)),
     Mutant("dataio.py", "_read_range no longer reads the rest of the chunks",
-           "    for _ in chunks:\n        pass\n",
+           "        for _ in chunks:\n            pass\n",
            "",
            ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
     Mutant("dataio.py", "the csv continuation numbers its rows from one line late",
@@ -60,8 +60,8 @@ MUTANTS = [
            ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
     Mutant("dataio.py", "the csv module reads on from one line after the start of "
                         "the chunk it is handed",
-           "io.TextIOWrapper(io.BytesIO(data),",
-           'io.TextIOWrapper(io.BytesIO(data.split(b"\\n", 1)[-1]),',
+           "[data], iter(",
+           '[data.split(b"\\n", 1)[-1]], iter(',
            ("tests/test_micro_loader.py",)),
     Mutant("dataio.py", "the direct split reads bytes that are not UTF-8 as "
                         "replacement characters",
@@ -72,10 +72,21 @@ MUTANTS = [
            'if "".join(row).strip():',
            "if True:",
            ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
-    Mutant("dataio.py", "a range the direct split stops in names the offset after the "
-                        "chunk it could not read, not the chunk's own",
-           "handle.tell() - len(data) if data else None",
-           "handle.tell() if data else None",
+    Mutant("dataio.py", "a read error of a range after the first keeps the range's own "
+                        "line numbers",
+           "_LineError(path, start + result.args[1], result.args[2])",
+           "_LineError(path, result.args[1], result.args[2])",
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "the ranges after the first hand-off are kept",
+           "                if end is None:\n                    break\n",
+           "                if end is None:\n                    continue\n",
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "a child's ValidationError becomes a WorkerFailure",
+           "                pickle.dump(read_range(handle, part, 0), spool, protocol=5)\n",
+           "                result = read_range(handle, part, 0)\n"
+           "                if isinstance(result[0], ValidationError):\n"
+           "                    raise result[0]\n"
+           "                pickle.dump(result, spool, protocol=5)\n",
            ("tests/test_micro_loader.py",)),
     Mutant("dataio.py", "write_households appends the ranges in reverse",
            "        for spool in spools:\n",

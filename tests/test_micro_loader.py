@@ -14,6 +14,7 @@ repeated cells, stratum conflicts and the chunk the csv module reads on from.
 
 import contextlib
 import csv
+import json
 import os
 import signal
 import sys
@@ -243,51 +244,94 @@ def source(tmp_path, data, kind):
     assert not writer.is_alive()
 
 
-def csv_error_before_bytes_that_are_not_utf8(header, row, rows_before):
-    """A file whose over-long field comes 3,000 rows before bytes that are not
-    UTF-8; those are in the field's chunk, so the direct split cannot decode
-    it, and the csv module, reading by line, meets the field first."""
+def csv_error_before_bytes_that_are_not_utf8(header, row, rows_before, rows_after=3000):
+    """A file whose over-long field comes ``rows_after`` rows before bytes
+    that are not UTF-8; those are in the field's chunk, so the direct split
+    cannot decode it, and the csv module, reading by line, meets the field
+    first, also where the bytes follow within 8 KiB."""
     text = (header + row.format("h1") * rows_before + row.format(OVERSIZED)
-            + row.format("h1") * 3000 + row.format("\udcff"))
+            + row.format("h1") * rows_after + row.format("\udcff"))
     return text.encode("utf-8", "surrogateescape")
 
 
-@pytest.mark.parametrize("parts, kind", [(1, "file"), (2, "file"), (4, "file"),
+@pytest.mark.parametrize("parts, kind", [(1, "file"), (2, "file"), (3, "file"), (4, "file"),
                                          (1, "fifo")])
-@pytest.mark.parametrize("rows_before, line", [(1, 3), (40_000, 40_002)])
-def test_a_csv_error_before_bytes_that_are_not_utf8_is_named_first(tmp_path, rows_before,
-                                                                  line, parts, kind):
+@pytest.mark.parametrize("rows_before, rows_after, line", [
+    (1, 3000, 3), (40_000, 3000, 40_002),
+    # the bytes that are not UTF-8 follow the field within 8 KiB
+    (1, 0, 3), (12_000, 700, 12_002)])
+def test_a_csv_error_before_bytes_that_are_not_utf8_is_named_first(
+        tmp_path, rows_before, rows_after, line, parts, kind):
     if kind == "fifo" and not hasattr(os, "mkfifo"):
         pytest.skip("needs named pipes")
     data = csv_error_before_bytes_that_are_not_utf8("household_id,group,expenditure\n",
-                                                    "{},a,1\n", rows_before)
+                                                    "{},a,1\n", rows_before, rows_after)
     with source(tmp_path, data, kind) as path, forced_parts(parts), \
             pytest.raises(ValidationError) as caught:
         dataio.load_households(path, ["a", "b"])
     assert str(caught.value) == f"{path}:{line}: field larger than field limit (131072)"
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 4])
-def test_each_row_of_a_file_is_read_once(tmp_path, parts):
-    # the one quote is in the last chunk: every chunk before it is split
-    # directly, and the csv module reads on from the last one
-    rows = [f"h{i},{'ab'[i % 2]},{i}\n" for i in range(40)]
-    rows[-1] = '"h39",b,39\n'
-    path = tmp_path / "micro.csv"
-    path.write_text("household_id,group,expenditure\n" + "".join(rows), encoding="utf-8")
-    read, csv_reader = [], csv.reader
+def counting_reader(log):
+    """``csv.reader``, which, in whichever process calls it, appends a line
+    ``null`` to ``log`` and then each line it reads, as JSON."""
+    csv_reader = csv.reader
+
+    def record(line):
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(line) + "\n")
 
     def reader(source):
-        return csv_reader(read.append(line) or line for line in source)
+        record(None)
+        return csv_reader(record(line) or line for line in source)
 
+    return reader
+
+
+def reads(log):
+    """The number of ``csv.reader`` calls ``log`` holds, and the lines read."""
+    lines = list(map(json.loads, log.read_text(encoding="utf-8").splitlines()))
+    return lines.count(None), [line for line in lines if line is not None]
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+@pytest.mark.parametrize("quoted", [39, 20])
+def test_each_row_of_a_file_is_read_once(tmp_path, parts, quoted):
+    # the one quote is in the last chunk or in a middle one, and so, at
+    # three or four parts, in a middle range: every chunk before it is split
+    # directly, and the csv module reads on from its chunk to the end of the
+    # file; a range after it is dropped
+    rows = [f"h{i},{'ab'[i % 2]},{i}\n" for i in range(40)]
+    rows[quoted] = f'"h{quoted}",{"ab"[quoted % 2]},{quoted}\n'
+    path, log = tmp_path / "micro.csv", tmp_path / "reads.jsonl"
+    path.write_text("household_id,group,expenditure\n" + "".join(rows), encoding="utf-8")
     with mock.patch.object(dataio, "_CHUNK_CHARS", 24), forced_parts(parts), \
-            mock.patch.object(csv, "reader", side_effect=reader) as called:
+            mock.patch.object(csv, "reader", side_effect=counting_reader(log)):
         panel = dataio.load_households(path, ["a", "b"])
-    assert called.call_count == 1
+    calls, read = reads(log)
+    assert calls == 1
     # a chunk is 24 characters and the rest of a line: at most three lines
-    assert 1 <= len(read) <= 3 and "".join(rows).endswith("".join(read))
+    assert 1 <= len(read) - (39 - quoted) <= 3 and "".join(rows).endswith("".join(read))
     assert panel.household_ids == tuple(f"h{i}" for i in range(40))
     assert panel.expenditures.tolist() == [[i * (1 - i % 2), i * (i % 2)] for i in range(40)]
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+@pytest.mark.parametrize("last, message", [
+    (f"{OVERSIZED},a,1\n", ":60004: field larger than field limit (131072)"),
+    ('"h1",a\n', ":60004: expected 3 fields, got 2"),
+    ("\udcff,a,1\n", ": not UTF-8 text: invalid start byte"),
+], ids=["over-long", "ragged", "not-utf8"])
+def test_a_read_error_in_a_later_range_comes_before_a_failure_in_the_first(
+        tmp_path, parts, last, message):
+    # an unknown group on line 2, then rows enough for the last line to fall
+    # in the last of four ranges
+    text = ("household_id,group,expenditure\nh1,zz,1\n" + "h1,a,1\n" * 60_001 + last)
+    path = tmp_path / "micro.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with forced_parts(parts), pytest.raises(ValidationError) as caught:
+        dataio.load_households(path, ["a", "b"])
+    assert str(caught.value) == f"{path}{message}"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -424,7 +468,8 @@ def test_only_a_regular_file_of_a_single_threaded_linux_process_is_read_in_parts
         # another platform
         with mock.patch.object(dataio.sys, "platform", "darwin"):
             assert load_panel(path, ["a", "b"])[1] == want[1]
-    assert calls == [3]
+    # each of those is one range, which forks nothing
+    assert calls == [3, 1, 1, 1]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the loader")

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import price_oracle
 from indexaudit import dataio
 from indexaudit.errors import ValidationError
-from test_micro_loader import (BLANK_LINES, CHUNKS, LAYOUTS, blank_lines,
-                               csv_error_before_bytes_that_are_not_utf8, plain, source,
-                               write_rows, write_with_blank_lines)
+from test_micro_loader import (BLANK_LINES, CHUNKS, LAYOUTS, blank_lines, counting_reader,
+                               csv_error_before_bytes_that_are_not_utf8, plain, reads,
+                               source, write_rows, write_with_blank_lines)
 
 # labels with a comma or a quote are quoted by csv.writer
 PERIODS = ["t0", "t1", "t2", " t1 ", "t3", "\x1ct6"] * 2 + ["t,4", 't"5']
@@ -112,10 +112,13 @@ def test_price_error_precedence(tmp_path, text, message, chunk):
 
 
 @pytest.mark.parametrize("kind", ["file", "fifo"])
-def test_a_csv_error_before_bytes_that_are_not_utf8_is_named_first(tmp_path, kind):
+@pytest.mark.parametrize("rows_after", [3000, 0])
+def test_a_csv_error_before_bytes_that_are_not_utf8_is_named_first(tmp_path, kind,
+                                                                  rows_after):
     if kind == "fifo" and not hasattr(os, "mkfifo"):
         pytest.skip("needs named pipes")
-    data = csv_error_before_bytes_that_are_not_utf8("period,group,index\n", "t,{},1\n", 0)
+    data = csv_error_before_bytes_that_are_not_utf8("period,group,index\n", "t,{},1\n", 0,
+                                                    rows_after)
     with source(tmp_path, data, kind) as path, pytest.raises(ValidationError) as caught:
         dataio.load_prices(path)
     assert str(caught.value) == f"{path}:2: field larger than field limit (131072)"
@@ -126,17 +129,13 @@ def test_each_row_of_a_file_is_read_once(tmp_path):
     # directly, and the csv module reads on from the last one
     rows = [f"t{i // 2},{'ab'[i % 2]},{i + 1}\n" for i in range(40)]
     rows[-1] = '"t19",b,40\n'
-    path = tmp_path / "prices.csv"
+    path, log = tmp_path / "prices.csv", tmp_path / "reads.jsonl"
     path.write_text("period,group,index\n" + "".join(rows), encoding="utf-8")
-    read, csv_reader = [], csv.reader
-
-    def reader(lines):
-        return csv_reader(read.append(line) or line for line in lines)
-
     with mock.patch.object(dataio, "_CHUNK_CHARS", 24), \
-            mock.patch.object(csv, "reader", side_effect=reader) as called:
+            mock.patch.object(csv, "reader", side_effect=counting_reader(log)):
         prices = dataio.load_prices(path)
-    assert called.call_count == 1
+    calls, read = reads(log)
+    assert calls == 1
     # a chunk is 24 bytes and the rest of a line: at most three lines
     assert 1 <= len(read) <= 3 and "".join(rows).endswith("".join(read))
     assert prices.period_labels == tuple(f"t{i}" for i in range(20))
