@@ -595,7 +595,8 @@ _COMMANDS = (
                           "build fails by chance far more often: on about 5% of seeds "
                           "at 1, 15% at 0.5 and 72% at 0.2."),
         click.Option(["--jobs"], type=int, default=1, show_default=True,
-                     help="Worker processes (output is identical for any value)."),
+                     help="At most this many worker processes, one per core; none off "
+                          "Linux or beside another thread. Output is identical for any value."),
     )),
     ("report", "Full audit: Z and B tests, coverage, and MSE in one document.", (
         *_AUDIT_INPUTS,

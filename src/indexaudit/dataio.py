@@ -863,9 +863,11 @@ def _fork_parts(parts: int, work: Callable[[IO, int], object],
 
 def _part_count(size: int, per_part: int) -> int:
     """How many processes share work of ``size`` units: one per available
-    core and per ``per_part`` units, at least one. Only a Linux process with
-    no other Python thread forks: elsewhere fork is unsafe or absent, and a
-    forked child would hold a copy of every lock another thread might own."""
+    core and per ``per_part`` units, at least one. The package's one rule for
+    forking, for the micro reader and writer and for ``verify``'s workers.
+    Only a Linux process with no other Python thread forks: elsewhere fork
+    is unsafe or absent, and a forked child would hold a copy of every lock
+    another thread might own."""
     if sys.platform != "linux" or threading.active_count() != 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), size // per_part))

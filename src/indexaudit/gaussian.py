@@ -374,14 +374,12 @@ _P_LOW = 0.02425
 
 
 def _quantile_guess(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * _log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
+    upper = p > 1.0 - _P_LOW
+    if p < _P_LOW or upper:
+        q = math.sqrt(-2.0 * _log(1.0 - p if upper else p))
+        tail = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * _log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+        return -tail if upper else tail
     q = p - 0.5
     r = q * q
     return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -36,6 +35,7 @@ from .coverage import (
     default_variance_of_variance,
 )
 from .core import PriceSeries, _quadratic_forms
+from .dataio import _part_count
 from .errors import ValidationError, WorkerFailure
 from .seeding import derive_seed, generator
 
@@ -183,10 +183,6 @@ def empirical_coverage(plan: SimulationPlan) -> SimulationOutcome:
                         omega=float(plan.parameters.get("omega", 0.058)))
     bias = float(plan.parameters.get("bias", 0.0))
     extra_variance = float(plan.parameters.get("extra_variance", 0.0))
-    if plan.scenario == "coverage_constant" and extra_variance != 0.0:
-        raise ValidationError("coverage_constant takes no extra_variance")
-    if plan.scenario == "coverage_unbiased" and bias != 0.0:
-        raise ValidationError("coverage_unbiased takes no bias")
     rng = Generator(PCG64(plan.seed))
     spread = math.sqrt(scheme.sigma * scheme.sigma + extra_variance)
     buffer = np.empty(min(plan.replicates, _BLOCK + 1))
@@ -491,12 +487,13 @@ SCENARIOS = {
     "mse_unbiasedness": mse_unbiasedness,
     "delta_method_check": delta_method_check,
 }
-_COVERAGE = ("alpha", "omega", "bias", "extra_variance")
 _DELTA = ("quantity", "alpha", "omega")
 # scenario -> the parameters it reads, or per quantity where the scenario
 # runs one of several; a plan with any other is refused
-_PARAMETERS = {"coverage_constant": _COVERAGE, "coverage_unbiased": _COVERAGE,
-               "coverage_biased_noisy": _COVERAGE, "z_calibration": (), "b_calibration": (),
+_PARAMETERS = {"coverage_constant": ("alpha", "omega", "bias"),
+               "coverage_unbiased": ("alpha", "omega", "extra_variance"),
+               "coverage_biased_noisy": ("alpha", "omega", "bias", "extra_variance"),
+               "z_calibration": (), "b_calibration": (),
                "power_curve": ("direction", "epsilons"),
                "mse_unbiasedness": ("true_bias", "audit_variance"),
                "delta_method_check": {
@@ -648,24 +645,23 @@ def run_verification(master_seed: int = 42, scale: float = 1.0,
     """Run the whole suite, optionally across worker processes, in stable order.
 
     Results are identical for any ``jobs`` because each check owns a derived
-    seed and the output order is the suite definition order. With ``jobs`` > 1
-    the checks run in at most ``min(jobs, 14)`` worker processes (forked on
-    Linux), so each holds only its own check's arrays. As many threads of this
-    process wait for them, one check at a time each, and run no simulation.
-    No check raises a warning, so a worker has none to pass back. A worker
-    that dies raises :class:`WorkerFailure`.
+    seed and the output order is the suite definition order. The checks run
+    in ``_part_count(min(jobs, 14), 1)`` forked workers, at most ``jobs`` and
+    one per core, each holding only its own check's arrays; in process if 1
+    (off Linux, beside another thread). As many threads of this process wait
+    for them, one check at a time each, and run no simulation. No check
+    raises a warning, so a worker has none to pass back. A worker that dies
+    raises :class:`WorkerFailure`.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     suite = default_verification_suite(master_seed, scale)
-    if jobs == 1:
+    workers = _part_count(min(jobs, len(suite)), 1)
+    if workers == 1:
         return [_execute(entry) for entry in suite]
-    workers = min(jobs, len(suite))
-    # Elsewhere, fork is unsafe once system frameworks have run (macOS)
-    # or absent; the platform's default start method is used there.
-    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
     try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool, \
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool, \
                 ThreadPoolExecutor(max_workers=workers) as waiters:
             # the first task starts every worker, before a waiting thread exists
             pool.submit(int).result()

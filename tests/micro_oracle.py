@@ -6,7 +6,9 @@ each household's expenditures as the per-household record type did. The
 writer is the one ``dataio.write_households`` replaced: one ``csv.writer``
 row per household and group. The property tests compare the columnar
 loader and the split writer against them, so keep them as they are: a
-change here no longer tests what the old code did.
+change here no longer tests what the old code did. Only a read error (a
+csv error, bytes that are not UTF-8) is raised as the ValidationError the
+loader raises for it, so that files with one can be compared too.
 """
 
 from __future__ import annotations
@@ -30,32 +32,36 @@ def read_rows(path: str | Path, columns: Sequence[str],
     with handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [cell.strip() for cell in header]
-        required = set(columns)
-        allowed = required | set(optional)
-        if not required <= set(header) or not set(header) <= allowed:
-            raise ValidationError(
-                f"{path}: header must contain {', '.join(columns)}"
-                + (f" (optionally {', '.join(optional)})" if optional else "")
-                + f"; got {', '.join(header)}"
-            )
-        if len(set(header)) != len(header):
-            raise ValidationError(f"{path}: duplicated header column")
-        rows = []
-        # each row is numbered by the line it starts on
-        next_line = reader.line_num + 1
-        for row in reader:
-            line_no, next_line = next_line, reader.line_num + 1
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file")
+            header = [cell.strip() for cell in header]
+            required = set(columns)
+            allowed = required | set(optional)
+            if not required <= set(header) or not set(header) <= allowed:
                 raise ValidationError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}: header must contain {', '.join(columns)}"
+                    + (f" (optionally {', '.join(optional)})" if optional else "")
+                    + f"; got {', '.join(header)}"
                 )
-            rows.append((line_no, {key: cell.strip() for key, cell in zip(header, row)}))
+            if len(set(header)) != len(header):
+                raise ValidationError(f"{path}: duplicated header column")
+            rows = []
+            # each row is numbered by the line it starts on
+            next_line = reader.line_num + 1
+            for row in reader:
+                line_no, next_line = next_line, reader.line_num + 1
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append((line_no, {key: cell.strip() for key, cell in zip(header, row)}))
+        except csv.Error as exc:
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
         if not rows:
             raise ValidationError(f"{path}: no data rows")
         return rows

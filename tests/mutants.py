@@ -185,6 +185,18 @@ MUTANTS = [
            "        if unread:\n",
            "        if False:\n",
            ("tests/test_montecarlo.py",)),
+    Mutant("montecarlo.py", "coverage_constant's table takes extra_variance",
+           '"coverage_constant": ("alpha", "omega", "bias"),',
+           '"coverage_constant": ("alpha", "omega", "bias", "extra_variance"),',
+           ("tests/test_montecarlo.py",)),
+    Mutant("montecarlo.py", "verify sizes its pool from --jobs alone",
+           "workers = _part_count(min(jobs, len(suite)), 1)",
+           "workers = min(jobs, len(suite))",
+           ("tests/test_montecarlo.py",)),
+    Mutant("gaussian.py", "the quantile guess keeps the upper tail's sign",
+           "return -tail if upper else tail",
+           "return tail",
+           ("tests/test_gaussian.py",)),
     Mutant("gaussian.py", "pdf takes numpy's exp",
            "    value = _exp(-0.5 * x * x)\n",
            "    value = np.exp(-0.5 * x * x)\n",

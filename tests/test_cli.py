@@ -540,12 +540,15 @@ def test_verify_is_identical_across_jobs_at_block_boundaries(capsys, tmp_path):
                     reason="the patch reaches the workers only through fork")
 def test_verify_worker_death_is_a_one_line_error(capsys, tmp_path, monkeypatch):
     from indexaudit import montecarlo
+    parent = os.getpid()
 
     def die(plan):
+        assert os.getpid() != parent, "the check ran in the parent"
         os._exit(9)
 
-    # the forked workers inherit the patched table
+    # the forked workers inherit the patched table; two cores make two of them
     monkeypatch.setitem(montecarlo.SCENARIOS, "mse_unbiasedness", die)
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "verify.json"
     code, stdout, err = run(capsys, "verify", "--scale", "0.01", "--jobs", "2",
                             "--output", str(out))

@@ -64,7 +64,8 @@ def plain(cells):
 @st.composite
 def micro_files(draw, plain_rows=False):
     """A header and data rows; unless ``plain_rows``, with quoted cells and
-    now and then a blank or ragged row."""
+    now and then a blank or ragged row, or else a field too long or bytes
+    that are not UTF-8 in one cell."""
     pick = plain if plain_rows else list
     columns = ["household_id", "group", "expenditure"]
     if draw(st.booleans()):
@@ -95,6 +96,14 @@ def micro_files(draw, plain_rows=False):
             st.integers(0, len(rows)), st.one_of(blank_row, blank_row, ragged_row)),
             max_size=draw(st.sampled_from([0, 0, 1, 2])))):
         rows.insert(position, row)
+    # at most one kind of read defect: the loader names a ragged row once it
+    # has read the file, the reference where it meets it; joined at commas,
+    # a row with a comma or a carriage return in a cell is ragged too
+    defect = draw(st.sampled_from([None, None, None, OVERSIZED, "\udcff"]))
+    if defect and all(not "".join(row).strip() or len(row) == len(header)
+                      and not set("".join(row)) & set(",\r") for row in rows):
+        row = draw(st.sampled_from([row for row in rows if len(row) == len(header)]))
+        row[draw(st.integers(0, len(header) - 1))] = defect
     return header, rows
 
 
@@ -123,13 +132,13 @@ def load_panel(path, labels):
 
 def write_rows(path, header, rows, layout):
     if layout == "csv":
-        with path.open("w", newline="", encoding="utf-8") as handle:
+        with path.open("w", newline="", encoding="utf-8", errors="surrogateescape") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(rows)
     else:
         text = "".join(",".join(row) + layout for row in [header, *rows])
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 @settings(max_examples=800, deadline=None,

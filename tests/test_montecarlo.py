@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import warnings
 from concurrent.futures import Future
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from indexaudit import montecarlo
+from indexaudit import dataio, montecarlo
 from indexaudit.coverage import EvalScheme
 from indexaudit.errors import ValidationError
 from indexaudit.montecarlo import (
@@ -40,8 +41,8 @@ def test_plan_validation():
 
 
 @pytest.mark.parametrize("scenario, key, taken", [
-    ("coverage_constant", "extra_varaince", "'alpha', 'omega', 'bias', 'extra_variance'"),
-    ("coverage_unbiased", "omgea", "'alpha', 'omega', 'bias', 'extra_variance'"),
+    ("coverage_constant", "extra_variance", "'alpha', 'omega', 'bias'"),
+    ("coverage_unbiased", "bias", "'alpha', 'omega', 'extra_variance'"),
     ("coverage_biased_noisy", "bais", "'alpha', 'omega', 'bias', 'extra_variance'"),
     ("z_calibration", "alpha", "none"),
     ("b_calibration", "epsilons", "none"),
@@ -122,10 +123,16 @@ def test_coverage_degenerate_tail_z_convention():
 
 
 def test_coverage_parameter_contracts():
-    with pytest.raises(ValidationError, match="no extra_variance"):
-        run_plan(plan("coverage_constant", 100, extra_variance=1e-4))
-    with pytest.raises(ValidationError, match="no bias"):
-        run_plan(plan("coverage_unbiased", 100, bias=0.01))
+    # the table refuses the other scenario's key when the plan is made, even
+    # at a value that would change nothing
+    for scenario, key in (("coverage_constant", "extra_variance"),
+                          ("coverage_unbiased", "bias")):
+        with pytest.raises(ValidationError, match=f"takes no parameter '{key}'"):
+            plan(scenario, 100, **{key: 0.0})
+    assert run_plan(plan("coverage_constant", 100, bias=0.01))[0].extras == {
+        "bias": 0.01, "extra_variance": 0.0}
+    assert run_plan(plan("coverage_unbiased", 100, extra_variance=1e-4))[0].extras == {
+        "bias": 0.0, "extra_variance": 1e-4}
 
 
 # --- calibration and power -----------------------------------------------------------
@@ -401,21 +408,36 @@ class RecordingExecutor:
         return map(fn, iterable)
 
 
-def test_worker_count_is_capped_at_the_suite_size(monkeypatch):
+@pytest.mark.parametrize("cores, jobs, caller, workers", [
+    # at most one worker per check, per job and per available core
+    (16, 2, None, 2), (16, 14, None, 14), (16, 15, None, 14), (16, 100_000, None, 14),
+    (2, 15, None, 2),
+    # none on one core, beside another thread or off Linux: the suite runs here
+    (1, 15, None, 0), (16, 15, "a live thread", 0), (16, 15, "another platform", 0),
+])
+def test_worker_count_is_capped_at_the_suite_size(monkeypatch, cores, jobs, caller, workers):
+    expected = run_verification(master_seed=3, scale=1e-9, jobs=1)
     monkeypatch.setattr(RecordingExecutor, "calls", [])
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
-    expected = run_verification(master_seed=3, scale=1e-9, jobs=1)
-    assert RecordingExecutor.calls == []
-    for jobs in (2, 14, 15, 100_000):
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    if caller == "another platform":
+        monkeypatch.setattr(dataio.sys, "platform", "darwin")
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10,))
+    if caller == "a live thread":
+        waiter.start()
+    try:
         assert run_verification(master_seed=3, scale=1e-9, jobs=jobs) == expected
-    # one process pool and one set of waiting threads per run, as large as each other
-    workers = [workers for workers, _ in RecordingExecutor.calls]
-    assert workers == [2, 2, 14, 14, 14, 14, 14, 14]
-    contexts = [context for _, context in RecordingExecutor.calls]
-    assert contexts[1::2] == [None] * 4
-    assert [c and c.get_start_method() for c in contexts[::2]] == (
-        ["fork"] * 4 if sys.platform == "linux" else [None] * 4)
+    finally:
+        release.set()
+        if waiter.is_alive():
+            waiter.join(10)
+    assert not waiter.is_alive()
+    # one forked process pool and as many waiting threads, or neither
+    pools = [(workers, "fork"), (workers, None)] if workers and sys.platform == "linux" else []
+    assert [(size, context and context.get_start_method())
+            for size, context in RecordingExecutor.calls] == pools
 
 
 def test_each_check_passes_through_run_plan_in_the_calling_process(monkeypatch):

@@ -8,6 +8,7 @@ Z/B checks draw agree with the package's own ``z_test`` and ``b_test``."""
 from __future__ import annotations
 
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import montecarlo_oracle as oracle
-from indexaudit import gaussian, montecarlo
+from indexaudit import dataio, gaussian, montecarlo
 from indexaudit.bias_tests import b_test, z_test
 from indexaudit.core import WeightVector
 from indexaudit.coverage import EvalScheme
@@ -241,11 +242,13 @@ def test_check_peak_stays_within_its_buffers(scenario, replicates, params):
     assert peak < bound, f"{scenario}: traced peak {peak / MB:.2f} MB, bound {bound / MB:.2f} MB"
 
 
-def test_verify_holds_no_check_array_in_the_parent():
-    # with two jobs every check runs in a worker process, so the parent holds
-    # only the plans, the pool's bookkeeping and the results. A forked worker
-    # would go on tracing its own allocations, which only slows it down: a
-    # fork hook, live for this test alone, stops tracing in each child.
+@pytest.mark.skipif(sys.platform != "linux", reason="only Linux forks verify's workers")
+def test_verify_holds_no_check_array_in_the_parent(monkeypatch):
+    # with two jobs on two cores every check runs in a worker process, so
+    # the parent holds only the plans, the pool's bookkeeping and the
+    # results. A forked worker would go on tracing its own allocations, which
+    # only slows it down: a fork hook, live for this test alone, stops
+    # tracing in each child.
     tracing = True
 
     def stop_tracing_in_child():
@@ -253,6 +256,7 @@ def test_verify_holds_no_check_array_in_the_parent():
             tracemalloc.stop()
 
     os.register_at_fork(after_in_child=stop_tracing_in_child)
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0, 1})
     try:
         peak = traced_peak(montecarlo.run_verification, 7, 20.0, 2)
     finally:
