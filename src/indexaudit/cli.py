@@ -7,10 +7,9 @@ default or as an aligned table with --format table, to stdout unless
 
 Exit codes: 0 success, 1 configuration error (bad flags, missing files),
 2 data error (files that parse or validate wrong), 3 verification failure
-(the Monte Carlo suite tripped a gate), 4 a worker process failed (a verify
-worker, or one of the processes simulate writes its file with). All failures
-print a one-line JSON error object to stderr; invalid input never produces a
-traceback.
+(the Monte Carlo suite tripped a gate), 4 a verify worker process died. All
+failures print a one-line JSON error object to stderr; invalid input never
+produces a traceback.
 """
 
 from __future__ import annotations

@@ -13,14 +13,11 @@ is skipped. Long (tidy) layouts throughout:
   given and mirrored values must agree), or ``households`` (an integer count,
   group columns empty).
 
-Every loader reads its file with one reader, ``_read``, in byte ranges: the
+Every loader reads its file with one reader, ``_read``, in one pass: the
 data is split directly at commas and line ends, and from the first chunk
 that this cannot read exactly as the csv module does, the csv module reads
 on. Both give the same result and the same errors, in bounded memory, from
-a pipe as from a regular file. Micro data, the largest input, is read in
-ranges on every core, and the micro writer spreads its formatting the same
-way: both fork through ``_fork_parts``, and ``_part_count`` decides how
-many parts.
+a pipe as from a regular file.
 
 Loaders raise ValidationError naming the file and line of the offense; text
 that is not UTF-8 and a field longer than ``csv.field_size_limit()`` are
@@ -35,18 +32,12 @@ import csv
 import io
 import itertools
 import os
-import pickle
-import shutil
 import stat
-import sys
-import tempfile
-import threading
 from pathlib import Path
-from typing import (IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
-                    TypeVar)
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .core import PriceSeries, WeightVector
-from .errors import ConfigError, ValidationError, WorkerFailure
+from .errors import ConfigError, ValidationError
 from .survey import HouseholdPanel, WeightEstimate
 
 import numpy as np
@@ -56,18 +47,6 @@ import numpy as np
 # at once. Where the csv module reads, it reads a 32nd as many rows at a time
 # (8,192), about as many as a chunk of micro data holds.
 _CHUNK_CHARS = 1 << 18
-# Amounts each writer process formats at least, so that its fork and the copy
-# of its part stay small beside the formatting. On a 2-core x86-64 VM one
-# process writes 64,000 amounts in about 30 ms and two in 26 ms, while a fork
-# costs 10-17 ms of CPU, so a smaller part would buy wall time with CPU.
-# Threads hold the GIL between numpy calls: 200,000 amounts take 71 ms (93 ms
-# CPU) in two threads, 76 (72) in one process and 54 (84) in two.
-_VALUES_PER_PART = 65_536
-# Bytes of micro data each reader process reads at least, so that its fork
-# and the copy of its rows back stay small beside the parsing (on a 2-core
-# x86-64 VM, two parts read a 300 KB file no faster than one, and a 600 KB
-# file in 8.4 ms, not 9.9).
-_BYTES_PER_PART = 1 << 19
 # the ASCII characters besides line ends that str.strip removes
 _ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
@@ -175,18 +154,13 @@ def _split(text: str, header: Sequence[str], start: int) -> _Chunk | None:
 
 
 def _read(path: Path, columns: Sequence[str], optional: Sequence[str],
-          read: Callable[[Iterator[_Chunk]], _Result],
-          per_part: int = 0) -> list[tuple[int, _Result]]:
-    """``read`` run over the data rows of each byte range of the file that
-    has any, in file order, each with the number to add to its line numbers.
+          read: Callable[[Iterator[_Chunk]], _Result]) -> _Result:
+    """``read`` run over the data rows of the file, in file order.
 
-    The header is read once. Where the direct split reads it, a regular file
-    is cut at line starts into ``_part_count(size, per_part)`` ranges (one
-    where ``per_part`` is 0), else the stream is one range. This process
-    reads the first, a forked child each other, alike: split directly up to
-    its end, or from its first chunk the direct split cannot read, by the
-    csv module to the end of the file. Ranges are joined in file order up to
-    that one, and errors raised in that order, as one reader meets them."""
+    The header is read once. The data is split directly, or, from its first
+    chunk the direct split cannot read, by the csv module to the end of the
+    file. The whole file is read whatever ``read`` does, so a read error
+    anywhere in it comes before a ValidationError that ``read`` raises."""
     with _open(path) as raw:
         line, header = raw.readline(), None
         # a leading byte-order mark, as spreadsheets write, is not header text
@@ -194,65 +168,33 @@ def _read(path: Path, columns: Sequence[str], optional: Sequence[str],
             raise ValidationError(f"{path}: empty file")
         if cut := _plain_cells(text, text.count(",") + 1):
             header = _check_header(path, cut[0], columns, optional)
-        info = os.fstat(raw.fileno())
-        parts = (_part_count(info.st_size, per_part)
-                 if per_part and header and stat.S_ISREG(info.st_mode) else 1)
-        bounds = [len(line)]
-        for part in range(1, parts):
-            # the first line start at or after an even share of the data
-            raw.seek(max(bounds[-1], bounds[0] + (info.st_size - bounds[0]) * part // parts - 1))
-            raw.readline()
-            bounds.append(raw.tell())
-            raw.seek(bounds[0])
-        bounds.append(sys.maxsize)  # the last range reads to the end of the stream
 
-        def read_range(handle: IO[bytes], part: int, start: int) -> tuple[Any, int | None]:
-            """``_read_range`` over range ``part`` of ``handle``, lines numbered
-            from ``start``, and the line after it, or None if the csv module read on."""
-            end: int | None = start
-
-            def chunks() -> Iterator[_Chunk]:
-                nonlocal end
-                data, size = line.removeprefix(codecs.BOM_UTF8), bounds[part + 1] - bounds[part]
-                while header is not None and (data := handle.read(min(_CHUNK_CHARS, size))):
-                    # up to the end of the line the read stopped in
-                    data += handle.readline(size - len(data))
-                    if (chunk := _split(data.decode("utf-8", "replace"), header, end)) is None:
-                        break
-                    if chunk[0]:
-                        yield chunk
-                    size -= len(data)
-                    end += data.count(b"\n")
-                if data:
-                    line_no, end = end, None
-                    yield from _csv_chunks(path, data, handle, header, line_no, columns,
-                                           optional)
-
-            return _read_range(chunks(), read), end
-
-        def read_part(spool: IO[bytes], part: int) -> None:
-            # a forked child shares the file offset of ``raw``
-            with _open(path) as handle:
-                handle.seek(bounds[part])
-                pickle.dump(read_range(handle, part, 0), spool, protocol=5)
-
-        with contextlib.ExitStack() as stack:
-            first, spools = _fork_parts(parts, read_part,
-                                        lambda: read_range(raw, 0, 2 if header else 1),
-                                        f"a reader process for {path}", stack)
-            joined, start = [], 0
-            for result, end in itertools.chain([first], map(pickle.load, spools)):
-                if isinstance(result, ValidationError):
-                    raise (_LineError(path, start + result.args[1], result.args[2])
-                           if isinstance(result, _LineError) else result)
-                if result is not None:
-                    joined.append((start, result))
-                if end is None:
+        def split() -> Iterator[_Chunk]:
+            data, start = line.removeprefix(codecs.BOM_UTF8), 2 if header else 1
+            while header is not None and (data := raw.read(_CHUNK_CHARS)):
+                # up to the end of the line the read stopped in
+                data += raw.readline()
+                if (chunk := _split(data.decode("utf-8", "replace"), header, start)) is None:
                     break
-                start += end
-    if not joined:
-        raise ValidationError(f"{path}: no data rows")
-    return joined
+                if chunk[0]:
+                    yield chunk
+                start += data.count(b"\n")
+            if data:
+                yield from _csv_chunks(path, data, raw, header, start, columns, optional)
+
+        chunks = split()
+        if (chunk := next(chunks, None)) is None:
+            raise ValidationError(f"{path}: no data rows")
+        failure = None
+        try:
+            result = read(itertools.chain([chunk], chunks))
+        except ValidationError as exc:
+            failure = exc
+        for _ in chunks:
+            pass
+    if failure is not None:
+        raise failure
+    return result
 
 
 def _csv_chunks(path: Path, data: bytes, handle: IO[bytes], header: Sequence[str] | None,
@@ -284,8 +226,8 @@ def _csv_chunks(path: Path, data: bytes, handle: IO[bytes], header: Sequence[str
                         lines.append(line_no)
                         rows.append(row)
                     elif ragged is None:
-                        ragged = _LineError(path, line_no,
-                                            f"expected {width} fields, got {len(row)}")
+                        ragged = ValidationError(
+                            f"{path}:{line_no}: expected {width} fields, got {len(row)}")
                 line_no = start + reader.line_num
             if reader.line_num == read:
                 break
@@ -297,34 +239,7 @@ def _csv_chunks(path: Path, data: bytes, handle: IO[bytes], header: Sequence[str
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:
-        raise _LineError(path, start - 1 + reader.line_num, str(exc)) from None
-
-
-class _LineError(ValidationError):
-    """``(path, line, text)``: ``text`` on line ``line`` of ``path``, which
-    ``_read`` moves from a byte range's own numbering to the file's."""
-
-    def __str__(self) -> str:
-        return "{}:{}: {}".format(*self.args)
-
-
-def _read_range(chunks: Iterator[_Chunk], read: Callable[[Iterator[_Chunk]], _Result]
-                ) -> _Result | ValidationError | None:
-    """``read(chunks)``, or None where ``chunks`` is empty, after which the
-    rest of ``chunks`` is read; a ValidationError either raises is returned,
-    so a read error later in the file comes before what ``read`` gives."""
-    try:
-        if (chunk := next(chunks, None)) is None:
-            return None
-        try:
-            result = read(itertools.chain([chunk], chunks))
-        except ValidationError as exc:
-            result = exc
-        for _ in chunks:
-            pass
-    except ValidationError as exc:
-        return exc
-    return result
+        raise ValidationError(f"{path}:{start - 1 + reader.line_num}: {exc}") from None
 
 
 def _not_a_number(path: Path, line_no: int, column: str, text: str) -> ValidationError:
@@ -368,7 +283,7 @@ def load_prices(path: str | Path) -> PriceSeries:
     """
     path = Path(path)
     return _read(path, ("period", "group", "index"), (),
-                 lambda chunks: _prices(path, chunks))[0][1]
+                 lambda chunks: _prices(path, chunks))
 
 
 def _prices(path: Path, chunks: Iterable[_Chunk]) -> PriceSeries:
@@ -432,7 +347,7 @@ def load_weights(path: str | Path,
     """
     path = Path(path)
     return _read(path, ("source", "group", "weight"), (),
-                 lambda chunks: _weights(path, chunks, group_labels))[0][1]
+                 lambda chunks: _weights(path, chunks, group_labels))
 
 
 def _weights(path: Path, chunks: Iterable[_Chunk],
@@ -486,45 +401,25 @@ def load_households(path: str | Path,
     chunk; the error raised is the one on the lowest line and, within a line,
     the first of: unknown group, non-number, negative amount, stratum
     conflict. Only integer codes and amounts are kept per row.
-
-    A regular file is read in byte ranges, one per part (see ``_read``).
     """
     path = Path(path)
     order = None if group_labels is None else list(group_labels)
-    return _households(path, _read(path, ("household_id", "group", "expenditure"),
-                                   ("stratum",), lambda chunks: _read_rows(path, chunks, order),
-                                   _BYTES_PER_PART), order)
+    return _read(path, ("household_id", "group", "expenditure"), ("stratum",),
+                 lambda chunks: _households(path, chunks, order))
 
 
-class _Rows(NamedTuple):
-    """The data rows of a range of a micro file, coded against the range's
-    own tables, whose labels are in order of first appearance."""
-
-    # per chunk: each row's household code, group code (a position in the
-    # order given) and amount
-    households: list[np.ndarray]
-    groups: list[np.ndarray]
-    amounts: list[np.ndarray]
-    household_ids: list[str]
-    group_labels: list[str]
-    stratum_labels: list[str]  # empty without a stratum column
-    first_strata: np.ndarray  # each household's first stratum code
-    first_lines: list[int]  # the line of each household's first row
-    failure: tuple[int, int, str] | None  # (line, check order, message)
-
-
-def _read_rows(path: Path, chunks: Iterable[_Chunk], order: list[str] | None) -> _Rows:
-    """The rows of ``chunks`` up to the first chunk where a check fails; its
-    failure is the one on the lowest line."""
+def _households(path: Path, chunks: Iterable[_Chunk], order: list[str] | None
+                ) -> HouseholdPanel:
+    """The panel of the rows of ``chunks``; at the first chunk where a check
+    fails, the failure on its lowest line is raised."""
     group_code = {} if order is None else {g: i for i, g in enumerate(order)}
     household_code: dict[str, int] = {}
     stratum_code: dict[str, int] = {}
-    # the stratum code and the line of each household's first row, in
-    # household code order
+    # the stratum code of each household's first row, in household code order
     first_strata = np.empty(0, dtype=np.intp)
-    first_lines: list[int] = []
+    # per chunk: each row's household code, group code (a position in the
+    # order given) and amount
     households, groups, amounts = [], [], []
-    failure = None
     for lines, cols in chunks:
         ids, group_cells, texts = cols["household_id"], cols["group"], cols["expenditure"]
         seen = len(household_code)
@@ -561,7 +456,6 @@ def _read_rows(path: Path, chunks: Iterable[_Chunk], order: list[str] | None) ->
             new_rows = np.flatnonzero(household >= seen)
             first_rows = new_rows[np.unique(household[new_rows], return_index=True)[1]]
             first_strata = np.concatenate([first_strata, stratum[first_rows]])
-            first_lines += [lines[row] for row in first_rows.tolist()]
             conflicts = np.flatnonzero(stratum != first_strata[household])
             if conflicts.size:
                 row = int(conflicts[0])
@@ -569,59 +463,19 @@ def _read_rows(path: Path, chunks: Iterable[_Chunk], order: list[str] | None) ->
                 failures.append((row, 3, f"household {ids[row]!r} appears under two "
                                          f"strata ({first!r} and {strata[row] or None!r})"))
         if failures:
-            row, check, message = min(failures)
-            failure = (lines[row], check, message)
-            break
+            row, _, message = min(failures)
+            raise ValidationError(f"{path}:{lines[row]}: {message}")
         households.append(household)
         groups.append(codes)
         amounts.append(values)
-    return _Rows(households, groups, amounts, list(household_code), list(group_code),
-                 list(stratum_code), first_strata, first_lines, failure)
-
-
-def _households(path: Path, parts: Sequence[tuple[int, _Rows]],
-                order: list[str] | None) -> HouseholdPanel:
-    """The panel of the rows of each part in turn, whose lines are numbered
-    from the first number given with it; the failure on the lowest line,
-    a household's stratum conflicting across parts included, is raised."""
-    group_code = {} if order is None else {g: i for i, g in enumerate(order)}
-    household_code: dict[str, int] = {}
-    stratum_code: dict[str, int] = {}
-    first_strata = np.empty(0, dtype=np.intp)
-    coded = []  # each part's rows, with its household and group codes here
-    for start, rows in parts:
-        failures = [] if rows.failure is None else [rows.failure]
-        seen = len(household_code)
-        household = _encode(household_code, rows.household_ids)
-        if rows.stratum_labels:
-            stratum = _encode(stratum_code, rows.stratum_labels)[rows.first_strata]
-            first_strata = np.concatenate([first_strata, stratum[household >= seen]])
-            # a household first seen in an earlier part conflicts at its
-            # first row in this one
-            conflicts = np.flatnonzero(stratum != first_strata[household])
-            if conflicts.size:
-                h = min(conflicts.tolist(), key=rows.first_lines.__getitem__)
-                first = list(stratum_code)[first_strata[household[h]]] or None
-                failures.append((rows.first_lines[h], 3, (
-                    f"household {rows.household_ids[h]!r} appears under two strata "
-                    f"({first!r} and {rows.stratum_labels[rows.first_strata[h]] or None!r})")))
-        if failures:
-            line, _, message = min(failures)
-            raise ValidationError(f"{path}:{start + line}: {message}")
-        coded.append((rows, household, None if order is not None
-                       else _encode(group_code, rows.group_labels)))
     m = len(group_code) if order is None else len(order)
     spend = np.zeros(len(household_code) * m)
     # a sum that overflows is the panel's error, not a warning
     with np.errstate(over="ignore"):
-        for rows, household, group in coded:
-            for households, groups, amounts in zip(rows.households, rows.groups,
-                                                   rows.amounts):
-                cells = household[households] * m + (groups if group is None
-                                                     else group[groups])
-                # each cell's amounts are added in file order, as a running
-                # sum would
-                np.add.at(spend, cells, amounts)
+        for household, codes, values in zip(households, groups, amounts):
+            # each cell's amounts are added in file order, as a running sum
+            # would
+            np.add.at(spend, household * m + codes, values)
     labels = [label or None for label in stratum_code]
     return HouseholdPanel(
         household_ids=tuple(household_code),
@@ -636,7 +490,7 @@ def load_weight_estimate(path: str | Path,
     """Read a precomputed weight estimate: point weights, covariance, count."""
     path = Path(path)
     return _read(path, ("kind", "row_group", "col_group", "value"), (),
-                 lambda chunks: _weight_estimate(path, chunks, group_labels))[0][1]
+                 lambda chunks: _weight_estimate(path, chunks, group_labels))
 
 
 def _weight_estimate(path: Path, chunks: Iterable[_Chunk],
@@ -757,21 +611,15 @@ def write_weights(path: str | Path, vectors: Mapping[str, WeightVector]) -> None
 def write_households(path: str | Path, panel: HouseholdPanel,
                      group_labels: Sequence[str]) -> None:
     """Write micro data in long form; the bytes are those ``csv.writer``
-    would write row by row, with each amount as ``repr`` spells it.
+    would write row by row, with each amount as ``repr`` spells it. On any
+    failure a regular file is removed (see ``output_file``).
 
-    The households are written in contiguous ranges, one per part (see
-    ``_part_count``). This process writes the first range straight into the
-    file; each other range is written by a forked child (see
-    ``_fork_parts``) into a temporary file in the same directory, which is
-    appended in order. On any failure a regular file is removed.
-
-    A range is written a block of households at a time: each cell's line is
+    The file is written a block of households at a time: each cell's line is
     a row of bytes, its household, ``,group,``, amount (``floattext.encode``)
     and ``,stratum`` with the line end, each padded with ``floattext.PAD``,
     which UTF-8 never holds and which is then dropped."""
     from . import floattext
 
-    target = Path(path)
     pad = bytes([floattext.PAD])
     with_stratum = any(stratum is not None for stratum in panel.strata)
     # ",<group>," and ",<stratum><end of line>" for every label, quoted once
@@ -782,9 +630,11 @@ def write_households(path: str | Path, panel: HouseholdPanel,
                      + csv.excel.lineterminator for stratum in strata], pad)
     step = max(1, floattext.BLOCK // max(1, len(group_labels)))
 
-    def write_range(handle: IO[bytes], part: int) -> None:
-        for first in range(bounds[part], bounds[part + 1], step):
-            last = min(first + step, bounds[part + 1])
+    with output_file(path, binary=True) as handle:
+        header = ["household_id", "group", "expenditure"] + ["stratum"] * with_stratum
+        handle.write((",".join(header) + csv.excel.lineterminator).encode())
+        for first in range(0, len(panel), step):
+            last = min(first + step, len(panel))
             starts = _padded([_csv_field(household)
                               for household in panel.household_ids[first:last]], pad)
             amounts = floattext.encode(panel.expenditures[first:last])
@@ -799,21 +649,6 @@ def write_households(path: str | Path, panel: HouseholdPanel,
                                              in panel.strata[first:last]]][:, None]
             handle.write(lines.tobytes().translate(None, pad))
 
-    with output_file(target, binary=True) as handle, contextlib.ExitStack() as stack:
-        # a device or a pipe is written by this process alone
-        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-        parts = (_part_count(len(panel) * len(group_labels), _VALUES_PER_PART)
-                 if regular else 1)
-        bounds = [len(panel) * part // parts for part in range(parts + 1)]
-        header = ["household_id", "group", "expenditure"] + ["stratum"] * with_stratum
-        handle.write((",".join(header) + csv.excel.lineterminator).encode())
-        # a child inherits unwritten buffers, so none may be left
-        handle.flush()
-        _, spools = _fork_parts(parts, write_range, lambda: write_range(handle, 0),
-                                f"a writer process for {target}", stack, dir=target.parent)
-        for spool in spools:
-            shutil.copyfileobj(spool, handle)
-
 
 def _padded(texts: Sequence[str], pad: bytes) -> np.ndarray:
     """The UTF-8 bytes of each text as a row, padded to the longest with
@@ -822,55 +657,6 @@ def _padded(texts: Sequence[str], pad: bytes) -> np.ndarray:
     width = max(map(len, encoded), default=0)
     rows = b"".join(text.ljust(width, pad) for text in encoded)
     return np.frombuffer(rows, dtype=np.uint8).reshape(len(encoded), width)
-
-
-def _fork_parts(parts: int, work: Callable[[IO, int], object],
-                first: Callable[[], _Result], what: str, stack: contextlib.ExitStack,
-                **spool: Any) -> tuple[_Result, list[IO]]:
-    """``first()``, run in this process, and a spool of each part from 1 to
-    ``parts - 1``, read from its start. Each of those parts is a forked child
-    that runs ``work(spool, part)`` into its own anonymous temporary file,
-    made by ``tempfile.TemporaryFile(**spool)`` and closed by ``stack``.
-    Every child is reaped, whatever ``first`` does; one that did not exit
-    normally raises ``WorkerFailure`` naming ``what``."""
-    children: list[tuple[int, IO]] = []
-    try:
-        for part in range(1, parts):
-            handle = stack.enter_context(tempfile.TemporaryFile(**spool))
-            pid = os.fork()
-            if pid == 0:
-                # the child never returns into the caller's code
-                status = 1
-                try:
-                    work(handle, part)
-                    handle.flush()
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append((pid, handle))
-        result = first()
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for status in statuses:
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            raise WorkerFailure(f"{what} " + (f"was killed by signal {-code}" if code < 0
-                                             else f"exited with code {code}"))
-    for _, handle in children:
-        handle.seek(0)
-    return result, [handle for _, handle in children]
-
-
-def _part_count(size: int, per_part: int) -> int:
-    """How many processes share work of ``size`` units: one per available
-    core and per ``per_part`` units, at least one. The package's one rule for
-    forking, for the micro reader and writer and for ``verify``'s workers.
-    Only a Linux process with no other Python thread forks: elsewhere fork
-    is unsafe or absent, and a forked child would hold a copy of every lock
-    another thread might own."""
-    if sys.platform != "linux" or threading.active_count() != 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), size // per_part))
 
 
 def _csv_field(text: str) -> str:

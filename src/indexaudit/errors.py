@@ -58,9 +58,8 @@ class VerificationFailure(AuditError):
 
 
 class WorkerFailure(AuditError):
-    """A worker process died or failed before its part of the work finished:
-    a verification suite worker (killed, out of memory), or a process that
-    reads or writes part of a micro file. No result is lost silently."""
+    """A verification suite worker process died before its check finished
+    (killed, out of memory). No result is lost silently."""
 
     exit_code = 4
     code = "worker_failure"

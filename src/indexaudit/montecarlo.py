@@ -17,6 +17,9 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import os
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -35,7 +38,6 @@ from .coverage import (
     default_variance_of_variance,
 )
 from .core import PriceSeries, _quadratic_forms
-from .dataio import _part_count
 from .errors import ValidationError, WorkerFailure
 from .seeding import derive_seed, generator
 
@@ -646,17 +648,20 @@ def run_verification(master_seed: int = 42, scale: float = 1.0,
 
     Results are identical for any ``jobs`` because each check owns a derived
     seed and the output order is the suite definition order. The checks run
-    in ``_part_count(min(jobs, 14), 1)`` forked workers, at most ``jobs`` and
-    one per core, each holding only its own check's arrays; in process if 1
-    (off Linux, beside another thread). As many threads of this process wait
-    for them, one check at a time each, and run no simulation. No check
-    raises a warning, so a worker has none to pass back. A worker that dies
-    raises :class:`WorkerFailure`.
+    in forked workers, at most ``jobs``, one per check and one per available
+    core, each holding only its own check's arrays. Only a Linux process
+    with no other Python thread forks: elsewhere fork is unsafe or absent,
+    and a forked child would hold a copy of every lock another thread might
+    own; there, as with one worker, the suite runs in process. As many
+    threads of this process wait for the workers, one check at a time each,
+    and run no simulation. No check raises a warning, so a worker has none
+    to pass back. A worker that dies raises :class:`WorkerFailure`.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     suite = default_verification_suite(master_seed, scale)
-    workers = _part_count(min(jobs, len(suite)), 1)
+    workers = (1 if sys.platform != "linux" or threading.active_count() != 1
+               else min(jobs, len(suite), len(os.sched_getaffinity(0))))
     if workers == 1:
         return [_execute(entry) for entry in suite]
     try:

@@ -47,10 +47,10 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("dataio.py", "a ragged csv row is raised at once, before a later read error",
-           "ragged = _LineError(path, line_no,",
-           "raise _LineError(path, line_no,",
+           "ragged = ValidationError(",
+           "raise ValidationError(",
            ("tests/test_micro_loader.py",)),
-    Mutant("dataio.py", "_read_range no longer reads the rest of the chunks",
+    Mutant("dataio.py", "_read no longer reads the rest of the chunks",
            "        for _ in chunks:\n            pass\n",
            "",
            ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
@@ -72,44 +72,10 @@ MUTANTS = [
            'if "".join(row).strip():',
            "if True:",
            ("tests/test_micro_loader.py", "tests/test_price_loader.py")),
-    Mutant("dataio.py", "a read error of a range after the first keeps the range's own "
-                        "line numbers",
-           "_LineError(path, start + result.args[1], result.args[2])",
-           "_LineError(path, result.args[1], result.args[2])",
-           ("tests/test_micro_loader.py",)),
-    Mutant("dataio.py", "the ranges after the first hand-off are kept",
-           "                if end is None:\n                    break\n",
-           "                if end is None:\n                    continue\n",
-           ("tests/test_micro_loader.py",)),
-    Mutant("dataio.py", "a child's ValidationError becomes a WorkerFailure",
-           "                pickle.dump(read_range(handle, part, 0), spool, protocol=5)\n",
-           "                result = read_range(handle, part, 0)\n"
-           "                if isinstance(result[0], ValidationError):\n"
-           "                    raise result[0]\n"
-           "                pickle.dump(result, spool, protocol=5)\n",
-           ("tests/test_micro_loader.py",)),
-    Mutant("dataio.py", "write_households appends the ranges in reverse",
-           "        for spool in spools:\n",
-           "        for spool in reversed(spools):\n",
-           ("tests/test_dataio.py",)),
-    Mutant("dataio.py", "_fork_parts reaps its children outside the finally",
-           "    finally:\n"
-           "        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]\n",
-           "    finally:\n"
-           "        pass\n"
-           "    statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]\n",
-           ("tests/test_dataio.py",)),
     Mutant("montecarlo.py", "_blocks no longer folds a 1-row tail into the block before it",
            "if total - stop <= 1:",
            "if total - stop <= 0:",
            ("tests/test_montecarlo_kernels.py",)),
-    # no child flushes the buffer it inherits: each writes to its own spool
-    # and leaves through os._exit, which flushes nothing
-    Mutant("dataio.py", "write_households forks before it flushes the header",
-           "        # a child inherits unwritten buffers, so none may be left\n"
-           "        handle.flush()\n",
-           "",
-           ("tests/test_dataio.py",), equivalent=True),
     Mutant("report.py", "a % in a key is not escaped in the row template",
            "f\"{inner}{name.replace('%', '%%')}: %s\"",
            "f\"{inner}{name}: %s\"",
@@ -152,8 +118,8 @@ MUTANTS = [
            "part[start:start + _ROWS + 1]",
            ("tests/test_report_emitter.py",)),
     Mutant("dataio.py", "repeated micro cells are summed in reverse file order",
-           "np.add.at(spend, cells, amounts)",
-           "np.add.at(spend, cells[::-1], amounts[::-1])",
+           "np.add.at(spend, household * m + codes, values)",
+           "np.add.at(spend, (household * m + codes)[::-1], values[::-1])",
            ("tests/test_micro_loader.py",)),
     Mutant("bias_tests.py", "the Z effects are one matrix product",
            "effects = np.array([_dots(p_bar, itertools.repeat(estimate.point.w - proxy.w))\n"
@@ -190,8 +156,12 @@ MUTANTS = [
            '"coverage_constant": ("alpha", "omega", "bias", "extra_variance"),',
            ("tests/test_montecarlo.py",)),
     Mutant("montecarlo.py", "verify sizes its pool from --jobs alone",
-           "workers = _part_count(min(jobs, len(suite)), 1)",
-           "workers = min(jobs, len(suite))",
+           "else min(jobs, len(suite), len(os.sched_getaffinity(0))))",
+           "else min(jobs, len(suite)))",
+           ("tests/test_montecarlo.py",)),
+    Mutant("montecarlo.py", "verify forks beside another Python thread",
+           'workers = (1 if sys.platform != "linux" or threading.active_count() != 1',
+           'workers = (1 if sys.platform != "linux"',
            ("tests/test_montecarlo.py",)),
     Mutant("gaussian.py", "the quantile guess keeps the upper tail's sign",
            "return -tail if upper else tail",
@@ -256,15 +226,6 @@ MUTANTS = [
     Mutant("dataio.py", "the direct split does not strip its cells",
            "cells = list(map(str.strip, cells))",
            "cells = list(cells)",
-           ("tests/test_micro_loader.py",)),
-    Mutant("dataio.py", "the loader joins the ranges after the first in reverse",
-           "map(pickle.load, spools))",
-           "map(pickle.load, spools[::-1]))",
-           ("tests/test_micro_loader.py",)),
-    Mutant("dataio.py", "a household's first stratum is taken from a later range",
-           "first_strata = np.concatenate([first_strata, stratum[household >= seen]])\n",
-           "first_strata = np.concatenate([first_strata, stratum[household >= seen]])\n"
-           "            first_strata[household] = stratum\n",
            ("tests/test_micro_loader.py",)),
     Mutant("__main__.py", "the entry point does not freeze what the CLI imports",
            "        gc.freeze()\n",

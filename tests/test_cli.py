@@ -1,9 +1,9 @@
 import ast
+import contextlib
 import errno
 import hashlib
 import json
 import os
-import signal
 import subprocess
 import sys
 import warnings
@@ -430,21 +430,11 @@ def test_simulate_unwritable_out_is_a_one_line_config_error(capsys, tmp_path, wh
     assert str(target) in body["message"]
 
 
-def force_writer_parts(monkeypatch, parts):
-    monkeypatch.setattr(dataio, "_VALUES_PER_PART", 1)
-    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(parts)))
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
-def test_simulate_split_writer_matches_the_reference_and_reaps(capsys, tmp_path,
-                                                               monkeypatch):
-    force_writer_parts(monkeypatch, 3)
+def test_simulate_writer_matches_the_reference(capsys, tmp_path):
     out = tmp_path / "sim.csv"
     payload = run_machine(capsys, "simulate", "--true-weights", "0.2,0.3,0.5",
                           "--groups", 'a,"b",c d', "--n", "40", "--stratum", "r,1",
                           "--out", str(out))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
     reference = tmp_path / "reference.csv"
     micro_oracle.write_households(reference, dataio.load_households(out),
                                   ["a", '"b"', "c d"])
@@ -453,44 +443,25 @@ def test_simulate_split_writer_matches_the_reference_and_reaps(capsys, tmp_path,
     assert sorted(path.name for path in tmp_path.iterdir()) == ["reference.csv", "sim.csv"]
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
-@pytest.mark.parametrize("death, how", [
-    (lambda: os._exit(1), "exited with code 1"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
-])
-def test_a_dead_simulate_writer_exits_4_and_leaves_no_file(capsys, tmp_path, monkeypatch,
-                                                            death, how):
-    force_writer_parts(monkeypatch, 2)
-    writer, quote = os.getpid(), dataio._csv_field
-
-    def die_in_a_child(text):
-        if os.getpid() != writer:
-            death()
-        return quote(text)
-
-    monkeypatch.setattr(dataio, "_csv_field", die_in_a_child)
-    out = tmp_path / "sim.csv"
-    code, stdout, err = run(capsys, *SIMULATE, "--out", str(out))
-    assert (code, stdout) == (4, "")
-    assert err == json.dumps({"error": {
-        "code": "worker_failure", "message": f"a writer process for {out} {how}",
-    }}, sort_keys=True) + "\n"
-    assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
 def test_a_failed_simulate_write_is_a_config_error_and_leaves_no_file(capsys, tmp_path,
                                                                       monkeypatch):
-    force_writer_parts(monkeypatch, 2)
+    out, opened = tmp_path / "sim.csv", dataio.output_file
 
-    def full_disk(source, target):
-        raise OSError(errno.ENOSPC, "No space left on device")
+    @contextlib.contextmanager
+    def full_disk(path, binary=False):
+        with opened(path, binary) as handle:
+            write = handle.write
 
-    # the first range is in the file when the second one cannot be appended
-    monkeypatch.setattr(dataio.shutil, "copyfileobj", full_disk)
-    out = tmp_path / "sim.csv"
+            def fail_after_the_header(data):
+                if handle.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return write(data)
+
+            handle.write = fail_after_the_header
+            yield handle
+
+    # the header is in the file when the first block cannot be written
+    monkeypatch.setattr(dataio, "output_file", full_disk)
     code, stdout, err = run(capsys, *SIMULATE, "--out", str(out))
     assert (code, stdout) == (1, "")
     assert err == json.dumps({"error": {
@@ -548,7 +519,7 @@ def test_verify_worker_death_is_a_one_line_error(capsys, tmp_path, monkeypatch):
 
     # the forked workers inherit the patched table; two cores make two of them
     monkeypatch.setitem(montecarlo.SCENARIOS, "mse_unbiasedness", die)
-    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / "verify.json"
     code, stdout, err = run(capsys, "verify", "--scale", "0.01", "--jobs", "2",
                             "--output", str(out))
@@ -556,32 +527,6 @@ def test_verify_worker_death_is_a_one_line_error(capsys, tmp_path, monkeypatch):
     assert stdout == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"]["code"] == "worker_failure"
-    assert not out.exists()
-
-
-@pytest.mark.skipif(sys.platform != "linux",
-                    reason="the patch reaches the readers only through fork")
-def test_a_micro_reader_process_death_is_a_one_line_error(capsys, fx, tmp_path,
-                                                          monkeypatch):
-    loader, read = os.getpid(), dataio._read_range
-
-    def die(*args):
-        if os.getpid() != loader:
-            os._exit(9)
-        return read(*args)
-
-    monkeypatch.setattr(dataio, "_read_range", die)
-    monkeypatch.setattr(dataio, "_BYTES_PER_PART", 1)
-    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0, 1})
-    out = tmp_path / "report.json"
-    code, stdout, err = run(capsys, "report", "--prices", fx["prices"],
-                            "--weights", fx["weights"], "--survey-micro", fx["micro"],
-                            "--proxy", "age_lt26", "--output", str(out))
-    assert code == 4
-    assert stdout == ""
-    assert json.loads(err) == {"error": {
-        "code": "worker_failure",
-        "message": f"a reader process for {fx['micro']} exited with code 9"}}
     assert not out.exists()
 
 

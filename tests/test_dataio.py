@@ -3,7 +3,6 @@ import filecmp
 import io
 import os
 import pickle
-import sys
 import threading
 from pathlib import Path
 
@@ -223,20 +222,20 @@ def test_households_round_trip_bit_for_bit(tmp_path_factory, case):
 
 
 # labels csv.writer quotes: a comma, a quote, a line end, an empty id
-SPLIT_IDS = ["h1", "h,2", 'h"3', "h\n4", "", " h5 "]
-SPLIT_GROUPS = ["a", "b,c", 'd"e']
-SPLIT_STRATA = ["r1", None, "r,2", 'r"3']
+QUOTED_IDS = ["h1", "h,2", 'h"3', "h\n4", "", " h5 "]
+QUOTED_GROUPS = ["a", "b,c", 'd"e']
+QUOTED_STRATA = ["r1", None, "r,2", 'r"3']
 
 
-def split_panel(n_households, with_strata):
+def quoted_panel(n_households, with_strata):
     rng = np.random.default_rng(n_households)
     # amounts from subnormal to near the float maximum, and exact zeros
     amounts = rng.random((n_households, 3)) * 10.0 ** rng.integers(-320, 300, (n_households, 3))
     amounts[rng.random((n_households, 3)) < 0.1] = 0.0
     return HouseholdPanel(
-        tuple(f"{SPLIT_IDS[i % len(SPLIT_IDS)]}{i}" for i in range(n_households)),
+        tuple(f"{QUOTED_IDS[i % len(QUOTED_IDS)]}{i}" for i in range(n_households)),
         amounts,
-        tuple(SPLIT_STRATA[i % len(SPLIT_STRATA)] for i in range(n_households))
+        tuple(QUOTED_STRATA[i % len(QUOTED_STRATA)] for i in range(n_households))
         if with_strata else None)
 
 
@@ -249,88 +248,47 @@ def test_a_field_is_spelled_as_csv_writer_spells_it(text):
     assert buffer.getvalue() == f"x,{dataio._csv_field(text)},y\r\n"
 
 
-def force_parts(monkeypatch, parts):
-    """Make write_households split any panel into ``parts`` ranges, or one
-    per amount where it has fewer amounts."""
-    monkeypatch.setattr(dataio, "_VALUES_PER_PART", 1)
-    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(parts)))
-
-
-def assert_written_as_reference(tmp_path, panel, parts):
-    values = len(panel) * len(SPLIT_GROUPS)
-    assert dataio._part_count(values, dataio._VALUES_PER_PART) == min(parts, values)
-    got, want = tmp_path / "split.csv", tmp_path / "reference.csv"
-    dataio.write_households(got, panel, SPLIT_GROUPS)
-    micro_oracle.write_households(want, panel, SPLIT_GROUPS)
+def assert_written_as_reference(tmp_path, panel):
+    got, want = tmp_path / "written.csv", tmp_path / "reference.csv"
+    dataio.write_households(got, panel, QUOTED_GROUPS)
+    micro_oracle.write_households(want, panel, QUOTED_GROUPS)
     assert got.read_bytes() == want.read_bytes()
-    # no temporary file is left beside the output, and no child unreaped
     assert sorted(path.name for path in tmp_path.iterdir()) == ["reference.csv",
-                                                                "split.csv"]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+                                                                "written.csv"]
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
 @pytest.mark.parametrize("with_strata", [False, True])
 @pytest.mark.parametrize("n_households", [1, 2, 5, 50])
-@pytest.mark.parametrize("parts", [1, 2, 3, 4])
-def test_split_writer_writes_the_reference_bytes(tmp_path, monkeypatch, parts,
-                                                 n_households, with_strata):
-    force_parts(monkeypatch, parts)
-    assert_written_as_reference(tmp_path, split_panel(n_households, with_strata), parts)
+def test_writer_writes_the_reference_bytes(tmp_path, n_households, with_strata):
+    assert_written_as_reference(tmp_path, quoted_panel(n_households, with_strata))
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 4), st.booleans())
-def test_split_writer_matches_reference_for_any_split(tmp_path_factory, n_households,
-                                                      parts, with_strata):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        force_parts(monkeypatch, parts)
-        assert_written_as_reference(tmp_path_factory.mktemp("split"),
-                                    split_panel(n_households, with_strata), parts)
-
-
-def test_writer_splits_only_large_panels_of_a_single_threaded_linux_process(monkeypatch):
-    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(4)))
-    linux = sys.platform == "linux"
-    assert [dataio._part_count(values, dataio._VALUES_PER_PART)
-            for values in (1, 65_535, 65_536, 131_072, 200_001, 10**9)] == (
-        [1, 1, 1, 2, 3, 4] if linux else [1] * 6)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait, args=(10,))
-    waiter.start()
-    try:
-        assert dataio._part_count(10**9, dataio._VALUES_PER_PART) == 1
-    finally:
-        release.set()
-        waiter.join(10)
-    assert not waiter.is_alive()
+@given(st.integers(1, 40), st.booleans())
+def test_writer_matches_reference_for_any_panel(tmp_path_factory, n_households,
+                                                with_strata):
+    assert_written_as_reference(tmp_path_factory.mktemp("written"),
+                                quoted_panel(n_households, with_strata))
 
 
 def fail_on_first_household(monkeypatch, panel):
-    """Make this process, and no forked child, fail on the panel's first
-    household."""
-    writer, quote = os.getpid(), dataio._csv_field
+    """Make the writer fail on the panel's first household."""
+    quote = dataio._csv_field
 
     def field(text):
-        if os.getpid() == writer and text == panel.household_ids[0]:
-            raise RuntimeError("the first range fails")
+        if text == panel.household_ids[0]:
+            raise RuntimeError("the first household fails")
         return quote(text)
 
     monkeypatch.setattr(dataio, "_csv_field", field)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the writer")
-def test_a_failure_in_the_writing_process_reaps_every_child(tmp_path, monkeypatch):
-    force_parts(monkeypatch, 3)
-    panel = split_panel(9, True)
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    panel = quoted_panel(9, True)
     fail_on_first_household(monkeypatch, panel)
-    with pytest.raises(RuntimeError, match="the first range fails"):
-        dataio.write_households(tmp_path / "split.csv", panel, SPLIT_GROUPS)
+    with pytest.raises(RuntimeError, match="the first household fails"):
+        dataio.write_households(tmp_path / "written.csv", panel, QUOTED_GROUPS)
     assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -362,19 +320,18 @@ def test_a_pipe_the_direct_split_cannot_read_is_read_once(tmp_path, text, result
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_a_failed_write_to_a_pipe_leaves_the_pipe(tmp_path, monkeypatch):
-    force_parts(monkeypatch, 2)
-    panel = split_panel(4, False)
+    panel = quoted_panel(4, False)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     # an open reader lets the writer open the pipe without blocking
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        dataio.write_households(fifo, panel, SPLIT_GROUPS)
-        micro_oracle.write_households(tmp_path / "reference.csv", panel, SPLIT_GROUPS)
+        dataio.write_households(fifo, panel, QUOTED_GROUPS)
+        micro_oracle.write_households(tmp_path / "reference.csv", panel, QUOTED_GROUPS)
         assert os.read(reader, 1 << 16) == (tmp_path / "reference.csv").read_bytes()
         fail_on_first_household(monkeypatch, panel)
-        with pytest.raises(RuntimeError, match="the first range fails"):
-            dataio.write_households(fifo, panel, SPLIT_GROUPS)
+        with pytest.raises(RuntimeError, match="the first household fails"):
+            dataio.write_households(fifo, panel, QUOTED_GROUPS)
     finally:
         os.close(reader)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["fifo", "reference.csv"]
@@ -515,7 +472,6 @@ def test_committed_fixtures_match_builder_output(tmp_path, fixture_dir):
 # --- byte-order mark ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("parts", [1, 3])
 @pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize("name, loader", [
     ("prices.csv", "load_prices"),
@@ -524,11 +480,7 @@ def test_committed_fixtures_match_builder_output(tmp_path, fixture_dir):
     ("ces_micro.csv", "load_households"),
 ])
 def test_a_leading_byte_order_mark_is_skipped(tmp_path, fixture_dir, monkeypatch,
-                                              food_prices, name, loader, quoted, parts):
-    # micro data is read in byte ranges where it may be
-    monkeypatch.setattr(dataio, "_BYTES_PER_PART", 1)
-    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(parts)))
-
+                                              food_prices, name, loader, quoted):
     def load(path):
         if loader == "load_prices":
             return dataio.load_prices(path)

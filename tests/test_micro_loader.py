@@ -7,17 +7,13 @@ ValidationError message. Files are written by ``csv.writer`` and also joined
 quote-free with ``\\n`` or ``\\r\\n`` line ends, so both the direct reader and
 its csv fallback run, with chunks small enough that files cross chunk
 boundaries. Quote-free files whose only blank rows are lines of commas and
-ASCII whitespace must stay on the direct reader. The loader is also forced
-to read each file in two to four byte ranges, so that ranges meet inside
-repeated cells, stratum conflicts and the chunk the csv module reads on from.
+ASCII whitespace must stay on the direct reader.
 """
 
 import contextlib
 import csv
 import json
 import os
-import signal
-import sys
 import threading
 from unittest import mock
 
@@ -27,7 +23,7 @@ from hypothesis import strategies as st
 
 import micro_oracle
 from indexaudit import dataio
-from indexaudit.errors import ValidationError, WorkerFailure
+from indexaudit.errors import ValidationError
 
 # str.strip removes the tab, \x0b, \x1c and \xa0 padding; csv keeps \x0b,
 # \x1c and \x85 inside a cell, where str.splitlines would split
@@ -107,16 +103,6 @@ def micro_files(draw, plain_rows=False):
     return header, rows
 
 
-def forced_parts(parts):
-    """Make the loader read any regular file in ``parts`` byte ranges, or
-    one per line where it has fewer lines."""
-    patches = contextlib.ExitStack()
-    patches.enter_context(mock.patch.object(dataio, "_BYTES_PER_PART", 1))
-    patches.enter_context(mock.patch.object(os, "sched_getaffinity",
-                                            lambda pid: set(range(parts))))
-    return patches
-
-
 def outcome(load, path, labels):
     try:
         ids, strata, matrix = load(path, labels)
@@ -144,28 +130,28 @@ def write_rows(path, header, rows, layout):
 @settings(max_examples=800, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(micro_files(), st.sampled_from(GROUP_LABELS), st.sampled_from(LAYOUTS),
-       st.sampled_from(CHUNKS), st.integers(1, 4))
+       st.sampled_from(CHUNKS))
 # three amounts of one cell whose sum depends on the order they are added in:
-# (0.1 + 0.2) + 0.3 is 0.6000000000000001, (0.3 + 0.2) + 0.1 is 0.6; in one
-# part, then in the first of two, then across two
+# (0.1 + 0.2) + 0.3 is 0.6000000000000001, (0.3 + 0.2) + 0.1 is 0.6; among
+# other rows, first and last in the file
 @example(micro=(["household_id", "group", "expenditure"],
                 [["h1", "a", "0.1"], ["h1", "b", "1.0"], ["h1", "a", "0.2"],
                  ["h1", "a", "0.3"]]),
-         labels=None, layout="\n", chunk=1 << 21, parts=1)
+         labels=None, layout="\n", chunk=1 << 21)
 @example(micro=(["household_id", "group", "expenditure"],
                 [["h1", "a", "0.1"], ["h1", "a", "0.2"], ["h1", "a", "0.3"],
                  ["h2", "b", "1.0"], ["h2", "b", "1.0"], ["h2", "b", "1.0"]]),
-         labels=None, layout="\n", chunk=1 << 21, parts=2)
+         labels=None, layout="\n", chunk=1 << 21)
 @example(micro=(["household_id", "group", "expenditure"],
                 [["h2", "b", "1.0"], ["h2", "b", "1.0"], ["h1", "a", "0.3"],
                  ["h1", "a", "0.2"], ["h1", "a", "0.1"], ["h2", "b", "1.0"]]),
-         labels=None, layout="\n", chunk=1 << 21, parts=2)
+         labels=None, layout="\n", chunk=1 << 21)
 def test_columnar_loader_matches_row_wise_reference(tmp_path, micro, labels, layout,
-                                                    chunk, parts):
+                                                    chunk):
     header, rows = micro
     path = tmp_path / "micro.csv"
     write_rows(path, header, rows, layout)
-    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), forced_parts(parts):
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
         assert outcome(load_panel, path, labels) == outcome(
             micro_oracle.load_households, path, labels)
 
@@ -188,20 +174,22 @@ blank_lines = st.lists(st.tuples(st.integers(0, 16), st.sampled_from(BLANK_LINES
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(micro_files(plain_rows=True), blank_lines, st.sampled_from(BLANK_LINES),
        st.sampled_from(GROUP_LABELS), st.sampled_from(["\n", "\r\n"]),
-       st.sampled_from(CHUNKS), st.integers(1, 4))
+       st.sampled_from(CHUNKS))
+# a blank row beside a row whose first cell is empty, which is kept
+@example(micro=(["group", "household_id", "expenditure"], [["", "h1", "1.0"]]), blanks=[],
+         last=",,", labels=None, line_end="\n", chunk=1 << 21)
 def test_blank_lines_stay_on_the_direct_split(tmp_path, micro, blanks, last, labels,
-                                              line_end, chunk, parts):
+                                              line_end, chunk):
     header, rows = micro
     path = tmp_path / "micro.csv"
     write_with_blank_lines(path, header, rows, blanks, last, line_end)
-    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), forced_parts(parts), \
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), \
             mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
         got = outcome(load_panel, path, labels)
     assert not reader.called
     assert got == outcome(micro_oracle.load_households, path, labels)
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 4])
 @pytest.mark.parametrize("quoted", [True, False])
 @pytest.mark.parametrize("chunk", [1, 1 << 21])
 @pytest.mark.parametrize("text, message", [
@@ -216,12 +204,12 @@ def test_blank_lines_stay_on_the_direct_split(tmp_path, micro, blanks, last, lab
     (f"h1,a\nh1,a,1\n{OVERSIZED},a,1\n", ":4: field larger than field limit"),
 ])
 def test_read_errors_are_data_errors_on_both_paths(tmp_path, text, message, quoted,
-                                                   chunk, parts):
+                                                   chunk):
     # a quote sends the whole file to the csv path
     header = ('"household_id"' if quoted else "household_id") + ",group,expenditure\n"
     path = tmp_path / "micro.csv"
     path.write_bytes((header + text).encode("utf-8", "surrogateescape"))
-    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), forced_parts(parts):
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
         with pytest.raises(ValidationError) as caught:
             dataio.load_households(path, ["a", "b"])
     assert str(caught.value).startswith(str(path))
@@ -263,27 +251,25 @@ def csv_error_before_bytes_that_are_not_utf8(header, row, rows_before, rows_afte
     return text.encode("utf-8", "surrogateescape")
 
 
-@pytest.mark.parametrize("parts, kind", [(1, "file"), (2, "file"), (3, "file"), (4, "file"),
-                                         (1, "fifo")])
+@pytest.mark.parametrize("kind", ["file", "fifo"])
 @pytest.mark.parametrize("rows_before, rows_after, line", [
     (1, 3000, 3), (40_000, 3000, 40_002),
     # the bytes that are not UTF-8 follow the field within 8 KiB
     (1, 0, 3), (12_000, 700, 12_002)])
 def test_a_csv_error_before_bytes_that_are_not_utf8_is_named_first(
-        tmp_path, rows_before, rows_after, line, parts, kind):
+        tmp_path, rows_before, rows_after, line, kind):
     if kind == "fifo" and not hasattr(os, "mkfifo"):
         pytest.skip("needs named pipes")
     data = csv_error_before_bytes_that_are_not_utf8("household_id,group,expenditure\n",
                                                     "{},a,1\n", rows_before, rows_after)
-    with source(tmp_path, data, kind) as path, forced_parts(parts), \
-            pytest.raises(ValidationError) as caught:
+    with source(tmp_path, data, kind) as path, pytest.raises(ValidationError) as caught:
         dataio.load_households(path, ["a", "b"])
     assert str(caught.value) == f"{path}:{line}: field larger than field limit (131072)"
 
 
 def counting_reader(log):
-    """``csv.reader``, which, in whichever process calls it, appends a line
-    ``null`` to ``log`` and then each line it reads, as JSON."""
+    """``csv.reader``, which appends a line ``null`` to ``log`` and then each
+    line it reads, as JSON."""
     csv_reader = csv.reader
 
     def record(line):
@@ -303,18 +289,16 @@ def reads(log):
     return lines.count(None), [line for line in lines if line is not None]
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 4])
 @pytest.mark.parametrize("quoted", [39, 20])
-def test_each_row_of_a_file_is_read_once(tmp_path, parts, quoted):
-    # the one quote is in the last chunk or in a middle one, and so, at
-    # three or four parts, in a middle range: every chunk before it is split
-    # directly, and the csv module reads on from its chunk to the end of the
-    # file; a range after it is dropped
+def test_each_row_of_a_file_is_read_once(tmp_path, quoted):
+    # the one quote is in the last chunk or in a middle one: every chunk
+    # before it is split directly, and the csv module reads on from its chunk
+    # to the end of the file
     rows = [f"h{i},{'ab'[i % 2]},{i}\n" for i in range(40)]
     rows[quoted] = f'"h{quoted}",{"ab"[quoted % 2]},{quoted}\n'
     path, log = tmp_path / "micro.csv", tmp_path / "reads.jsonl"
     path.write_text("household_id,group,expenditure\n" + "".join(rows), encoding="utf-8")
-    with mock.patch.object(dataio, "_CHUNK_CHARS", 24), forced_parts(parts), \
+    with mock.patch.object(dataio, "_CHUNK_CHARS", 24), \
             mock.patch.object(csv, "reader", side_effect=counting_reader(log)):
         panel = dataio.load_households(path, ["a", "b"])
     calls, read = reads(log)
@@ -325,20 +309,19 @@ def test_each_row_of_a_file_is_read_once(tmp_path, parts, quoted):
     assert panel.expenditures.tolist() == [[i * (1 - i % 2), i * (i % 2)] for i in range(40)]
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 4])
 @pytest.mark.parametrize("last, message", [
     (f"{OVERSIZED},a,1\n", ":60004: field larger than field limit (131072)"),
     ('"h1",a\n', ":60004: expected 3 fields, got 2"),
     ("\udcff,a,1\n", ": not UTF-8 text: invalid start byte"),
 ], ids=["over-long", "ragged", "not-utf8"])
-def test_a_read_error_in_a_later_range_comes_before_a_failure_in_the_first(
-        tmp_path, parts, last, message):
+def test_a_read_error_later_in_the_file_comes_before_an_earlier_check_failure(
+        tmp_path, last, message):
     # an unknown group on line 2, then rows enough for the last line to fall
-    # in the last of four ranges
+    # in a later chunk
     text = ("household_id,group,expenditure\nh1,zz,1\n" + "h1,a,1\n" * 60_001 + last)
     path = tmp_path / "micro.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    with forced_parts(parts), pytest.raises(ValidationError) as caught:
+    with pytest.raises(ValidationError) as caught:
         dataio.load_households(path, ["a", "b"])
     assert str(caught.value) == f"{path}{message}"
 
@@ -368,49 +351,46 @@ def test_a_read_error_in_a_later_range_comes_before_a_failure_in_the_first(
     ('"h\n1",a,1\nh2,zz,1\n', ":4: unknown group 'zz'"),
     ('"h\r\n1",a,1\nh2,a\n', ":4: expected 3 fields, got 2"),
 ])
-@pytest.mark.parametrize("parts", [1, 2, 3, 4])
 # a sum that overflows is a data error and no warning
 @pytest.mark.filterwarnings("error")
-def test_loader_error_precedence(tmp_path, text, message, parts):
+def test_loader_error_precedence(tmp_path, text, message):
     path = tmp_path / "micro.csv"
     path.write_text("household_id,group,expenditure\n" + text, encoding="utf-8")
     for load in (dataio.load_households, micro_oracle.load_households):
-        with forced_parts(parts), pytest.raises(ValidationError) as caught:
+        with pytest.raises(ValidationError) as caught:
             load(path, ["a", "b"])
         assert message in str(caught.value)
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 4])
-def test_stratum_conflict_names_both_strata(tmp_path, parts):
+def test_stratum_conflict_names_both_strata(tmp_path):
     path = tmp_path / "micro.csv"
     path.write_text("household_id,group,expenditure,stratum\n"
                     "h1,a,1,\nh2,a,1,r1\nh1,b,-1,r2\n", encoding="utf-8")
-    with forced_parts(parts), pytest.raises(
+    with pytest.raises(
             ValidationError, match=r":4: negative expenditure for household 'h1'"):
         dataio.load_households(path, ["a", "b"])
     path.write_text("household_id,group,expenditure,stratum\n"
                     "h1,a,1,\nh2,a,1,r1\nh1,b,1,r2\n", encoding="utf-8")
-    with forced_parts(parts), pytest.raises(
+    with pytest.raises(
             ValidationError,
             match=r":4: household 'h1' appears under two strata \(None and 'r2'\)"):
         dataio.load_households(path, ["a", "b"])
 
 
 # ten rows of h1 to h5 and then h6, each under its own stratum; each case
-# changes the rows at some of the positions, so that at forced part counts a
-# conflict falls within a range or across ranges
+# changes the rows at some of the positions, so that a conflict, or another
+# failure, falls on one line or on several
 STRATA_ROWS = [f"h{i % 5 + 1},{'ab'[i % 2]},{i},r{i % 5 + 1}\n" for i in range(10)]
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3, 4])
 @pytest.mark.parametrize("changed, message", [
-    # h1 first under r1 on line 2, under r9 first in a later range
+    # h1 first under r1 on line 2, under r9 on line 10
     ({8: "h1,a,1,r9\n"}, ":10: household 'h1' appears under two strata ('r1' and 'r9')"),
-    # a later range's first row of h1 agrees; its second does not
+    # h1's row on line 9 agrees; the one on line 11 does not
     ({7: "h1,a,1,r1\n", 9: "h1,b,1,r9\n"},
      ":11: household 'h1' appears under two strata ('r1' and 'r9')"),
-    # two households conflict in a later range: the lower line is named,
-    # not the household seen first
+    # two households conflict: the lower line is named, not the household
+    # seen first
     ({8: "h2,a,1,\n", 9: "h1,a,1,r9\n"},
      ":10: household 'h2' appears under two strata ('r2' and None)"),
     # a failure of another check on a lower line comes first
@@ -418,86 +398,12 @@ STRATA_ROWS = [f"h{i % 5 + 1},{'ab'[i % 2]},{i},r{i % 5 + 1}\n" for i in range(1
     # on one line, a negative amount comes before the conflict
     ({8: "h1,a,-1,r9\n"}, ":10: negative expenditure for household 'h1'"),
 ])
-def test_a_stratum_conflict_across_ranges_is_found_where_one_reader_finds_it(
-        tmp_path, parts, changed, message):
+def test_a_stratum_conflict_is_found_on_its_line(tmp_path, changed, message):
     rows = [changed.get(i, row) for i, row in enumerate(STRATA_ROWS)]
     path = tmp_path / "micro.csv"
     path.write_text("household_id,group,expenditure,stratum\n" + "".join(rows),
                     encoding="utf-8")
     for load in (dataio.load_households, micro_oracle.load_households):
-        with forced_parts(parts), pytest.raises(ValidationError) as caught:
+        with pytest.raises(ValidationError) as caught:
             load(path, ["a", "b"])
         assert str(caught.value) == f"{path}{message}"
-
-
-def fork_calls(monkeypatch):
-    """The part counts the loader forks for, from now on."""
-    calls, fork = [], dataio._fork_parts
-
-    def recorded(parts, *args, **kwargs):
-        calls.append(parts)
-        return fork(parts, *args, **kwargs)
-
-    monkeypatch.setattr(dataio, "_fork_parts", recorded)
-    return calls
-
-
-def strata_file(tmp_path):
-    path = tmp_path / "micro.csv"
-    path.write_text("household_id,group,expenditure,stratum\n" + "".join(STRATA_ROWS),
-                    encoding="utf-8")
-    return path
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the loader")
-def test_only_a_regular_file_of_a_single_threaded_linux_process_is_read_in_parts(
-        tmp_path, monkeypatch):
-    calls = fork_calls(monkeypatch)
-    path = strata_file(tmp_path)
-    want = micro_oracle.load_households(path, ["a", "b"])
-    with forced_parts(3):
-        assert load_panel(path, ["a", "b"])[1] == want[1]
-        assert calls == [3]
-        # a pipe
-        read, write = os.pipe()
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(path.read_bytes())
-        with os.fdopen(read, "rb"):
-            assert outcome(load_panel, f"/dev/fd/{read}", ["a", "b"]) == outcome(
-                micro_oracle.load_households, path, ["a", "b"])
-        # a caller with another thread
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait, args=(10,))
-        waiter.start()
-        try:
-            assert load_panel(path, ["a", "b"])[1] == want[1]
-        finally:
-            release.set()
-            waiter.join(10)
-        # another platform
-        with mock.patch.object(dataio.sys, "platform", "darwin"):
-            assert load_panel(path, ["a", "b"])[1] == want[1]
-    # each of those is one range, which forks nothing
-    assert calls == [3, 1, 1, 1]
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="only Linux splits the loader")
-@pytest.mark.parametrize("how, what", [("raise", "exited with code 1"),
-                                       ("kill", "was killed by signal 9")])
-def test_a_reader_process_that_fails_is_a_worker_failure(tmp_path, monkeypatch, how, what):
-    loader, read = os.getpid(), dataio._read_range
-
-    def read_or_fail(*args):
-        if os.getpid() != loader:
-            if how == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("a reader process fails")
-        return read(*args)
-
-    monkeypatch.setattr(dataio, "_read_range", read_or_fail)
-    path = strata_file(tmp_path)
-    with forced_parts(3), pytest.raises(WorkerFailure) as caught:
-        dataio.load_households(path, ["a", "b"])
-    assert str(caught.value) == f"a reader process for {path} {what}"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from indexaudit import dataio, montecarlo
+from indexaudit import montecarlo
 from indexaudit.coverage import EvalScheme
 from indexaudit.errors import ValidationError
 from indexaudit.montecarlo import (
@@ -420,9 +420,9 @@ def test_worker_count_is_capped_at_the_suite_size(monkeypatch, cores, jobs, call
     monkeypatch.setattr(RecordingExecutor, "calls", [])
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cores)))
     if caller == "another platform":
-        monkeypatch.setattr(dataio.sys, "platform", "darwin")
+        monkeypatch.setattr(montecarlo.sys, "platform", "darwin")
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(10,))
     if caller == "a live thread":

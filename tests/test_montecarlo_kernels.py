@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import montecarlo_oracle as oracle
-from indexaudit import dataio, gaussian, montecarlo
+from indexaudit import gaussian, montecarlo
 from indexaudit.bias_tests import b_test, z_test
 from indexaudit.core import WeightVector
 from indexaudit.coverage import EvalScheme
@@ -256,7 +256,7 @@ def test_verify_holds_no_check_array_in_the_parent(monkeypatch):
             tracemalloc.stop()
 
     os.register_at_fork(after_in_child=stop_tracing_in_child)
-    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
     try:
         peak = traced_peak(montecarlo.run_verification, 7, 20.0, 2)
     finally:
