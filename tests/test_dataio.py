@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import build_fixtures
 import micro_oracle
-from indexaudit import dataio
+from indexaudit import dataio, floattext
 from indexaudit.core import PriceSeries, WeightVector
 from indexaudit.errors import ConfigError, ValidationError
 from indexaudit.survey import HouseholdPanel, WeightEstimate
@@ -248,6 +248,13 @@ def test_a_field_is_spelled_as_csv_writer_spells_it(text):
     assert buffer.getvalue() == f"x,{dataio._csv_field(text)},y\r\n"
 
 
+def households_per_block(monkeypatch, households):
+    """Make write_households write ``households`` households a block, or
+    leave its block as it is where ``households`` is None."""
+    if households is not None:
+        monkeypatch.setattr(floattext, "BLOCK", households * len(QUOTED_GROUPS))
+
+
 def assert_written_as_reference(tmp_path, panel):
     got, want = tmp_path / "written.csv", tmp_path / "reference.csv"
     dataio.write_households(got, panel, QUOTED_GROUPS)
@@ -259,34 +266,66 @@ def assert_written_as_reference(tmp_path, panel):
 
 @pytest.mark.parametrize("with_strata", [False, True])
 @pytest.mark.parametrize("n_households", [1, 2, 5, 50])
-def test_writer_writes_the_reference_bytes(tmp_path, n_households, with_strata):
+# a block of one household, of two or three, so that a panel ends in a full
+# block or a short one, and the writer's own block
+@pytest.mark.parametrize("households", [1, 2, 3, None])
+def test_writer_writes_the_reference_bytes(tmp_path, monkeypatch, households,
+                                           n_households, with_strata):
+    households_per_block(monkeypatch, households)
     assert_written_as_reference(tmp_path, quoted_panel(n_households, with_strata))
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 40), st.booleans())
+@given(st.integers(1, 40), st.booleans(), st.sampled_from([1, 2, 3, None]))
 def test_writer_matches_reference_for_any_panel(tmp_path_factory, n_households,
-                                                with_strata):
-    assert_written_as_reference(tmp_path_factory.mktemp("written"),
-                                quoted_panel(n_households, with_strata))
+                                                with_strata, households):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        households_per_block(monkeypatch, households)
+        assert_written_as_reference(tmp_path_factory.mktemp("written"),
+                                    quoted_panel(n_households, with_strata))
 
 
-def fail_on_first_household(monkeypatch, panel):
-    """Make the writer fail on the panel's first household."""
+def fail_on_household(monkeypatch, panel, index=0):
+    """Make the writer fail on the panel's household at ``index``."""
     quote = dataio._csv_field
 
     def field(text):
-        if text == panel.household_ids[0]:
-            raise RuntimeError("the first household fails")
+        if text == panel.household_ids[index]:
+            raise RuntimeError(f"household {index} fails")
         return quote(text)
 
     monkeypatch.setattr(dataio, "_csv_field", field)
 
 
-def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
+def test_a_survey_sized_panel_is_written_in_this_process(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    # 1,500 households in 40 groups, as a survey holds: 60,000 amounts
+    panel = HouseholdPanel(
+        tuple(f"h{i}" for i in range(1500)),
+        np.random.default_rng(1500).random((1500, 40)) * 100.0,
+        tuple(QUOTED_STRATA[i % len(QUOTED_STRATA)] for i in range(1500)))
+    groups = [f"g{j}" for j in range(40)]
+    monkeypatch.setattr(os, "fork", no_fork)
+    got, want = tmp_path / "written.csv", tmp_path / "reference.csv"
+    dataio.write_households(got, panel, groups)
+    micro_oracle.write_households(want, panel, groups)
+    assert got.read_bytes() == want.read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["reference.csv",
+                                                                "written.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the first block fails, or a later one when the blocks before it are in the
+# file, or the last one
+@pytest.mark.parametrize("index", [0, 4, 8])
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, index):
     panel = quoted_panel(9, True)
-    fail_on_first_household(monkeypatch, panel)
-    with pytest.raises(RuntimeError, match="the first household fails"):
+    households_per_block(monkeypatch, 2)
+    fail_on_household(monkeypatch, panel, index)
+    with pytest.raises(RuntimeError, match=f"household {index} fails"):
         dataio.write_households(tmp_path / "written.csv", panel, QUOTED_GROUPS)
     assert list(tmp_path.iterdir()) == []
 
@@ -329,8 +368,8 @@ def test_a_failed_write_to_a_pipe_leaves_the_pipe(tmp_path, monkeypatch):
         dataio.write_households(fifo, panel, QUOTED_GROUPS)
         micro_oracle.write_households(tmp_path / "reference.csv", panel, QUOTED_GROUPS)
         assert os.read(reader, 1 << 16) == (tmp_path / "reference.csv").read_bytes()
-        fail_on_first_household(monkeypatch, panel)
-        with pytest.raises(RuntimeError, match="the first household fails"):
+        fail_on_household(monkeypatch, panel)
+        with pytest.raises(RuntimeError, match="household 0 fails"):
             dataio.write_households(fifo, panel, QUOTED_GROUPS)
     finally:
         os.close(reader)
@@ -472,6 +511,8 @@ def test_committed_fixtures_match_builder_output(tmp_path, fixture_dir):
 # --- byte-order mark ------------------------------------------------------------
 
 
+# a line a chunk, and the whole file in one
+@pytest.mark.parametrize("chunk", [1, 1 << 21])
 @pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize("name, loader", [
     ("prices.csv", "load_prices"),
@@ -480,7 +521,9 @@ def test_committed_fixtures_match_builder_output(tmp_path, fixture_dir):
     ("ces_micro.csv", "load_households"),
 ])
 def test_a_leading_byte_order_mark_is_skipped(tmp_path, fixture_dir, monkeypatch,
-                                              food_prices, name, loader, quoted):
+                                              food_prices, name, loader, quoted, chunk):
+    monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk)
+
     def load(path):
         if loader == "load_prices":
             return dataio.load_prices(path)

@@ -42,6 +42,9 @@ GROUP_LABELS = [None, None, ("a", "b", "c"), ("c", "a", "b"), ("a", "b"), ("a",)
 # these line ends; and the reader's chunk size in characters
 LAYOUTS = ["csv", "\n", "\r\n", "\n", "\r\n"]
 CHUNKS = [1, 24, 1 << 21]
+# chunk sizes for files of short lines: a line a chunk, about two lines,
+# about five, and the whole file in one chunk
+LINE_CHUNKS = [1, 12, 40, 1 << 21]
 OVERSIZED = "y" * (csv.field_size_limit() + 1)
 
 
@@ -190,8 +193,9 @@ def test_blank_lines_stay_on_the_direct_split(tmp_path, micro, blanks, last, lab
     assert got == outcome(micro_oracle.load_households, path, labels)
 
 
+@pytest.mark.parametrize("kind", ["file", "fifo"])
 @pytest.mark.parametrize("quoted", [True, False])
-@pytest.mark.parametrize("chunk", [1, 1 << 21])
+@pytest.mark.parametrize("chunk", LINE_CHUNKS)
 @pytest.mark.parametrize("text, message", [
     # a field past the csv module's limit, wherever it is
     (f"h1,a,1\n{OVERSIZED},a,1\n", ":3: field larger than field limit"),
@@ -204,12 +208,14 @@ def test_blank_lines_stay_on_the_direct_split(tmp_path, micro, blanks, last, lab
     (f"h1,a\nh1,a,1\n{OVERSIZED},a,1\n", ":4: field larger than field limit"),
 ])
 def test_read_errors_are_data_errors_on_both_paths(tmp_path, text, message, quoted,
-                                                   chunk):
+                                                   chunk, kind):
+    if kind == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
     # a quote sends the whole file to the csv path
     header = ('"household_id"' if quoted else "household_id") + ",group,expenditure\n"
-    path = tmp_path / "micro.csv"
-    path.write_bytes((header + text).encode("utf-8", "surrogateescape"))
-    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+    data = (header + text).encode("utf-8", "surrogateescape")
+    with source(tmp_path, data, kind) as path, \
+            mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
         with pytest.raises(ValidationError) as caught:
             dataio.load_households(path, ["a", "b"])
     assert str(caught.value).startswith(str(path))
@@ -252,17 +258,21 @@ def csv_error_before_bytes_that_are_not_utf8(header, row, rows_before, rows_afte
 
 
 @pytest.mark.parametrize("kind", ["file", "fifo"])
+# the field and the bytes that are not UTF-8 in one chunk, or apart
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 14, 1 << 18])
 @pytest.mark.parametrize("rows_before, rows_after, line", [
     (1, 3000, 3), (40_000, 3000, 40_002),
     # the bytes that are not UTF-8 follow the field within 8 KiB
     (1, 0, 3), (12_000, 700, 12_002)])
 def test_a_csv_error_before_bytes_that_are_not_utf8_is_named_first(
-        tmp_path, rows_before, rows_after, line, kind):
+        tmp_path, rows_before, rows_after, line, chunk, kind):
     if kind == "fifo" and not hasattr(os, "mkfifo"):
         pytest.skip("needs named pipes")
     data = csv_error_before_bytes_that_are_not_utf8("household_id,group,expenditure\n",
                                                     "{},a,1\n", rows_before, rows_after)
-    with source(tmp_path, data, kind) as path, pytest.raises(ValidationError) as caught:
+    with source(tmp_path, data, kind) as path, \
+            mock.patch.object(dataio, "_CHUNK_CHARS", chunk), \
+            pytest.raises(ValidationError) as caught:
         dataio.load_households(path, ["a", "b"])
     assert str(caught.value) == f"{path}:{line}: field larger than field limit (131072)"
 
@@ -289,22 +299,25 @@ def reads(log):
     return lines.count(None), [line for line in lines if line is not None]
 
 
+@pytest.mark.parametrize("chunk", [1, 24, 60, 1 << 21])
 @pytest.mark.parametrize("quoted", [39, 20])
-def test_each_row_of_a_file_is_read_once(tmp_path, quoted):
-    # the one quote is in the last chunk or in a middle one: every chunk
-    # before it is split directly, and the csv module reads on from its chunk
-    # to the end of the file
+def test_each_row_of_a_file_is_read_once(tmp_path, quoted, chunk):
+    # the one quote is in the last chunk, a middle one or the only one: every
+    # chunk before it is split directly, and the csv module reads on from its
+    # chunk to the end of the file
     rows = [f"h{i},{'ab'[i % 2]},{i}\n" for i in range(40)]
     rows[quoted] = f'"h{quoted}",{"ab"[quoted % 2]},{quoted}\n'
     path, log = tmp_path / "micro.csv", tmp_path / "reads.jsonl"
     path.write_text("household_id,group,expenditure\n" + "".join(rows), encoding="utf-8")
-    with mock.patch.object(dataio, "_CHUNK_CHARS", 24), \
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), \
             mock.patch.object(csv, "reader", side_effect=counting_reader(log)):
         panel = dataio.load_households(path, ["a", "b"])
     calls, read = reads(log)
     assert calls == 1
-    # a chunk is 24 characters and the rest of a line: at most three lines
-    assert 1 <= len(read) - (39 - quoted) <= 3 and "".join(rows).endswith("".join(read))
+    # a chunk is ``chunk`` characters and the rest of a line, and every row
+    # from h10 on is at least 9 characters: at most chunk // 9 + 1 lines
+    assert 1 <= len(read) - (39 - quoted) <= chunk // 9 + 1
+    assert "".join(rows).endswith("".join(read))
     assert panel.household_ids == tuple(f"h{i}" for i in range(40))
     assert panel.expenditures.tolist() == [[i * (1 - i % 2), i * (i % 2)] for i in range(40)]
 
@@ -314,14 +327,16 @@ def test_each_row_of_a_file_is_read_once(tmp_path, quoted):
     ('"h1",a\n', ":60004: expected 3 fields, got 2"),
     ("\udcff,a,1\n", ": not UTF-8 text: invalid start byte"),
 ], ids=["over-long", "ragged", "not-utf8"])
+@pytest.mark.parametrize("chunk", [1 << 12, 1 << 16, 1 << 18, 1 << 21])
 def test_a_read_error_later_in_the_file_comes_before_an_earlier_check_failure(
-        tmp_path, last, message):
+        tmp_path, last, message, chunk):
     # an unknown group on line 2, then rows enough for the last line to fall
-    # in a later chunk
+    # in a later chunk, or, at the largest chunk, in the only one
     text = ("household_id,group,expenditure\nh1,zz,1\n" + "h1,a,1\n" * 60_001 + last)
     path = tmp_path / "micro.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    with pytest.raises(ValidationError) as caught:
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), \
+            pytest.raises(ValidationError) as caught:
         dataio.load_households(path, ["a", "b"])
     assert str(caught.value) == f"{path}{message}"
 
@@ -351,27 +366,30 @@ def test_a_read_error_later_in_the_file_comes_before_an_earlier_check_failure(
     ('"h\n1",a,1\nh2,zz,1\n', ":4: unknown group 'zz'"),
     ('"h\r\n1",a,1\nh2,a\n', ":4: expected 3 fields, got 2"),
 ])
+@pytest.mark.parametrize("chunk", LINE_CHUNKS)
 # a sum that overflows is a data error and no warning
 @pytest.mark.filterwarnings("error")
-def test_loader_error_precedence(tmp_path, text, message):
+def test_loader_error_precedence(tmp_path, text, message, chunk):
     path = tmp_path / "micro.csv"
     path.write_text("household_id,group,expenditure\n" + text, encoding="utf-8")
     for load in (dataio.load_households, micro_oracle.load_households):
-        with pytest.raises(ValidationError) as caught:
+        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), \
+                pytest.raises(ValidationError) as caught:
             load(path, ["a", "b"])
         assert message in str(caught.value)
 
 
-def test_stratum_conflict_names_both_strata(tmp_path):
+@pytest.mark.parametrize("chunk", LINE_CHUNKS)
+def test_stratum_conflict_names_both_strata(tmp_path, chunk):
     path = tmp_path / "micro.csv"
     path.write_text("household_id,group,expenditure,stratum\n"
                     "h1,a,1,\nh2,a,1,r1\nh1,b,-1,r2\n", encoding="utf-8")
-    with pytest.raises(
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), pytest.raises(
             ValidationError, match=r":4: negative expenditure for household 'h1'"):
         dataio.load_households(path, ["a", "b"])
     path.write_text("household_id,group,expenditure,stratum\n"
                     "h1,a,1,\nh2,a,1,r1\nh1,b,1,r2\n", encoding="utf-8")
-    with pytest.raises(
+    with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), pytest.raises(
             ValidationError,
             match=r":4: household 'h1' appears under two strata \(None and 'r2'\)"):
         dataio.load_households(path, ["a", "b"])
@@ -379,7 +397,8 @@ def test_stratum_conflict_names_both_strata(tmp_path):
 
 # ten rows of h1 to h5 and then h6, each under its own stratum; each case
 # changes the rows at some of the positions, so that a conflict, or another
-# failure, falls on one line or on several
+# failure, falls on one line or on several, and, at each chunk size, within
+# a chunk or across chunks
 STRATA_ROWS = [f"h{i % 5 + 1},{'ab'[i % 2]},{i},r{i % 5 + 1}\n" for i in range(10)]
 
 
@@ -398,12 +417,36 @@ STRATA_ROWS = [f"h{i % 5 + 1},{'ab'[i % 2]},{i},r{i % 5 + 1}\n" for i in range(1
     # on one line, a negative amount comes before the conflict
     ({8: "h1,a,-1,r9\n"}, ":10: negative expenditure for household 'h1'"),
 ])
-def test_a_stratum_conflict_is_found_on_its_line(tmp_path, changed, message):
+@pytest.mark.parametrize("chunk", LINE_CHUNKS)
+def test_a_stratum_conflict_is_found_on_its_line(tmp_path, changed, message, chunk):
     rows = [changed.get(i, row) for i, row in enumerate(STRATA_ROWS)]
     path = tmp_path / "micro.csv"
     path.write_text("household_id,group,expenditure,stratum\n" + "".join(rows),
                     encoding="utf-8")
     for load in (dataio.load_households, micro_oracle.load_households):
-        with pytest.raises(ValidationError) as caught:
+        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk), \
+                pytest.raises(ValidationError) as caught:
             load(path, ["a", "b"])
         assert str(caught.value) == f"{path}{message}"
+
+
+def no_fork():
+    raise AssertionError("a process was forked")
+
+
+@pytest.mark.parametrize("kind", ["file", "fifo"])
+def test_a_survey_sized_file_is_read_in_this_process(tmp_path, monkeypatch, kind):
+    if kind == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
+    # 60,000 rows, as many as a survey of 1,500 households in 40 groups holds
+    data = ("household_id,group,expenditure,stratum\n"
+            + "".join(STRATA_ROWS) * 6000).encode("utf-8")
+    reference = tmp_path / "reference.csv"
+    reference.write_bytes(data)
+    want = outcome(micro_oracle.load_households, reference, ["a", "b"])
+    assert want[0] == "ok"
+    monkeypatch.setattr(os, "fork", no_fork)
+    with source(tmp_path, data, kind) as path:
+        assert outcome(load_panel, path, ["a", "b"]) == want
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
