@@ -397,25 +397,19 @@ def _simulate_rows(config: RunConfig) -> list[dict]:
     except MemoryError:
         raise ConfigError(
             f"--n {config.n_households} households do not fit in memory") from None
-    import hashlib
-
-    digest, target = hashlib.sha256(), Path(config.out_path)
     # --out is treated as --output is: its directories are made, and a path
     # that cannot be written is a config error; a file the writer could not
     # finish it removes, whatever stopped it
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        write_households(target, panel, groups)
-        with target.open("rb") as handle:
-            while chunk := handle.read(1 << 20):
-                digest.update(chunk)
+        Path(config.out_path).parent.mkdir(parents=True, exist_ok=True)
+        digest = write_households(config.out_path, panel, groups)
     except OSError as exc:
         raise ConfigError(f"cannot write households to {config.out_path}: {exc}") from exc
     return [{
         "type": "file_output",
         "path": _spelled(config.out_path),
         "rows": len(panel) * len(groups),
-        "sha256": digest.hexdigest(),
+        "sha256": digest,
     }]
 
 

@@ -155,12 +155,13 @@ def _split(text: str, header: Sequence[str], start: int) -> _Chunk | None:
 
 def _read(path: Path, columns: Sequence[str], optional: Sequence[str],
           read: Callable[[Iterator[_Chunk]], _Result]) -> _Result:
-    """``read`` run over the data rows of the file, in file order.
-
-    The header is read once. The data is split directly, or, from its first
-    chunk the direct split cannot read, by the csv module to the end of the
-    file. The whole file is read whatever ``read`` does, so a read error
-    anywhere in it comes before a ValidationError that ``read`` raises."""
+    """``read`` run over the data rows of the file, in file order, a chunk
+    at a time: a ``read`` that sums each chunk into its result before it
+    takes the next holds one chunk. The header is read once. The data is
+    split directly, or, from its first chunk the direct split cannot read,
+    by the csv module to the end of the file. The whole file is read
+    whatever ``read`` does, so a read error anywhere in it comes before a
+    ValidationError that ``read`` raises."""
     with _open(path) as raw:
         line, header = raw.readline(), None
         # a leading byte-order mark, as spreadsheets write, is not header text
@@ -396,11 +397,11 @@ def load_households(path: str | Path,
     """Read household micro data; repeated (household, group) rows are summed.
 
     When ``group_labels`` is omitted, groups are taken in first-appearance
-    order. Households keep file order. A household reported under two
-    different strata is an error. The checks run on whole columns of a
-    chunk; the error raised is the one on the lowest line and, within a line,
-    the first of: unknown group, non-number, negative amount, stratum
-    conflict. Only integer codes and amounts are kept per row.
+    order. Households keep file order. A household under two strata is an
+    error. The checks run on whole columns of a chunk; the error raised is
+    the one on the lowest line and, within a line, the first of: unknown
+    group, non-number, negative amount, stratum conflict. A chunk that
+    passes is summed into the panel: the loader holds the panel and a chunk.
     """
     path = Path(path)
     order = None if group_labels is None else list(group_labels)
@@ -417,9 +418,8 @@ def _households(path: Path, chunks: Iterable[_Chunk], order: list[str] | None
     stratum_code: dict[str, int] = {}
     # the stratum code of each household's first row, in household code order
     first_strata = np.empty(0, dtype=np.intp)
-    # per chunk: each row's household code, group code (a position in the
-    # order given) and amount
-    households, groups, amounts = [], [], []
+    # the sums so far, one row per household code and rows to spare
+    spend = np.zeros((0, 0))
     for lines, cols in chunks:
         ids, group_cells, texts = cols["household_id"], cols["group"], cols["expenditure"]
         seen = len(household_code)
@@ -465,21 +465,19 @@ def _households(path: Path, chunks: Iterable[_Chunk], order: list[str] | None
         if failures:
             row, _, message = min(failures)
             raise ValidationError(f"{path}:{lines[row]}: {message}")
-        households.append(household)
-        groups.append(codes)
-        amounts.append(values)
-    m = len(group_code) if order is None else len(order)
-    spend = np.zeros(len(household_code) * m)
-    # a sum that overflows is the panel's error, not a warning
-    with np.errstate(over="ignore"):
-        for household, codes, values in zip(households, groups, amounts):
-            # each cell's amounts are added in file order, as a running sum
-            # would
-            np.add.at(spend, household * m + codes, values)
+        n, m = len(household_code), len(group_code) if order is None else len(order)
+        if n > len(spend) or m > spend.shape[1]:
+            # rows at least double, so each sum is copied a few times at most
+            grown = np.zeros((max(n, 2 * len(spend)) if n > len(spend) else len(spend), m))
+            grown[:len(spend), :spend.shape[1]] = spend
+            spend = grown
+        # each cell adds up in file order; overflow is the panel's error, not a warning
+        with np.errstate(over="ignore"):
+            np.add.at(spend.reshape(-1), household * m + codes, values)
     labels = [label or None for label in stratum_code]
     return HouseholdPanel(
         household_ids=tuple(household_code),
-        expenditures=spend.reshape(len(household_code), m),
+        expenditures=spend[:len(household_code)],
         strata=(tuple(labels[code] for code in first_strata.tolist()) if labels
                 else None),
     )
@@ -609,15 +607,18 @@ def write_weights(path: str | Path, vectors: Mapping[str, WeightVector]) -> None
 
 
 def write_households(path: str | Path, panel: HouseholdPanel,
-                     group_labels: Sequence[str]) -> None:
-    """Write micro data in long form; the bytes are those ``csv.writer``
-    would write row by row, with each amount as ``repr`` spells it. On any
-    failure a regular file is removed (see ``output_file``).
+                     group_labels: Sequence[str]) -> str:
+    """Write micro data in long form; return the SHA-256 hex digest of the
+    bytes as they are written. They are those ``csv.writer`` would write row
+    by row, with each amount as ``repr`` spells it. On any failure a regular
+    file is removed (see ``output_file``).
 
     The file is written a block of households at a time: each cell's line is
     a row of bytes, its household, ``,group,``, amount (``floattext.encode``)
     and ``,stratum`` with the line end, each padded with ``floattext.PAD``,
     which UTF-8 never holds and which is then dropped."""
+    import hashlib
+
     from . import floattext
 
     pad = bytes([floattext.PAD])
@@ -632,7 +633,9 @@ def write_households(path: str | Path, panel: HouseholdPanel,
 
     with output_file(path, binary=True) as handle:
         header = ["household_id", "group", "expenditure"] + ["stratum"] * with_stratum
-        handle.write((",".join(header) + csv.excel.lineterminator).encode())
+        block = (",".join(header) + csv.excel.lineterminator).encode()
+        digest = hashlib.sha256(block)
+        handle.write(block)
         for first in range(0, len(panel), step):
             last = min(first + step, len(panel))
             starts = _padded([_csv_field(household)
@@ -647,7 +650,10 @@ def write_households(path: str | Path, panel: HouseholdPanel,
                 last - first, len(group_labels), floattext.WIDTH)
             lines[:, :, columns[3]:] = ends[[code[stratum] for stratum
                                              in panel.strata[first:last]]][:, None]
-            handle.write(lines.tobytes().translate(None, pad))
+            block = lines.tobytes().translate(None, pad)
+            handle.write(block)
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _padded(texts: Sequence[str], pad: bytes) -> np.ndarray:

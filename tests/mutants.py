@@ -117,10 +117,23 @@ MUTANTS = [
            "part[start:start + _ROWS]",
            "part[start:start + _ROWS + 1]",
            ("tests/test_report_emitter.py",)),
-    Mutant("dataio.py", "repeated micro cells are summed in reverse file order",
-           "np.add.at(spend, household * m + codes, values)",
-           "np.add.at(spend, (household * m + codes)[::-1], values[::-1])",
+    Mutant("dataio.py", "repeated micro cells of a chunk are summed in reverse file order",
+           "np.add.at(spend.reshape(-1), household * m + codes, values)",
+           "np.add.at(spend.reshape(-1), (household * m + codes)[::-1], values[::-1])",
            ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "the micro panel's growth drops the sums so far",
+           "            grown[:len(spend), :spend.shape[1]] = spend\n",
+           "",
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "a new group in a chunk with no new household leaves the "
+                        "fold a panel of a stale width",
+           "if n > len(spend) or m > spend.shape[1]:",
+           "if n > len(spend):",
+           ("tests/test_micro_loader.py",)),
+    Mutant("dataio.py", "the micro writer's digest skips the header block",
+           "digest = hashlib.sha256(block)",
+           "digest = hashlib.sha256()",
+           ("tests/test_cli.py",)),
     Mutant("bias_tests.py", "the Z effects are one matrix product",
            "effects = np.array([_dots(p_bar, itertools.repeat(estimate.point.w - proxy.w))\n"
            "                        for estimate in estimates for proxy in proxies])",

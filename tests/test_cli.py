@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -469,6 +470,46 @@ def test_a_failed_simulate_write_is_a_config_error_and_leaves_no_file(capsys, tm
         "message": f"cannot write households to {out}: [Errno 28] No space left on device",
     }}, sort_keys=True) + "\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_simulate_out_to_a_pipe_reports_the_digest_of_what_the_reader_got(tmp_path):
+    # the command runs in a child process with a timeout, so that one which
+    # waits on the pipe after writing it fails the test rather than hangs it;
+    # 10,000 rows are more than the pipe holds unread
+    fifo, got = tmp_path / "sim.csv", {}
+    os.mkfifo(fifo)
+
+    def read():
+        with fifo.open("rb") as pipe:
+            got["bytes"] = pipe.read()
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "indexaudit", "simulate",
+                               "--true-weights", "0.6,0.4", "--groups", "a,b", "--n", "5000",
+                               "--out", str(fifo)],
+                              capture_output=True, text=True, env=_entry_env(), timeout=60)
+    finally:
+        # a reader still waiting for a writer gets an empty pipe
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (proc.returncode, proc.stderr) == (0, "")
+    row = json.loads(proc.stdout)["results"][0]
+    assert row["rows"] == 10_000
+    assert row["sha256"] == hashlib.sha256(got["bytes"]).hexdigest()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+def test_simulate_out_to_a_device_reports_the_digest_of_what_it_wrote(capsys, tmp_path):
+    out = tmp_path / "sim.csv"
+    regular = run_machine(capsys, *SIMULATE, "--out", str(out))["results"][0]
+    device = run_machine(capsys, *SIMULATE, "--out", os.devnull)["results"][0]
+    assert device["sha256"] == regular["sha256"] == hashlib.sha256(
+        out.read_bytes()).hexdigest()
 
 
 # --- verify -------------------------------------------------------------------------

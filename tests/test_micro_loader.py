@@ -15,8 +15,10 @@ import csv
 import json
 import os
 import threading
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 import micro_oracle
 from indexaudit import dataio
 from indexaudit.errors import ValidationError
+from indexaudit.survey import HouseholdPanel
 
 # str.strip removes the tab, \x0b, \x1c and \xa0 padding; csv keeps \x0b,
 # \x1c and \x85 inside a cell, where str.splitlines would split
@@ -130,10 +133,39 @@ def write_rows(path, header, rows, layout):
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
+def at_line_chunks(*files):
+    """Each (micro, labels) file as an explicit example, joined with line
+    feeds, at every size of ``LINE_CHUNKS``."""
+    def decorate(test):
+        for micro, labels in files:
+            for chunk in LINE_CHUNKS:
+                test = example(micro=micro, labels=labels, layout="\n", chunk=chunk)(test)
+        return test
+    return decorate
+
+
+HEADER = ["household_id", "group", "expenditure"]
+
+
 @settings(max_examples=800, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(micro_files(), st.sampled_from(GROUP_LABELS), st.sampled_from(LAYOUTS),
        st.sampled_from(CHUNKS))
+# the loader's panel grows as households, and with no labels groups, first
+# appear: households first seen in a late chunk; with no labels, a new group
+# after a growth, in a chunk with no new household; a cell's amounts summed
+# across a growth, in an order that changes the sum; a cell's sum that
+# overflows to inf, which the panel rejects
+@at_line_chunks(
+    ((HEADER, [["h1", "a", "0.1"], ["h1", "b", "1.0"], ["h1", "a", "2.5"], ["h1", "b", "0"],
+               ["h2", "a", "0.3"], ["h3", "b", "7e-320"], ["h2", "b", "1.0"]]), ("a", "b")),
+    ((HEADER, [["h1", "a", "1.0"], ["h2", "a", "2.5"], ["h3", "a", "0.1"], ["h1", "b", "0.2"],
+               ["h2", "c", "1.0"], ["h4", "b", "3"]]), None),
+    ((HEADER, [["h1", "a", "0.1"], ["h1", "b", "1.0"], ["h2", "a", "1.0"], ["h1", "a", "0.2"],
+               ["h3", "b", "1.0"], ["h1", "a", "0.3"], ["h2", "a", "0.5"]]), None),
+    ((HEADER, [["h1", "a", "1.0"], ["h1", "b", "1.0"], ["h2", "a", "1e308"], ["h3", "b", "1"],
+               ["h2", "a", "1e308"], ["h4", "b", "1.0"], ["h2", "b", "1.0"]]), ("a", "b")),
+)
 # three amounts of one cell whose sum depends on the order they are added in:
 # (0.1 + 0.2) + 0.3 is 0.6000000000000001, (0.3 + 0.2) + 0.1 is 0.6; among
 # other rows, first and last in the file
@@ -428,6 +460,30 @@ def test_a_stratum_conflict_is_found_on_its_line(tmp_path, changed, message, chu
                 pytest.raises(ValidationError) as caught:
             load(path, ["a", "b"])
         assert str(caught.value) == f"{path}{message}"
+
+
+def test_the_loader_holds_the_panel_and_a_few_chunks(tmp_path):
+    # 2,500 households in 80 groups, each cell once: 200,000 rows and a 1.6
+    # MB panel. The traced peak is the panel grown by doubling, its copy in
+    # HouseholdPanel and its checks, about 3.5 panels at most, and a few
+    # chunks of 16 KiB of text (~0.2 MB each), not three numbers a row kept
+    # to the end of the file (3 panels more)
+    groups = [f"g{j}" for j in range(80)]
+    panel = HouseholdPanel([f"h{i}" for i in range(2500)],
+                           np.random.default_rng(6).uniform(1.0, 100.0, (2500, 80)))
+    panel_bytes = panel.expenditures.nbytes
+    path = tmp_path / "micro.csv"
+    dataio.write_households(path, panel, groups)
+    with mock.patch.object(dataio, "_CHUNK_CHARS", 1 << 14):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = dataio.load_households(path, groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert loaded.expenditures.tobytes() == panel.expenditures.tobytes()
+    assert peak - before <= 4 * panel_bytes + 2 ** 20
 
 
 def no_fork():
